@@ -142,13 +142,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_manifest(path: Path, argv, fields: dict, traces=None) -> None:
-    lines = ["run_manifest v1", f"argv: {shlex.join(argv)}"]
+    lines = ["run_manifest v2", f"argv: {shlex.join(argv)}"]
     for key, value in fields.items():
         lines.append(f"{key}: {value}")
     if traces:
         for i, trace in enumerate(traces):
             residuals = " ".join(f"{r:.9g}" for r in trace.residuals)
             lines.append(f"residuals.sample{i}: {residuals}")
+        # prox steps whose CG stopped at cg_max_iter short of cg_tol
+        for i, trace in enumerate(traces):
+            capped = sum(not report.converged for report in trace.prox_reports)
+            lines.append(f"prox_capped.sample{i}: {capped}/{len(trace.prox_reports)}")
     path.write_text("\n".join(lines) + "\n", encoding="ascii")
 
 

@@ -67,22 +67,49 @@ class DenoiserOutput:
 
 @runtime_checkable
 class Denoiser(Protocol):
-    """Pure function of (x_t, t, cond); must accept cond.source == NONE."""
+    """Pure function of (x_t, t, cond); must accept cond.source == NONE.
+
+    A model may also offer `denoise_batch(x, t, cond)`, which takes an
+    (n, rows, cols) float64 stack and returns the eps stack of the same
+    shape, with v = 0 (the lower-bound variance) implied; the sampler then
+    evaluates all chains in one call.
+    """
 
     def denoise(self, x_t: Image, t: int, cond: ConditionInput) -> DenoiserOutput:
         ...
 
 
-def denoise(model: Denoiser, x_t: Image, t: int, cond: ConditionInput) -> DenoiserOutput:
-    """Validated call through the denoiser interface."""
-    if cond.source is not ConditionSource.NONE and cond.image.shape != x_t.shape:
+def denoise(model: Denoiser, x_t, t: int, cond: ConditionInput):
+    """Validated call through the denoiser interface.
+
+    x_t is one Image, answered with the model's DenoiserOutput, or an
+    (n, rows, cols) float64 stack, answered with (eps, v) stacks of that
+    shape, v None when the model predicts no variance coefficient.  A stack
+    goes to the model's `denoise_batch` when it has one, otherwise through
+    this function row by row.
+    """
+    if cond.source is not ConditionSource.NONE and cond.image.shape != x_t.shape[-2:]:
         raise DimensionError(
-            f"condition {cond.image.shape} does not match sample {x_t.shape}"
+            f"condition {cond.image.shape} does not match sample {x_t.shape[-2:]}"
         )
-    out = model.denoise(x_t, t, cond)
-    if out.eps.shape != x_t.shape:
-        raise DimensionError(f"denoiser returned eps of shape {out.eps.shape}")
-    return out
+    if isinstance(x_t, Image):
+        out = model.denoise(x_t, t, cond)
+        if out.eps.shape != x_t.shape:
+            raise DimensionError(f"denoiser returned eps of shape {out.eps.shape}")
+        return out
+    if x_t.ndim != 3:
+        raise DimensionError(f"expected an (n, rows, cols) stack, got shape {x_t.shape}")
+    batch = getattr(model, "denoise_batch", None)
+    if batch is not None:
+        eps = batch(x_t, t, cond)
+        if eps.shape != x_t.shape:
+            raise DimensionError(f"denoiser returned eps of shape {eps.shape}")
+        return eps, None
+    outs = [denoise(model, Image.from_array(x), t, cond) for x in x_t]
+    eps = np.stack([out.eps.as_f64() for out in outs])
+    if outs[0].v is None:
+        return eps, None
+    return eps, np.stack([out.v.as_f64() for out in outs])
 
 
 def guided_epsilon(
@@ -188,6 +215,36 @@ def gmm_log_marginal(prior: GmmPrior, x_t: np.ndarray, t: int, sched: NoiseSched
     return float(logsumexp(log_comp + np.log(prior.weights)))
 
 
+def _gmm_posterior_mean_rows(
+    prior: GmmPrior, x: np.ndarray, t: int, sched: NoiseSchedule
+) -> np.ndarray:
+    """E[x0 | x_t] for each row of an (n, dim) array; every row's arithmetic
+    is independent of n, so a chain gives the same bits alone or in a batch."""
+    if x.shape[1] != prior.dim:
+        raise DimensionError(f"x has dim {x.shape[1]}, prior has dim {prior.dim}")
+    ab, centers, m2 = _diffused_components(prior, t, sched)
+    sqrt_ab = np.sqrt(ab)
+    comp_means = [
+        (sqrt_ab * s2 * x + (1.0 - ab) * mu) / m2_i
+        for s2, mu, m2_i in zip(prior.variances, prior.means, m2)
+    ]
+    if prior.n_components == 1:
+        return comp_means[0]
+    sq = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+    log_resp = np.log(prior.weights) - 0.5 * (prior.dim * np.log(2.0 * np.pi * m2) + sq / m2)
+    return _mixture_average(log_resp, comp_means)
+
+
+def _mixture_average(log_resp: np.ndarray, comp_means) -> np.ndarray:
+    """Sum of the (n, dim) component means weighted by the responsibilities
+    normalised from the (n, k) log_resp, accumulated in component order."""
+    resp = np.exp(log_resp - logsumexp(log_resp, axis=1, keepdims=True))
+    total = resp[:, :1] * comp_means[0]
+    for i in range(1, len(comp_means)):
+        total += resp[:, i : i + 1] * comp_means[i]
+    return total
+
+
 def gmm_posterior_mean(
     prior: GmmPrior, x_t: np.ndarray, t: int, sched: NoiseSchedule
 ) -> np.ndarray:
@@ -197,23 +254,19 @@ def gmm_posterior_mean(
     component contributes its conjugate-Gaussian posterior mean
     (sqrt(ab)*s2*x_t + (1-ab)*mu) / (ab*s2 + 1 - ab).
     """
-    x = np.asarray(x_t, dtype=np.float64).ravel()
-    if x.size != prior.dim:
-        raise DimensionError(f"x has dim {x.size}, prior has dim {prior.dim}")
-    ab, centers, m2 = _diffused_components(prior, t, sched)
-    sq = ((x[None, :] - centers) ** 2).sum(axis=1)
-    log_resp = np.log(prior.weights) - 0.5 * (prior.dim * np.log(2.0 * np.pi * m2) + sq / m2)
-    log_resp -= logsumexp(log_resp)
-    resp = np.exp(log_resp)
-    sqrt_ab = np.sqrt(ab)
-    comp_means = (
-        sqrt_ab * prior.variances[:, None] * x[None, :] + (1.0 - ab) * prior.means
-    ) / m2[:, None]
-    return resp @ comp_means
+    x = np.asarray(x_t, dtype=np.float64).reshape(1, -1)
+    return _gmm_posterior_mean_rows(prior, x, t, sched)[0]
 
 
 def _eps_from_posterior_mean(x: np.ndarray, post_mean: np.ndarray, ab: float) -> np.ndarray:
     return (x - np.sqrt(ab) * post_mean) / np.sqrt(1.0 - ab)
+
+
+def _denoise_one(model, x_t: Image, t: int, cond: ConditionInput) -> DenoiserOutput:
+    """A batched model's denoise on one image: its batch of one, v = 0."""
+    shape = x_t.shape
+    eps = model.denoise_batch(x_t.as_f64()[None], t, cond)[0]
+    return DenoiserOutput(Image(*shape, eps), Image(*shape, np.zeros(shape)))
 
 
 class GmmDenoiser:
@@ -228,16 +281,13 @@ class GmmDenoiser:
         self.prior = prior
         self.sched = sched
 
+    def denoise_batch(self, x: np.ndarray, t: int, cond: ConditionInput) -> np.ndarray:
+        flat = x.reshape(x.shape[0], -1)
+        post = _gmm_posterior_mean_rows(self.prior, flat, t, self.sched)
+        return _eps_from_posterior_mean(flat, post, self.sched.alpha_bar_at(t)).reshape(x.shape)
+
     def denoise(self, x_t: Image, t: int, cond: ConditionInput) -> DenoiserOutput:
-        x = x_t.as_f64().ravel()
-        ab = self.sched.alpha_bar_at(t)
-        eps = _eps_from_posterior_mean(
-            x, gmm_posterior_mean(self.prior, x, t, self.sched), ab
-        )
-        shape = x_t.shape
-        return DenoiserOutput(
-            Image(*shape, eps.reshape(shape)), Image(*shape, np.zeros(shape))
-        )
+        return _denoise_one(self, x_t, t, cond)
 
 
 def gmm_denoiser(prior: GmmPrior, sched: NoiseSchedule) -> GmmDenoiser:
@@ -321,39 +371,49 @@ class ConditionalGmmDenoiser:
             vals, vecs = np.linalg.eigh(covs[i])
             self._eigvals[i] = np.maximum(vals, 0.0)
             self._eigvecs[i] = vecs
+        self._eigvecs_t = np.ascontiguousarray(self._eigvecs.transpose(0, 2, 1))
 
-    def posterior_mean_x0(self, x_t_flat: np.ndarray, t: int) -> np.ndarray:
-        """E[x0 | x_t, y] for the full-covariance posterior mixture."""
-        x = np.asarray(x_t_flat, dtype=np.float64).ravel()
+    def _posterior_mean_rows(self, x: np.ndarray, t: int) -> np.ndarray:
+        """E[x0 | x_t, y] for each row of an (n, dim) array.
+
+        Products with the eigenbases are broadcast sums over the last axis,
+        not BLAS matmuls, so each row's result does not depend on n.
+        """
         post = self.posterior
         ab = self.sched.alpha_bar_at(t)
         sqrt_ab = np.sqrt(ab)
-        dim = x.size
+        n, dim = x.shape
         k = post.weights.size
-        log_resp = np.empty(k)
-        comp_means = np.empty((k, dim))
+        log_resp = np.empty((n, k))
+        comp_means = []
         for i in range(k):
-            q = self._eigvecs[i]
             lam = self._eigvals[i]
             marg = ab * lam + (1.0 - ab)
             diff = x - sqrt_ab * post.means[i]
-            proj = q.T @ diff
-            log_resp[i] = np.log(post.weights[i]) - 0.5 * (
-                dim * np.log(2.0 * np.pi) + np.log(marg).sum() + ((proj**2) / marg).sum()
-            )
-            gain = lam / marg
-            comp_means[i] = post.means[i] + sqrt_ab * (q @ (gain * proj))
-        log_resp -= logsumexp(log_resp)
-        return np.exp(log_resp) @ comp_means
+            proj = (diff[:, None, :] * self._eigvecs_t[i][None]).sum(axis=2)
+            gain_proj = (lam / marg) * proj
+            back = (gain_proj[:, None, :] * self._eigvecs[i][None]).sum(axis=2)
+            comp_means.append(post.means[i] + sqrt_ab * back)
+            if k > 1:
+                log_resp[:, i] = np.log(post.weights[i]) - 0.5 * (
+                    dim * np.log(2.0 * np.pi) + np.log(marg).sum() + ((proj**2) / marg).sum(axis=1)
+                )
+        if k == 1:
+            return comp_means[0]
+        return _mixture_average(log_resp, comp_means)
+
+    def posterior_mean_x0(self, x_t_flat: np.ndarray, t: int) -> np.ndarray:
+        """E[x0 | x_t, y] for the full-covariance posterior mixture."""
+        x = np.asarray(x_t_flat, dtype=np.float64).reshape(1, -1)
+        return self._posterior_mean_rows(x, t)[0]
+
+    def denoise_batch(self, x: np.ndarray, t: int, cond: ConditionInput) -> np.ndarray:
+        flat = x.reshape(x.shape[0], -1)
+        post = self._posterior_mean_rows(flat, t)
+        return _eps_from_posterior_mean(flat, post, self.sched.alpha_bar_at(t)).reshape(x.shape)
 
     def denoise(self, x_t: Image, t: int, cond: ConditionInput) -> DenoiserOutput:
-        x = x_t.as_f64().ravel()
-        ab = self.sched.alpha_bar_at(t)
-        eps = _eps_from_posterior_mean(x, self.posterior_mean_x0(x, t), ab)
-        shape = x_t.shape
-        return DenoiserOutput(
-            Image(*shape, eps.reshape(shape)), Image(*shape, np.zeros(shape))
-        )
+        return _denoise_one(self, x_t, t, cond)
 
 
 def conditional_gmm_denoiser(

@@ -178,19 +178,34 @@ def forward_sample(x0: Image, t: int, eps: Image, sched: NoiseSchedule) -> Image
     return Image(x0.rows, x0.cols, data)
 
 
+def variance_from_v(v: np.ndarray, t: int, sched: NoiseSchedule) -> np.ndarray:
+    """Array form of interpolate_variance, elementwise over any float64 array."""
+    t = _check_t(t, sched.T)
+    if t == 1:
+        return np.zeros_like(v)
+    log_beta = math.log(sched.beta_at(t))
+    log_bt = math.log(sched.beta_tilde_at(t))
+    return np.exp(v * log_beta + (1.0 - v) * log_bt)
+
+
 def interpolate_variance(v: Image, t: int, sched: NoiseSchedule) -> Image:
     """Per-pixel reverse variance exp(v*log beta_t + (1-v)*log beta_tilde_t).
 
     At t = 1 the lower bound is exactly zero and the log-interpolation
     degenerates, so the variance is forced to zero there.
     """
-    t = _check_t(t, sched.T)
-    if t == 1:
-        return Image(v.rows, v.cols, np.zeros(v.shape))
-    log_beta = math.log(sched.beta_at(t))
-    log_bt = math.log(sched.beta_tilde_at(t))
-    coeff = v.as_f64()
-    return Image(v.rows, v.cols, np.exp(coeff * log_beta + (1.0 - coeff) * log_bt))
+    return Image(v.rows, v.cols, variance_from_v(v.as_f64(), t, sched))
+
+
+def reverse_update(x_t, eps_hat, sigma2, t: int, sched: NoiseSchedule, z):
+    """Array form of reverse_step on float64 arrays (or scalars) that broadcast.
+
+    The sampler applies it to an (n, rows*cols) stack of chains at once.
+    """
+    alpha = sched.alpha_at(t)
+    ab = sched.alpha_bar_at(t)
+    mean = (x_t - ((1.0 - alpha) / math.sqrt(1.0 - ab)) * eps_hat) / math.sqrt(alpha)
+    return mean + np.sqrt(sigma2) * z
 
 
 def reverse_step(
@@ -212,12 +227,8 @@ def reverse_step(
     var = sigma2.as_f64()
     if np.any(var < 0.0):
         raise ParameterError("reverse variance must be non-negative")
-    alpha = sched.alpha_at(t)
-    ab = sched.alpha_bar_at(t)
-    mean = (x_t.as_f64() - ((1.0 - alpha) / math.sqrt(1.0 - ab)) * eps_hat.as_f64()) / math.sqrt(
-        alpha
-    )
-    return Image(x_t.rows, x_t.cols, mean + np.sqrt(var) * z.as_f64())
+    data = reverse_update(x_t.as_f64(), eps_hat.as_f64(), var, t, sched, z.as_f64())
+    return Image(x_t.rows, x_t.cols, data)
 
 
 def respace(sched: NoiseSchedule, K: int) -> TimestepMap:

@@ -3,9 +3,10 @@
 One chain starts from white noise and walks the shortened reverse schedule;
 every step takes a (optionally guidance-blended) noise prediction, applies
 the stochastic reverse transition, and, when configured, pulls the iterate
-toward the measurements with the proximal consistency map.  Averaging many
-chains estimates the posterior mean; the per-pixel spread is an uncertainty
-proxy.
+toward the measurements with the proximal consistency map.  All chains of
+one call advance together, as the rows of one float64 array.  Averaging
+many chains estimates the posterior mean; the per-pixel spread is an
+uncertainty proxy.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from .core import (
     SeededRng,
     Sinogram,
 )
-from .denoiser import ConditionInput, ConditionSource, Denoiser, denoise, guided_epsilon
-from .diffusion import NoiseSchedule, interpolate_variance, respace, reverse_step
-from .solvers import ProxConfig, prox_consistency, rls_reconstruct
+from .denoiser import ConditionInput, ConditionSource, Denoiser, denoise
+from .diffusion import NoiseSchedule, respace, reverse_update, variance_from_v
+from .solvers import CgReport, ProxConfig, prox_consistency, rls_reconstruct
 from .tomography import FilterKind, Geometry, TomoOperator, fbp_reconstruct
 
 
@@ -62,11 +63,13 @@ class ChainTrace:
     """Measurement residuals recorded while a chain runs.
 
     residuals holds ||A x - y|| after every completed step; prox_residuals
-    holds (before, after) pairs around each consistency application.
+    holds (before, after) pairs around each consistency application, and
+    prox_reports the CG report of each of those applications.
     """
 
     residuals: List[float] = field(default_factory=list)
     prox_residuals: List[Tuple[float, float]] = field(default_factory=list)
+    prox_reports: List[CgReport] = field(default_factory=list)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,8 +112,120 @@ def build_condition(sino: Sinogram, geom: Geometry, method: str) -> ConditionInp
     return ConditionInput(Image(geom.image_rows, geom.image_cols, arr), source)
 
 
-def _zeros_like(img: Image) -> Image:
-    return Image(img.rows, img.cols, np.zeros(img.shape))
+# noise is drawn a block of steps at a time, at most this many float64 values
+# for all chains together; a chain's stream is the same whatever the block size
+_NOISE_BLOCK_VALUES = 1 << 16
+_F32_MAX = float(np.finfo(np.float32).max)
+
+
+def _noise_rows(rngs: List[SeededRng], dim: int, count: int):
+    """Yield `count` (n, dim) arrays of standard normals, row i from rngs[i].
+
+    Each chain's stream is read in the order one chain at a time would read
+    it; several steps are drawn per call to keep the calls few.
+    """
+    per_block = max(1, _NOISE_BLOCK_VALUES // (len(rngs) * dim))
+    for start in range(0, count, per_block):
+        m = min(per_block, count - start)
+        yield from np.stack([rng.standard_normal(m * dim).reshape(m, dim) for rng in rngs], axis=1)
+
+
+def _run_chains(
+    model: Denoiser,
+    measurements: Optional[np.ndarray],
+    operator,
+    shape: Tuple[int, int],
+    cond: ConditionInput,
+    sched: NoiseSchedule,
+    cfg: SamplerConfig,
+    uncond_model: Optional[Denoiser],
+    seeds: List[int],
+    traces: Optional[List[ChainTrace]],
+) -> np.ndarray:
+    """Run one chain per seed, all at once; returns their (n, rows*cols) end states.
+
+    The state of every chain is one row of a float64 array.  Each step calls
+    the denoiser once on the whole stack, except for models without
+    `denoise_batch`, and applies the prox and the residual traces chain by
+    chain.  Chain i draws only from SeededRng(seeds[i]), and no row
+    reduction depends on the number of chains, so a chain's result does not
+    depend on the others run with it.
+    """
+    if cfg.guidance != 1.0 and uncond_model is None:
+        raise ParameterError("guidance weight != 1 requires an unconditional model")
+    if (cfg.prox is not None or traces is not None) and (operator is None or measurements is None):
+        raise ParameterError("consistency and tracing need measurements and an operator")
+    y = None
+    if measurements is not None:
+        y = np.asarray(measurements, dtype=np.float64).ravel()
+        if operator is not None and y.size != operator.shape[0]:
+            raise DimensionError(
+                f"measurements have dim {y.size}, operator expects {operator.shape[0]}"
+            )
+    if cfg.steps > sched.T:
+        raise ParameterError(f"steps={cfg.steps} exceeds schedule length {sched.T}")
+    if cfg.steps == sched.T:
+        chain_sched = sched
+        indices = np.arange(1, sched.T + 1)
+    else:
+        tmap = respace(sched, cfg.steps)
+        chain_sched = tmap.schedule
+        indices = tmap.indices
+    K = chain_sched.T
+    rows, cols = shape
+    n = len(seeds)
+    # chain start plus one noise vector for every step but the last
+    noise = _noise_rows([SeededRng(seed) for seed in seeds], rows * cols, K)
+    x = next(noise)
+    cond_none = ConditionInput.none(rows, cols)
+
+    def residual(row: np.ndarray) -> float:
+        return float(np.linalg.norm(operator.forward(row) - y))
+
+    for k in range(K, 0, -1):
+        step_index = K - k  # 0 for the first (noisiest) step
+        t_orig = int(indices[k - 1])
+        stack = x.reshape(n, rows, cols)
+        try:
+            eps, v = denoise(model, stack, t_orig, cond)
+            if cfg.guidance != 1.0:
+                eps_u, _ = denoise(uncond_model, stack, t_orig, cond_none)
+                eps = cfg.guidance * eps + (1.0 - cfg.guidance) * eps_u
+        except DataError as exc:
+            raise NumericalError(
+                f"chain state became non-finite at step {k} (t={t_orig}): {exc}"
+            ) from exc
+        eps = eps.reshape(n, -1)
+        if k == 1:
+            sigma2, z = 0.0, 0.0
+        else:
+            sigma2 = (
+                chain_sched.beta_tilde_at(k)
+                if v is None
+                else variance_from_v(v.reshape(n, -1), k, chain_sched)
+            )
+            z = next(noise)
+        x = reverse_update(x, eps, sigma2, k, chain_sched, z)
+        # the samples are float32 rasters, so a state they cannot hold is invalid
+        if not np.all(np.abs(x) <= _F32_MAX):
+            raise NumericalError(
+                f"chain state became non-finite or left the float32 range at step {k} "
+                f"(t={t_orig})"
+            )
+        if cfg.prox is not None and step_index >= cfg.prox_skip:
+            gamma = cfg.prox.gamma_for_step(k)
+            for i in range(n):
+                before = residual(x[i]) if traces is not None else None
+                x[i], report = prox_consistency(x[i], y, operator, cfg.prox, gamma=gamma)
+                if traces is not None:
+                    after = residual(x[i])
+                    traces[i].prox_residuals.append((before, after))
+                    traces[i].prox_reports.append(report)
+                    traces[i].residuals.append(after)
+        elif traces is not None:
+            for row, trace in zip(x, traces):
+                trace.residuals.append(residual(row))
+    return x
 
 
 def sample_posterior(
@@ -132,79 +247,14 @@ def sample_posterior(
     from the v head or the schedule lower bound, the stochastic reverse
     update (no noise on the final step), and the consistency prox when
     enabled.  The denoiser receives original-schedule timestep indices.
-    Everything is a pure function of (seed, config, inputs).
+    Everything is a pure function of (seed, config, inputs), and the result
+    equals the same chain drawn by draw_samples.
     """
-    if cfg.guidance != 1.0 and uncond_model is None:
-        raise ParameterError("guidance weight != 1 requires an unconditional model")
-    needs_operator = cfg.prox is not None or trace is not None
-    if needs_operator and (operator is None or measurements is None):
-        raise ParameterError("consistency and tracing need measurements and an operator")
-    y = None
-    if measurements is not None:
-        y = np.asarray(measurements, dtype=np.float64).ravel()
-        if operator is not None and y.size != operator.shape[0]:
-            raise DimensionError(
-                f"measurements have dim {y.size}, operator expects {operator.shape[0]}"
-            )
-    rows, cols = shape
-
-    if cfg.steps > sched.T:
-        raise ParameterError(f"steps={cfg.steps} exceeds schedule length {sched.T}")
-    if cfg.steps == sched.T:
-        chain_sched = sched
-        indices = np.arange(1, sched.T + 1)
-    else:
-        tmap = respace(sched, cfg.steps)
-        chain_sched = tmap.schedule
-        indices = tmap.indices
-    K = chain_sched.T
-
-    rng = SeededRng(cfg.seed if seed is None else seed)
-    x = rng.normal_image(rows, cols)
-    cond_none = ConditionInput.none(rows, cols)
-
-    def residual(img: Image) -> float:
-        return float(np.linalg.norm(operator.forward(img.as_f64().ravel()) - y))
-
-    for k in range(K, 0, -1):
-        step_index = K - k  # 0 for the first (noisiest) step
-        t_orig = int(indices[k - 1])
-        try:
-            out = denoise(model, x, t_orig, cond)
-            if cfg.guidance != 1.0:
-                out_u = denoise(uncond_model, x, t_orig, cond_none)
-                out = guided_epsilon(out, out_u, cfg.guidance)
-            if k == 1:
-                sigma2 = _zeros_like(x)
-                z = _zeros_like(x)
-            else:
-                if out.v is not None:
-                    sigma2 = interpolate_variance(out.v, k, chain_sched)
-                else:
-                    sigma2 = Image(
-                        rows, cols, np.full(shape, chain_sched.beta_tilde_at(k))
-                    )
-                z = rng.normal_image(rows, cols)
-            x = reverse_step(x, out.eps, sigma2, k, chain_sched, z)
-            if cfg.prox is not None and step_index >= cfg.prox_skip:
-                before = residual(x) if trace is not None else None
-                z_flat, _report = prox_consistency(
-                    x.as_f64().ravel(),
-                    y,
-                    operator,
-                    cfg.prox,
-                    gamma=cfg.prox.gamma_for_step(k),
-                )
-                x = Image(rows, cols, z_flat.reshape(shape))
-                if trace is not None:
-                    trace.prox_residuals.append((before, residual(x)))
-        except DataError as exc:
-            raise NumericalError(
-                f"chain state became non-finite at step {k} (t={t_orig}): {exc}"
-            ) from exc
-        if trace is not None:
-            trace.residuals.append(residual(x))
-    return x
+    x = _run_chains(
+        model, measurements, operator, shape, cond, sched, cfg, uncond_model,
+        [cfg.seed if seed is None else seed], None if trace is None else [trace],
+    )
+    return Image(*shape, x[0].reshape(shape))
 
 
 def sample_posterior_ct(
@@ -248,30 +298,19 @@ def draw_samples(
 ) -> SampleSet:
     """cfg.n_samples independent chains; chain i uses seed cfg.seed + i.
 
-    Chains are independent and could run concurrently; results do not depend
-    on execution order.
+    The chains run together, one step at a time for all of them; chain i
+    equals sample_posterior with seed cfg.seed + i bit for bit.  When traces
+    is a list, one ChainTrace per chain is appended to it.
     """
-    samples = []
-    for i in range(cfg.n_samples):
-        trace = None
-        if traces is not None:
-            trace = ChainTrace()
-            traces.append(trace)
-        samples.append(
-            sample_posterior(
-                model,
-                measurements,
-                operator,
-                shape,
-                cond,
-                sched,
-                cfg,
-                uncond_model=uncond_model,
-                seed=(cfg.seed + i) % (1 << 64),
-                trace=trace,
-            )
-        )
-    return SampleSet(tuple(samples), cfg, context_digest)
+    chain_traces = None
+    if traces is not None:
+        chain_traces = [ChainTrace() for _ in range(cfg.n_samples)]
+        traces.extend(chain_traces)
+    seeds = [(cfg.seed + i) % (1 << 64) for i in range(cfg.n_samples)]
+    x = _run_chains(
+        model, measurements, operator, shape, cond, sched, cfg, uncond_model, seeds, chain_traces
+    )
+    return SampleSet(tuple(Image(*shape, row.reshape(shape)) for row in x), cfg, context_digest)
 
 
 def sample_average(sample_set: SampleSet) -> Image:

@@ -8,6 +8,7 @@ per-criterion lines.
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from lactdiff.evaluation import (
     make_phantom,
     psnr,
 )
-from lactdiff.sampler import ChainTrace, SamplerConfig, sample_posterior
+from lactdiff.sampler import SamplerConfig, draw_samples
 from lactdiff.solvers import (
     DenseOperator,
     ProxConfig,
@@ -100,18 +101,20 @@ def gauss_case():
 _SAMPLE_CACHE = {}
 
 
+def chain_block(gauss_case, seed, n, measurements=None, operator=None, traces=None, **cfg):
+    """Chains with seeds seed .. seed+n-1 of the criterion-5 configuration, as rows."""
+    sample_set = draw_samples(
+        gauss_case["model"], measurements, operator, (4, 4), gauss_case["cond"],
+        TRAIN_SCHED, replace(gauss_case["cfg"], seed=seed, n_samples=n, **cfg),
+        traces=traces,
+    )
+    return np.stack([s.as_f64().ravel() for s in sample_set.samples])
+
+
 def posterior_samples(gauss_case):
     """500 seeded chains from the criterion-5 configuration (cached)."""
     if "samples" not in _SAMPLE_CACHE:
-        n = 500
-        samples = np.empty((n, gauss_case["dim"]))
-        for i in range(n):
-            img = sample_posterior(
-                gauss_case["model"], None, None, (4, 4), gauss_case["cond"],
-                TRAIN_SCHED, gauss_case["cfg"], seed=1000 + i,
-            )
-            samples[i] = img.as_f64().ravel()
-        _SAMPLE_CACHE["samples"] = samples
+        _SAMPLE_CACHE["samples"] = chain_block(gauss_case, 1000, 500)
     return _SAMPLE_CACHE["samples"]
 
 
@@ -208,28 +211,17 @@ def test_criterion_05_conditional_posterior_convergence(gauss_case):
 def test_criterion_06_data_consistency_benefit(gauss_case):
     with criterion(6, "consistency prox lowers residuals and never raises them", 600.0):
         matrix, y = gauss_case["matrix"], gauss_case["y"]
-        op = DenseOperator(matrix)
-        prox_cfg = SamplerConfig(
-            steps=200,
+        traces = []
+        with_prox = chain_block(
+            gauss_case, 0, 100, y, DenseOperator(matrix), traces,
             prox=ProxConfig(gamma=1.0, cg_tol=1e-10, cg_max_iter=50),
-            seed=0,
         )
-        plain_cfg = SamplerConfig(steps=200, seed=0)
-        res_on, res_off = [], []
-        for i in range(100):
-            trace = ChainTrace()
-            with_prox = sample_posterior(
-                gauss_case["model"], y, op, (4, 4), gauss_case["cond"],
-                TRAIN_SCHED, prox_cfg, seed=i, trace=trace,
-            )
-            res_on.append(np.linalg.norm(matrix @ with_prox.as_f64().ravel() - y))
+        for trace in traces:
             for before, after in trace.prox_residuals:
                 assert after <= before + 1e-10
-            without = sample_posterior(
-                gauss_case["model"], None, None, (4, 4), gauss_case["cond"],
-                TRAIN_SCHED, plain_cfg, seed=i,
-            )
-            res_off.append(np.linalg.norm(matrix @ without.as_f64().ravel() - y))
+        without = chain_block(gauss_case, 0, 100)
+        res_on = np.linalg.norm(with_prox @ matrix.T - y, axis=1)
+        res_off = np.linalg.norm(without @ matrix.T - y, axis=1)
         assert np.mean(res_on) <= np.mean(res_off)
 
 
@@ -266,13 +258,7 @@ def test_criterion_08_uncertainty_calibration(gauss_case):
         mean = gauss_case["oracle_mean"]
         non_negative = 0
         for rep in range(20):
-            samples = np.empty((64, gauss_case["dim"]))
-            for i in range(64):
-                img = sample_posterior(
-                    gauss_case["model"], None, None, (4, 4), gauss_case["cond"],
-                    TRAIN_SCHED, gauss_case["cfg"], seed=rep * 1000 + i,
-                )
-                samples[i] = img.as_f64().ravel()
+            samples = chain_block(gauss_case, rep * 1000, 64)
             spread = samples.std(axis=0, ddof=1)
             error = np.abs(samples.mean(axis=0) - mean)
             if np.corrcoef(spread, error)[0, 1] >= 0.0:

@@ -1,5 +1,7 @@
 """Command-line pipeline: exit codes, determinism, manifests."""
 
+import shlex
+
 import numpy as np
 import pytest
 
@@ -271,6 +273,9 @@ class TestSampleCommand:
                 if l.startswith(f"residuals.sample{i}:")
             )
             assert len(line.split(":", 1)[1].split()) == 6  # one entry per step
+            capped, steps = manifest.split(f"prox_capped.sample{i}: ")[1].split()[0].split("/")
+            assert 0 <= int(capped) <= int(steps) == 6
+        assert manifest.startswith("run_manifest v2\n")
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_numerical_blowup_exits_with_code_4(self, sino64, tmp_path, capsys):
@@ -296,6 +301,15 @@ class TestManifestReplay:
         code, _, _ = run(capsys, "--manifest-in", str(manifest))
         assert code == 0
         assert out.read_bytes() == original
+
+    def test_v1_manifest_still_replays(self, tmp_path, capsys):
+        # replay reads only the argv line, whose format v2 left unchanged
+        out = tmp_path / "p.ctr"
+        manifest = tmp_path / "old.manifest.txt"
+        argv = shlex.join(["phantom", "--kind", "disks", "--size", "16", "--out", str(out)])
+        manifest.write_text(f"run_manifest v1\nargv: {argv}\ncommand: phantom\n")
+        assert run(capsys, "--manifest-in", str(manifest))[0] == 0
+        assert out.exists()
 
     def test_missing_manifest_is_io_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, "--manifest-in", str(tmp_path / "none.txt"))

@@ -61,6 +61,31 @@ class TestInterface:
             out = denoise(model, x, 100, cond)
             assert np.all(np.isfinite(out.eps.data))
 
+    def test_stack_rows_equal_single_image_calls(self):
+        # batched models take the stack in one call, the others row by row;
+        # either way row i is the answer for image i alone
+        class HalfVHead:
+            def denoise(self, x_t, t, cond):
+                return DenoiserOutput(x_t, Image(x_t.rows, x_t.cols, np.full(x_t.shape, 0.5)))
+
+        rng = np.random.default_rng(12)
+        prior = GmmPrior(4, [0.4, 0.6], rng.standard_normal((2, 4)), [0.5, 1.2])
+        stack = rng.standard_normal((3, 2, 2)).astype(np.float32).astype(np.float64)
+        cond = none_cond(2, 2)
+        for model in (
+            gmm_denoiser(prior, SCHED),
+            conditional_gmm_denoiser(prior, rng.standard_normal((2, 4)), np.zeros(2), 1.0, SCHED),
+            TableDenoiser([-1.0, 1.0], [-2.0, 2.0]),
+            HalfVHead(),
+        ):
+            eps, v = denoise(model, stack, 300, cond)
+            assert eps.shape == stack.shape
+            for i, x in enumerate(stack):
+                out = denoise(model, Image.from_array(x), 300, cond)
+                assert eps[i].astype(np.float32).tobytes() == out.eps.data.tobytes()
+            assert (v is None) == (not isinstance(model, HalfVHead))
+        assert np.all(v == 0.5)
+
     def test_condition_shape_checked(self):
         x = Image(2, 2, np.ones((2, 2)))
         cond = ConditionInput(Image(3, 3, np.zeros((3, 3))), ConditionSource.FBP)

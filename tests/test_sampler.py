@@ -48,6 +48,24 @@ def gaussian_setup(seed=42):
     return model, mat, y
 
 
+def assert_chains_match_lone_runs(
+    model, measurements, operator, shape, cond, cfg, uncond_model=None, traced=False
+):
+    """Chain i of draw_samples equals sample_posterior with seed cfg.seed + i,
+    byte for byte, and so does its trace."""
+    traces = [] if traced else None
+    batch = draw_samples(model, measurements, operator, shape, cond, SCHED, cfg,
+                         uncond_model=uncond_model, traces=traces)
+    for i, sample in enumerate(batch.samples):
+        trace = ChainTrace() if traced else None
+        lone = sample_posterior(model, measurements, operator, shape, cond, SCHED, cfg,
+                                uncond_model=uncond_model, seed=cfg.seed + i, trace=trace)
+        assert sample.data.tobytes() == lone.data.tobytes()
+        if traced:
+            assert len(trace.prox_reports) == cfg.steps - cfg.prox_skip
+            assert traces[i] == trace
+
+
 class TestBuildCondition:
     def test_zero_sinogram_gives_zero_condition(self):
         geom = make_limited_geometry(16, 23, 8, 90.0)
@@ -146,6 +164,7 @@ class TestChain:
         sample_posterior(model, y, DenseOperator(mat), (4, 4),
                          ConditionInput.none(4, 4), SCHED, cfg, trace=trace)
         assert len(trace.prox_residuals) == 30
+        assert len(trace.prox_reports) == 30
         for before, after in trace.prox_residuals:
             assert after <= before + 1e-10
 
@@ -184,6 +203,42 @@ class TestChain:
         b = sample_posterior(model, None, None, (3, 3), cond, SCHED, cfg)
         assert a == b
         assert np.all(np.isfinite(a.data))
+
+    def test_two_component_ct_chains_with_prox_match_lone_runs(self):
+        n = 16
+        geom = make_limited_geometry(n, default_detectors(n), 10, 120.0)
+        sino = forward_project(make_phantom(PhantomSpec(PhantomKind.DISKS, n, seed=4)), geom)
+        cond = build_condition(sino, geom, "fbp")
+        means = np.stack([cond.image.as_f64().ravel(), np.zeros(n * n)])
+        model = gmm_denoiser(GmmPrior(n * n, [0.6, 0.4], means, [0.25, 0.5]), SCHED)
+        cfg = SamplerConfig(
+            steps=12, prox=ProxConfig(gamma=0.5, cg_max_iter=20), seed=3, n_samples=3
+        )
+        assert_chains_match_lone_runs(
+            model, sino.as_f64().ravel(), TomoOperator(geom), (n, n), cond, cfg, traced=True
+        )
+
+    def test_guided_chains_match_lone_runs(self):
+        model, _, _ = gaussian_setup()
+        uncond = gmm_denoiser(GmmPrior(16, [1.0], np.zeros((1, 16)), [1.0]), SCHED)
+        cfg = SamplerConfig(steps=20, guidance=1.5, seed=11, n_samples=4)
+        assert_chains_match_lone_runs(
+            model, None, None, (4, 4), ConditionInput.none(4, 4), cfg, uncond_model=uncond
+        )
+
+    def test_row_by_row_chains_match_lone_runs(self):
+        from lactdiff.denoiser import TableDenoiser
+
+        class ShrinkWithVHead:
+            def denoise(self, x_t, t, cond):
+                half = Image(x_t.rows, x_t.cols, np.full(x_t.shape, 0.5))
+                return DenoiserOutput(Image(x_t.rows, x_t.cols, 0.8 * x_t.as_f64()), half)
+
+        cfg = SamplerConfig(steps=12, seed=2, n_samples=3)
+        for model in (TableDenoiser([-4.0, 0.0, 4.0], [-3.2, 0.0, 3.2]), ShrinkWithVHead()):
+            assert_chains_match_lone_runs(
+                model, None, None, (3, 3), ConditionInput.none(3, 3), cfg
+            )
 
     def test_ct_wrapper_smoke(self):
         n = 16
