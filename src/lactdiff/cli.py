@@ -213,11 +213,11 @@ def _cmd_project(args, argv) -> int:
     image = _expect_image(args.input)
     if image.rows != image.cols:
         raise ParameterError("projection expects a square image")
+    if args.noise_std < 0.0:
+        raise ParameterError("noise std must be >= 0")
     detectors = args.detectors if args.detectors > 0 else default_detectors(image.rows)
     geom = make_limited_geometry(image.rows, detectors, args.views, args.theta_max)
     sino = forward_project(image, geom)
-    if args.noise_std < 0.0:
-        raise ParameterError("noise std must be >= 0")
     if args.noise_std > 0.0:
         rng = SeededRng(args.seed)
         noisy = sino.as_f64() + args.noise_std * rng.standard_normal(
@@ -293,6 +293,18 @@ def _cmd_sample(args, argv) -> int:
         if args.schedule == "linear"
         else cosine_schedule(args.T)
     )
+    if args.lam != 1.0 and args.uncond_prior is None:
+        raise ParameterError("lambda != 1 requires --uncond-prior")
+    # both configs check their arguments, before the condition's solve
+    prox = None if args.no_prox else ProxConfig(gamma=args.gamma)
+    cfg = SamplerConfig(
+        steps=args.K,
+        guidance=args.lam,
+        prox=prox,
+        prox_skip=args.prox_skip,
+        seed=args.seed,
+        n_samples=args.samples,
+    )
     cond = build_condition(sino, geom, args.condition)
     dim = args.size * args.size
 
@@ -304,18 +316,7 @@ def _cmd_sample(args, argv) -> int:
             args.uncond_prior, dim, np.zeros(dim), max(args.prior_std, 1.0)
         )
         uncond_model = gmm_denoiser(uncond_prior, sched)
-    if args.lam != 1.0 and uncond_model is None:
-        raise ParameterError("lambda != 1 requires --uncond-prior")
 
-    prox = None if args.no_prox else ProxConfig(gamma=args.gamma)
-    cfg = SamplerConfig(
-        steps=args.K,
-        guidance=args.lam,
-        prox=prox,
-        prox_skip=args.prox_skip,
-        seed=args.seed,
-        n_samples=args.samples,
-    )
     traces: list[ChainTrace] = []
     sample_set = draw_samples(
         model,

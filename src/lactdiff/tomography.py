@@ -221,44 +221,70 @@ _PLAN_CACHE: "OrderedDict[str, sp.csr_matrix]" = OrderedDict()
 _PLAN_CACHE_SIZE = 4
 
 
+def _view_stencil(geom: Geometry, theta_deg: float):
+    """One view's stencil rows, as (detectors, 2 * drive) arrays.
+
+    Returns (cols, weights, keep): the flat pixel index and coefficient of
+    every j0 / j0+1 interpolation entry, and whether the entry falls inside
+    the image.  Each detector row is in ascending column order.
+    """
+    drive_rows, coord, weight = _view_coords(geom, theta_deg)
+    coord = np.ascontiguousarray(coord.T)
+    det, n_drive = coord.shape
+    j0 = np.floor(coord)
+    frac = coord - j0
+    idx = np.stack((j0, j0 + 1.0), axis=2).reshape(det, 2 * n_drive).astype(np.int64)
+    weights = np.stack((weight * (1.0 - frac), weight * frac), axis=2).reshape(
+        det, 2 * n_drive
+    )
+    drive = np.repeat(np.arange(n_drive, dtype=np.int64), 2)
+    cols_n = geom.image_cols
+    if drive_rows:
+        # columns rise with the drive index, and j0 < j0+1 within one step
+        keep = (idx >= 0) & (idx < cols_n)
+        return drive * cols_n + idx, weights, keep
+    keep = (idx >= 0) & (idx < geom.image_rows)
+    cols = idx * cols_n + drive
+    # a row never holds one pixel twice, so sorting by column is unambiguous
+    order = np.argsort(cols, axis=1, kind="stable")
+    return (
+        np.take_along_axis(cols, order, axis=1),
+        np.take_along_axis(weights, order, axis=1),
+        np.take_along_axis(keep, order, axis=1),
+    )
+
+
 def _build_stencil_matrix(geom: Geometry) -> sp.csr_matrix:
     """Assemble the projection stencil as a (V*D, R*C) CSR matrix.
 
     Entries are exactly the gather coefficients of the per-view loop path;
     using one matrix for both directions makes the adjoint the literal
-    transpose.
+    transpose.  The arrays are written in place, one view at a time, with
+    sorted int32 indices and the explicit zeros of integer crossings kept,
+    so the peak memory is about one copy of the plan.
     """
-    rows_n, cols_n, det = geom.image_rows, geom.image_cols, geom.detectors
-    row_idx, col_idx, values = [], [], []
+    det = geom.detectors
+    counts = np.zeros(geom.n_views * det + 1, dtype=np.int64)
     for v, theta_deg in enumerate(geom.angles_deg):
-        drive_rows, coord, weight = _view_coords(geom, theta_deg)
-        n_drive = coord.shape[0]
-        interp_n = cols_n if drive_rows else rows_n
-        j0 = np.floor(coord).astype(np.int64)
-        frac = coord - j0
-        det_grid = np.broadcast_to(
-            np.arange(det, dtype=np.int64)[None, :], coord.shape
-        )
-        drive_grid = np.broadcast_to(
-            np.arange(n_drive, dtype=np.int64)[:, None], coord.shape
-        )
-        for idx, w in ((j0, weight * (1.0 - frac)), (j0 + 1, weight * frac)):
-            keep = (idx >= 0) & (idx < interp_n)
-            if drive_rows:
-                flat_col = drive_grid[keep] * cols_n + idx[keep]
-            else:
-                flat_col = idx[keep] * cols_n + drive_grid[keep]
-            row_idx.append(v * det + det_grid[keep])
-            col_idx.append(flat_col)
-            values.append(w[keep])
-    coo = sp.coo_matrix(
-        (
-            np.concatenate(values),
-            (np.concatenate(row_idx), np.concatenate(col_idx)),
-        ),
-        shape=(geom.n_views * det, rows_n * cols_n),
+        # per detector row: the j0 and the j0+1 entries inside the image
+        drive_rows, coord, _ = _view_coords(geom, theta_deg)
+        interp_n = geom.image_cols if drive_rows else geom.image_rows
+        j0 = np.floor(coord)
+        counts[1 + v * det : 1 + (v + 1) * det] = (
+            (j0 >= 0) & (j0 < interp_n)
+        ).sum(axis=0) + ((j0 >= -1) & (j0 < interp_n - 1)).sum(axis=0)
+    indptr = np.cumsum(counts).astype(np.int32)
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1], dtype=np.float64)
+    for v, theta_deg in enumerate(geom.angles_deg):
+        cols, weights, keep = _view_stencil(geom, theta_deg)
+        span = slice(indptr[v * det], indptr[(v + 1) * det])
+        indices[span] = cols[keep]
+        data[span] = weights[keep]
+    return sp.csr_matrix(
+        (data, indices, indptr),
+        shape=(geom.n_views * det, geom.image_rows * geom.image_cols),
     )
-    return coo.tocsr()
 
 
 def _stencil_plan(geom: Geometry):

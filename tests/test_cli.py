@@ -1,10 +1,17 @@
 """Command-line pipeline: exit codes, determinism, manifests."""
 
+import os
 import shlex
+import subprocess
+import sys
+from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lactdiff
+from lactdiff import tomography
 from lactdiff.cli import main
 from lactdiff.core import Image, read_raster, write_raster
 
@@ -13,6 +20,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refuse_plan_builds(monkeypatch):
+    """Fail any stencil-plan build from here on, starting from an empty plan cache."""
+
+    def refuse(geom):
+        raise AssertionError("a stencil plan was built")
+
+    monkeypatch.setattr(tomography, "_PLAN_CACHE", OrderedDict())
+    monkeypatch.setattr(tomography, "_build_stencil_matrix", refuse)
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # scipy.signal loads only when ssim runs; every command pays the import
+    env = dict(os.environ, PYTHONPATH=str(Path(lactdiff.__file__).parents[1]))
+    code = "import sys, lactdiff.cli; assert 'scipy.signal' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestPhantomCommand:
@@ -76,6 +100,16 @@ class TestProjectCommand:
                          "--views", "12", "--theta-max", "200",
                          "--out", str(tmp_path / "s.ctr"))
         assert code == 2
+
+    def test_negative_noise_fails_before_the_plan(
+        self, phantom_file, tmp_path, capsys, monkeypatch
+    ):
+        refuse_plan_builds(monkeypatch)
+        code, _, err = run(capsys, "project", "--in", str(phantom_file),
+                           "--views", "12", "--noise-std", "-0.1",
+                           "--out", str(tmp_path / "s.ctr"))
+        assert code == 2
+        assert "noise std" in err
 
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, "project", "--in", str(tmp_path / "nope.ctr"),
@@ -245,6 +279,17 @@ class TestSampleCommand:
                          "--K", "80", "--T", "60", "--samples", "1",
                          "--out-dir", str(tmp_path / "bad"))
         assert code == 2
+
+    @pytest.mark.parametrize("steps, samples", [("0", "1"), ("5", "0")])
+    def test_bad_config_fails_before_the_condition(
+        self, sino64, tmp_path, capsys, monkeypatch, steps, samples
+    ):
+        refuse_plan_builds(monkeypatch)
+        code, _, _ = run(capsys, "sample", "--in", str(sino64), "--size", "24",
+                         "--T", "60", "--K", steps, "--samples", samples,
+                         "--out-dir", str(tmp_path / "bad"))
+        assert code == 2
+        assert not (tmp_path / "bad").exists()
 
     def test_guidance_needs_unconditional_prior(self, sino64, tmp_path, capsys):
         code, _, _ = run(capsys, "sample", "--in", str(sino64), "--size", "24",

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from lactdiff import tomography
 from lactdiff.core import DimensionError, Image, ParameterError, Sinogram
 from lactdiff.evaluation import PhantomKind, PhantomSpec, make_phantom, psnr
 from lactdiff.tomography import (
@@ -25,6 +27,70 @@ def coverage_disk(n: int, radius_px: float, sub: int = 8) -> np.ndarray:
     c = (np.arange(fine) - (fine - 1) / 2.0) / sub
     inside = (c[None, :] ** 2 + c[:, None] ** 2) <= radius_px**2
     return inside.reshape(n, sub, n, sub).mean(axis=(1, 3))
+
+
+def coo_stencil_matrix(geom: Geometry) -> sp.csr_matrix:
+    """Reference plan: COO triplets of every in-range stencil entry, then tocsr."""
+    rows_n, cols_n, det = geom.image_rows, geom.image_cols, geom.detectors
+    row_idx, col_idx, values = [], [], []
+    for v, theta_deg in enumerate(geom.angles_deg):
+        drive_rows, coord, weight = tomography._view_coords(geom, theta_deg)
+        n_drive = coord.shape[0]
+        interp_n = cols_n if drive_rows else rows_n
+        j0 = np.floor(coord).astype(np.int64)
+        frac = coord - j0
+        det_grid = np.broadcast_to(np.arange(det, dtype=np.int64)[None, :], coord.shape)
+        drive_grid = np.broadcast_to(
+            np.arange(n_drive, dtype=np.int64)[:, None], coord.shape
+        )
+        for idx, w in ((j0, weight * (1.0 - frac)), (j0 + 1, weight * frac)):
+            keep = (idx >= 0) & (idx < interp_n)
+            if drive_rows:
+                flat_col = drive_grid[keep] * cols_n + idx[keep]
+            else:
+                flat_col = idx[keep] * cols_n + drive_grid[keep]
+            row_idx.append(v * det + det_grid[keep])
+            col_idx.append(flat_col)
+            values.append(w[keep])
+    coo = sp.coo_matrix(
+        (np.concatenate(values), (np.concatenate(row_idx), np.concatenate(col_idx))),
+        shape=(geom.n_views * det, rows_n * cols_n),
+    )
+    return coo.tocsr()
+
+
+class TestStencilPlan:
+    @pytest.mark.parametrize(
+        "geom",
+        [
+            make_limited_geometry(32, default_detectors(32), 40, 60.0),
+            make_limited_geometry(32, default_detectors(32), 45, 180.0),
+            make_limited_geometry(37, default_detectors(37), 50, 180.0),
+            make_limited_geometry(16, 23, 1, 180.0),
+            Geometry(16, 16, 23, [90.0]),
+            Geometry(13, 21, 40, np.linspace(0.0, 179.0, 33)),
+            Geometry(24, 9, 30, [0.0, 45.0, 90.0, 135.0, 170.5]),
+            make_limited_geometry(30, 20, 77, 180.0),
+        ],
+        ids=["60deg", "180deg", "odd-size", "one-view-0deg", "one-view-90deg",
+             "non-square", "non-square-tall", "widened-spacing"],
+    )
+    def test_matches_coo_reference(self, geom):
+        plan = tomography._build_stencil_matrix(geom)
+        ref = coo_stencil_matrix(geom)
+        assert plan.shape == ref.shape
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(plan, name), getattr(ref, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+        assert plan.has_sorted_indices
+
+    def test_keeps_explicit_zeros(self):
+        # a ray through integer crossings puts zero weight on one neighbour;
+        # the entry stays in the plan, as tocsr keeps it
+        geom = Geometry(24, 9, 30, [0.0, 45.0, 90.0, 135.0, 170.5])
+        plan = tomography._build_stencil_matrix(geom)
+        assert np.count_nonzero(plan.data == 0.0) > 0
 
 
 class TestGeometry:
@@ -118,6 +184,29 @@ class TestAdjoint:
             rhs = float((x * aty).sum())
             bound = 1e-4 * np.linalg.norm(ax) * np.linalg.norm(y)
             assert abs(lhs - rhs) <= bound
+
+    def test_view_loop_matches_plan(self, monkeypatch):
+        # both driving axes on a non-square image; the loop path runs when
+        # the plan would exceed _PLAN_NNZ_LIMIT
+        geom = Geometry(13, 21, 40, np.linspace(0.0, 179.0, 33))
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((13, 21))
+        y = rng.standard_normal((33, 40))
+        planned_ax = project_array(x, geom)
+        planned_aty = backproject_array(y, geom)
+        monkeypatch.setattr(tomography, "_PLAN_NNZ_LIMIT", 0)
+        assert tomography._stencil_plan(geom) is None
+        ax = project_array(x, geom)
+        aty = backproject_array(y, geom)
+        np.testing.assert_allclose(
+            ax, planned_ax, rtol=1e-12, atol=1e-12 * np.abs(planned_ax).max()
+        )
+        np.testing.assert_allclose(
+            aty, planned_aty, rtol=1e-12, atol=1e-12 * np.abs(planned_aty).max()
+        )
+        lhs = float((ax * y).sum())
+        rhs = float((x * aty).sum())
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(ax) * np.linalg.norm(y)
 
     def test_zero_sinogram(self):
         geom = make_limited_geometry(16, 23, 8, 180.0)
