@@ -51,7 +51,13 @@ from .sampler import (
     sample_average,
     uncertainty_map,
 )
-from .solvers import ProxConfig, rls_reconstruct, tv_reconstruct
+from .solvers import (
+    ProxConfig,
+    _tomo_norm_sq,
+    default_rls_tau,
+    rls_reconstruct,
+    tv_reconstruct,
+)
 from .tomography import (
     FilterKind,
     Geometry,
@@ -257,21 +263,24 @@ def _cmd_reconstruct(args, argv) -> int:
     write_raster(args.out, recon)
     if args.pgm:
         write_pgm(args.pgm, recon)
-    _write_manifest(
-        Path(args.out).with_suffix(".manifest.txt"),
-        argv,
-        {
-            "command": "reconstruct",
-            "param.method": args.method,
-            "param.filter": args.filter,
-            "param.tau": args.tau,
-            "param.lam": args.lam,
-            "param.iters": args.iters,
-            "geometry.digest": geom.digest(),
-            "out": args.out,
-            "duration_s": f"{time.perf_counter() - started:.3f}",
-        },
-    )
+    fields = {
+        "command": "reconstruct",
+        "param.method": args.method,
+        "param.filter": args.filter,
+        "param.tau": args.tau,
+        "param.lam": args.lam,
+        "param.iters": args.iters,
+        "geometry.digest": geom.digest(),
+    }
+    if args.method != "fbp":
+        # the solver filled the digest-keyed cache, so these lookups run no product
+        used_norm = args.method == "tv" or args.tau is None
+        fields["operator.norm_sq"] = _tomo_norm_sq(geom) if used_norm else "n/a"
+    if args.method == "rls":
+        fields["resolved.tau"] = default_rls_tau(geom) if args.tau is None else args.tau
+    fields["out"] = args.out
+    fields["duration_s"] = f"{time.perf_counter() - started:.3f}"
+    _write_manifest(Path(args.out).with_suffix(".manifest.txt"), argv, fields)
     return 0
 
 

@@ -7,13 +7,14 @@ exposing forward/adjoint/shape over flat arrays.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import DimensionError, Image, NumericalError, ParameterError, SeededRng, Sinogram
-from .tomography import Geometry, TomoOperator
+from .tomography import Geometry, TomoOperator, _lru_lookup
 
 
 @dataclass
@@ -145,29 +146,49 @@ def conjugate_gradient(
 
 
 def operator_norm_sq(op, iters: int = 50, seed: int = 0) -> float:
-    """Largest eigenvalue of A^T A estimated with power iteration."""
+    """Largest eigenvalue of A^T A, by Lanczos from a seeded random start.
+
+    Each step applies A^T A once and extends the tridiagonal of the plain
+    three-term recurrence (no reorthogonalisation); the estimate is the top
+    eigenvalue of that tridiagonal.  It stops once the estimate has changed
+    by at most 1e-14 relative on three steps in a row, when the Krylov space
+    becomes invariant (beta <= 1e-12 * estimate, as for low-rank geometries),
+    or after iters steps.  One still step is not enough: after a small beta
+    the estimate can rest for a step or two on the lower eigenvalue of a
+    close pair before the top one enters.  See Kuczynski & Wozniakowski,
+    SIAM J. Matrix Anal. Appl. 13(4), 1992.
+    """
     n = op.shape[1]
     v = SeededRng(seed).standard_normal(n)
     v /= np.linalg.norm(v)
-    lam = 0.0
+    v_prev = np.zeros(n)
+    alphas, betas = [], []
+    beta = theta = 0.0
+    still = 0  # steps in a row on which the estimate held still
     for _ in range(iters):
-        w = op.adjoint(op.forward(v))
-        norm_w = float(np.linalg.norm(w))
-        if norm_w == 0.0:
-            return 0.0
-        lam = norm_w
-        v = w / norm_w
-    return lam
+        w = op.adjoint(op.forward(v)) - beta * v_prev
+        alpha = float(v @ w)
+        w -= alpha * v
+        alphas.append(alpha)
+        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        theta_prev = theta
+        theta = float(np.linalg.eigvalsh(tri)[-1])
+        beta = float(np.linalg.norm(w))
+        still = still + 1 if abs(theta - theta_prev) <= 1e-14 * abs(theta) else 0
+        if still == 3 or beta <= 1e-12 * theta:
+            break
+        betas.append(beta)
+        v_prev, v = v, w / beta
+    return max(theta, 0.0)
 
 
-_GEOM_NORM_CACHE: dict = {}
+_GEOM_NORM_CACHE: "OrderedDict[str, float]" = OrderedDict()
 
 
 def _tomo_norm_sq(geom: Geometry) -> float:
-    key = geom.digest()
-    if key not in _GEOM_NORM_CACHE:
-        _GEOM_NORM_CACHE[key] = operator_norm_sq(TomoOperator(geom))
-    return _GEOM_NORM_CACHE[key]
+    return _lru_lookup(
+        _GEOM_NORM_CACHE, geom.digest(), lambda: operator_norm_sq(TomoOperator(geom))
+    )
 
 
 def default_rls_tau(geom: Geometry) -> float:

@@ -17,6 +17,7 @@ import hashlib
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -291,16 +292,19 @@ def _stencil_plan(geom: Geometry):
     estimate = 2 * geom.n_views * geom.detectors * max(geom.image_rows, geom.image_cols)
     if estimate > _PLAN_NNZ_LIMIT:
         return None
-    key = geom.digest()
-    plan = _PLAN_CACHE.get(key)
-    if plan is None:
-        plan = _build_stencil_matrix(geom)
-        _PLAN_CACHE[key] = plan
-        if len(_PLAN_CACHE) > _PLAN_CACHE_SIZE:
-            _PLAN_CACHE.popitem(last=False)
+    return _lru_lookup(_PLAN_CACHE, geom.digest(), lambda: _build_stencil_matrix(geom))
+
+
+def _lru_lookup(cache: OrderedDict, key, build):
+    """cache[key], built on a miss; keeps the _PLAN_CACHE_SIZE most recent keys."""
+    value = cache.get(key)
+    if value is None:
+        value = cache[key] = build()
+        if len(cache) > _PLAN_CACHE_SIZE:
+            cache.popitem(last=False)
     else:
-        _PLAN_CACHE.move_to_end(key)
-    return plan
+        cache.move_to_end(key)
+    return value
 
 
 def project_array(image: np.ndarray, geom: Geometry) -> np.ndarray:
@@ -417,7 +421,12 @@ def fbp_reconstruct(
 
 @dataclass(frozen=True)
 class TomoOperator:
-    """Flattened-vector view of the projection pair for iterative solvers."""
+    """Flattened-vector view of the projection pair for iterative solvers.
+
+    The stencil plan is fetched once, on the first product, and kept with
+    its CSC view (plan.T shares the CSR arrays), so later products skip the
+    geometry digest and the plan cache.
+    """
 
     geom: Geometry
 
@@ -426,14 +435,34 @@ class TomoOperator:
         g = self.geom
         return (g.n_views * g.detectors, g.image_rows * g.image_cols)
 
+    @cached_property
+    def _plans(self):
+        """(plan, plan.T), or None when the geometry runs the per-view loop."""
+        plan = _stencil_plan(self.geom)
+        return None if plan is None else (plan, plan.T)
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         g = self.geom
-        return project_array(
-            np.asarray(x, dtype=np.float64).reshape(g.image_rows, g.image_cols), g
-        ).ravel()
+        x = np.asarray(x, dtype=np.float64)
+        if x.size != g.image_rows * g.image_cols:
+            raise DimensionError(
+                f"vector of size {x.size} does not match image "
+                f"{(g.image_rows, g.image_cols)}"
+            )
+        plans = self._plans
+        if plans is None:
+            return project_array(x.reshape(g.image_rows, g.image_cols), g).ravel()
+        return plans[0] @ x.ravel()
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         g = self.geom
-        return backproject_array(
-            np.asarray(y, dtype=np.float64).reshape(g.n_views, g.detectors), g
-        ).ravel()
+        y = np.asarray(y, dtype=np.float64)
+        if y.size != g.n_views * g.detectors:
+            raise DimensionError(
+                f"vector of size {y.size} does not match sinogram "
+                f"{(g.n_views, g.detectors)}"
+            )
+        plans = self._plans
+        if plans is None:
+            return backproject_array(y.reshape(g.n_views, g.detectors), g).ravel()
+        return plans[1] @ y.ravel()

@@ -2,6 +2,15 @@ import numpy as np
 
 from lactdiff.tomography import Geometry, TomoOperator
 
+try:
+    from hypothesis import settings
+except ImportError:  # hypothesis is an optional test dependency
+    pass
+else:
+    # derandomized: every run of the suite draws the same examples
+    settings.register_profile("lactdiff", derandomize=True, deadline=None, database=None)
+    settings.load_profile("lactdiff")
+
 
 def dense_tomo_matrix(geom: Geometry) -> np.ndarray:
     """Materialize the projection operator by projecting unit pixels."""

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import lactdiff
-from lactdiff import tomography
-from lactdiff.cli import main
+from lactdiff import solvers, tomography
+from lactdiff.cli import _geometry_for, main
 from lactdiff.core import Image, read_raster, write_raster
 
 
@@ -178,6 +178,48 @@ class TestReconstructAndMetrics:
                          "--size", "32", "--iters", "15", "--lam", "1.0",
                          "--out", str(out))
         assert code == 0
+
+    def test_manifest_records_norm_and_tau(self, pipeline, tmp_path, capsys, monkeypatch):
+        _, sino = pipeline
+        geom = _geometry_for(read_raster(sino), 32)
+        norm_sq = solvers.operator_norm_sq(tomography.TomoOperator(geom))
+        estimates = []
+        original = solvers.operator_norm_sq
+
+        def counted(op):
+            estimates.append(op)
+            return original(op)
+
+        monkeypatch.setattr(solvers, "operator_norm_sq", counted)
+        cases = {
+            "rls": (["--method", "rls"], norm_sq, 0.05 * norm_sq),
+            "rls-tau": (["--method", "rls", "--tau", "2.5"], "n/a", 2.5),
+            "tv": (["--method", "tv", "--lam", "1.0"], norm_sq, None),
+            "fbp": (["--method", "fbp"], None, None),
+        }
+        for name, (extra, want_norm, want_tau) in cases.items():
+            monkeypatch.setattr(solvers, "_GEOM_NORM_CACHE", OrderedDict())
+            estimates.clear()
+            out = tmp_path / f"{name}.ctr"
+            assert run(capsys, "reconstruct", "--in", str(sino), "--size", "32",
+                       "--iters", "5", "--out", str(out), *extra)[0] == 0
+            lines = (tmp_path / f"{name}.manifest.txt").read_text().splitlines()
+            fields = dict(line.split(": ", 1) for line in lines[1:])
+            # at most one estimate per command: the manifest reads the cached value
+            assert len(estimates) == (0 if want_norm in (None, "n/a") else 1)
+            if want_norm is None:
+                assert "operator.norm_sq" not in fields
+            else:
+                assert fields["operator.norm_sq"] == str(want_norm)
+            if want_tau is None:
+                assert "resolved.tau" not in fields
+            else:
+                assert float(fields["resolved.tau"]) == want_tau
+        assert "param.tau: None" in (tmp_path / "rls.manifest.txt").read_text()
+        original_bytes = (tmp_path / "rls.ctr").read_bytes()
+        (tmp_path / "rls.ctr").unlink()
+        assert run(capsys, "--manifest-in", str(tmp_path / "rls.manifest.txt"))[0] == 0
+        assert (tmp_path / "rls.ctr").read_bytes() == original_bytes
 
     def test_unknown_method_is_usage_error(self, pipeline, tmp_path):
         _, sino = pipeline

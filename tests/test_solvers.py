@@ -1,9 +1,12 @@
 """Conjugate gradient, regularized least squares, TV, and the consistency prox."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
 
 from conftest import dense_tomo_matrix
+from lactdiff import solvers, tomography
 from lactdiff.core import Image, NumericalError, ParameterError, Sinogram
 from lactdiff.evaluation import PhantomKind, PhantomSpec, make_phantom
 from lactdiff.solvers import (
@@ -11,12 +14,18 @@ from lactdiff.solvers import (
     ProxConfig,
     conjugate_gradient,
     data_consistency_prox,
+    operator_norm_sq,
     prox_consistency,
     rls_reconstruct,
     total_variation,
     tv_reconstruct,
 )
-from lactdiff.tomography import TomoOperator, default_detectors, make_limited_geometry
+from lactdiff.tomography import (
+    Geometry,
+    TomoOperator,
+    default_detectors,
+    make_limited_geometry,
+)
 
 
 def small_case(n=8, views=12, theta=180.0, seed=0):
@@ -264,3 +273,49 @@ class TestDenseOperator:
         assert np.allclose(op.forward(x), mat @ x)
         assert np.allclose(op.adjoint(y), mat.T @ y)
         assert op.shape == (5, 7)
+
+
+NORM_GEOMETRIES = {
+    "16px-8views-30deg": make_limited_geometry(16, default_detectors(16), 8, 30.0),
+    "8px-one-view": make_limited_geometry(8, default_detectors(8), 1, 10.0),
+    "5px-3views-179deg": make_limited_geometry(5, default_detectors(5), 3, 179.0),
+    "non-square-wide-spacing": Geometry(
+        6, 11, 9, np.array([0.0, 33.0, 71.5, 120.0, 150.0]), 1.0, 1.5
+    ),
+}
+
+
+class TestOperatorNormSq:
+    @pytest.mark.parametrize("name", sorted(NORM_GEOMETRIES))
+    def test_matches_dense_eigenvalue(self, name):
+        geom = NORM_GEOMETRIES[name]
+        mat = dense_tomo_matrix(geom)
+        expected = np.linalg.eigvalsh(mat.T @ mat)[-1]
+        assert operator_norm_sq(TomoOperator(geom)) == pytest.approx(expected, rel=1e-12)
+
+    def test_dense_operator(self):
+        mat = np.random.default_rng(21).standard_normal((7, 5))
+        expected = np.linalg.eigvalsh(mat.T @ mat)[-1]
+        assert operator_norm_sq(DenseOperator(mat)) == pytest.approx(expected, rel=1e-12)
+
+    def test_zero_operator_gives_zero(self):
+        assert operator_norm_sq(DenseOperator(np.zeros((3, 4)))) == 0.0
+
+
+class TestGeometryNormCache:
+    def test_bounded_like_the_plan_cache(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_GEOM_NORM_CACHE", OrderedDict())
+        bound = tomography._PLAN_CACHE_SIZE
+        geoms = [
+            make_limited_geometry(4, default_detectors(4), views, 90.0)
+            for views in range(1, bound + 3)
+        ]
+        for geom in geoms[:bound]:
+            solvers._tomo_norm_sq(geom)
+        solvers._tomo_norm_sq(geoms[0])  # a hit makes the first the most recent
+        for geom in geoms[bound:]:
+            solvers._tomo_norm_sq(geom)
+        cache = solvers._GEOM_NORM_CACHE
+        assert len(cache) == bound
+        kept = {geom.digest() for geom in [geoms[0]] + geoms[3:]}
+        assert set(cache) == kept

@@ -10,6 +10,7 @@ from lactdiff.evaluation import PhantomKind, PhantomSpec, make_phantom, psnr
 from lactdiff.tomography import (
     FilterKind,
     Geometry,
+    TomoOperator,
     back_project,
     backproject_array,
     default_detectors,
@@ -238,6 +239,58 @@ class TestAdjoint:
         other = Sinogram(8, 23, geom.angles_deg + 1.0, np.zeros((8, 23)))
         with pytest.raises(DimensionError):
             back_project(other, geom)
+
+
+class TestTomoOperator:
+    GEOM = Geometry(13, 21, 40, np.linspace(0.0, 179.0, 33))
+
+    def test_products_equal_the_array_functions(self):
+        op = TomoOperator(self.GEOM)
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((13, 21))
+        y = rng.standard_normal((33, 40))
+        assert np.array_equal(op.forward(x.ravel()), project_array(x, self.GEOM).ravel())
+        assert np.array_equal(op.adjoint(y.ravel()), backproject_array(y, self.GEOM).ravel())
+
+    def test_fetches_the_plan_once(self, monkeypatch):
+        digests = []
+        original = Geometry.digest
+
+        def counted(geom):
+            digests.append(geom)
+            return original(geom)
+
+        monkeypatch.setattr(Geometry, "digest", counted)
+        op = TomoOperator(self.GEOM)
+        x = np.ones(op.shape[1])
+        for _ in range(5):
+            x = op.adjoint(op.forward(x))
+        assert len(digests) == 1
+
+    def test_loop_path_when_the_plan_is_too_large(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal(13 * 21)
+        y = rng.standard_normal(33 * 40)
+        planned = TomoOperator(self.GEOM)
+        planned_ax, planned_aty = planned.forward(x), planned.adjoint(y)
+        monkeypatch.setattr(tomography, "_PLAN_NNZ_LIMIT", 0)
+        looped = TomoOperator(self.GEOM)
+        ax, aty = looped.forward(x), looped.adjoint(y)
+        np.testing.assert_allclose(
+            ax, planned_ax, rtol=1e-12, atol=1e-12 * np.abs(planned_ax).max()
+        )
+        np.testing.assert_allclose(
+            aty, planned_aty, rtol=1e-12, atol=1e-12 * np.abs(planned_aty).max()
+        )
+        # an operator keeps the plan it fetched on its first product
+        assert np.array_equal(planned.forward(x), planned_ax)
+
+    def test_size_mismatch(self):
+        op = TomoOperator(self.GEOM)
+        with pytest.raises(DimensionError):
+            op.forward(np.zeros(13 * 21 + 1))
+        with pytest.raises(DimensionError):
+            op.adjoint(np.zeros((33, 39)))
 
 
 class TestRampFilter:
