@@ -178,6 +178,7 @@ def _run_chains(
     noise = _noise_rows([SeededRng(seed) for seed in seeds], rows * cols, K)
     x = next(noise)
     cond_none = ConditionInput.none(rows, cols)
+    aty = operator.adjoint(y) if cfg.prox is not None else None
 
     def residual(row: np.ndarray) -> float:
         return float(np.linalg.norm(operator.forward(row) - y))
@@ -215,9 +216,13 @@ def _run_chains(
         if cfg.prox is not None and step_index >= cfg.prox_skip:
             gamma = cfg.prox.gamma_for_step(k)
             for i in range(n):
-                before = residual(x[i]) if traces is not None else None
-                x[i], report = prox_consistency(x[i], y, operator, cfg.prox, gamma=gamma)
+                # A x~ behind the "before" residual is also CG's first product
+                ax = operator.forward(x[i]) if traces is not None else None
+                x[i], report = prox_consistency(
+                    x[i], y, operator, cfg.prox, gamma=gamma, aty=aty, ax_tilde=ax
+                )
                 if traces is not None:
+                    before = float(np.linalg.norm(ax - y))
                     after = residual(x[i])
                     traces[i].prox_residuals.append((before, after))
                     traces[i].prox_reports.append(report)

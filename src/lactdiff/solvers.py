@@ -86,11 +86,15 @@ def conjugate_gradient(
     x0: Optional[np.ndarray] = None,
     tol: float = 1e-8,
     max_iter: int = 500,
+    *,
+    applied_x0: Optional[np.ndarray] = None,
 ):
     """Solve apply_op(x) = rhs for a symmetric positive semi-definite operator.
 
     Stops when ||apply_op(x) - rhs|| <= tol * ||rhs||, otherwise reports
-    converged=False after max_iter steps.  Returns (x, CgReport).
+    converged=False after max_iter steps.  Returns (x, CgReport).  A caller
+    that already holds apply_op(x0) passes it as applied_x0; a zero start
+    (x0 None) needs no product.
     """
     rhs = np.asarray(rhs, dtype=np.float64).ravel()
     if x0 is None:
@@ -102,8 +106,8 @@ def conjugate_gradient(
     if max_iter < 0:
         raise ParameterError("max_iter must be >= 0")
 
-    def apply_checked(v):
-        out = np.asarray(apply_op(v), dtype=np.float64).ravel()
+    def checked(out):
+        out = np.asarray(out, dtype=np.float64).ravel()
         if out.shape != rhs.shape:
             raise DimensionError(
                 f"operator returned size {out.size}, expected {rhs.size}"
@@ -113,7 +117,10 @@ def conjugate_gradient(
         return out
 
     target = tol * float(np.linalg.norm(rhs))
-    r = rhs - apply_checked(x)
+    if x0 is None:
+        r = rhs.copy()
+    else:
+        r = rhs - checked(apply_op(x) if applied_x0 is None else applied_x0)
     res_norm = float(np.linalg.norm(r))
     if res_norm <= target:
         return x, CgReport(0, res_norm, True)
@@ -124,7 +131,7 @@ def conjugate_gradient(
     converged = False
     for _ in range(max_iter):
         iterations += 1
-        ap = apply_checked(p)
+        ap = checked(apply_op(p))
         p_ap = float(p @ ap)
         if not np.isfinite(p_ap) or p_ap <= 0.0:
             raise NumericalError(
@@ -220,23 +227,38 @@ def rls_reconstruct(
     return Image(geom.image_rows, geom.image_cols, x.reshape(geom.image_rows, geom.image_cols))
 
 
-def _grad2d(u: np.ndarray):
-    gx = np.zeros_like(u)
-    gy = np.zeros_like(u)
-    gx[:-1, :] = u[1:, :] - u[:-1, :]
-    gy[:, :-1] = u[:, 1:] - u[:, :-1]
+def _grad2d(u: np.ndarray, gx: Optional[np.ndarray] = None, gy: Optional[np.ndarray] = None):
+    """Forward differences; the last row of gx and the last column of gy are 0.
+
+    Writes into gx and gy when they are given.
+    """
+    if gx is None:
+        gx, gy = np.empty_like(u), np.empty_like(u)
+    np.subtract(u[1:, :], u[:-1, :], out=gx[:-1, :])
+    gx[-1, :] = 0.0
+    np.subtract(u[:, 1:], u[:, :-1], out=gy[:, :-1])
+    gy[:, -1] = 0.0
     return gx, gy
 
 
-def _div2d(px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    # negative adjoint of _grad2d: <grad u, p> = -<u, div p>
-    div = np.zeros_like(px)
-    div[0, :] = px[0, :]
-    div[1:-1, :] = px[1:-1, :] - px[:-2, :]
-    div[-1, :] = -px[-2, :]
-    div[:, 0] += py[:, 0]
-    div[:, 1:-1] += py[:, 1:-1] - py[:, :-2]
-    div[:, -1] += -py[:, -2]
+def _div2d(px: np.ndarray, py: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Negative adjoint of _grad2d, <grad u, p> = -<u, div p>, for every shape.
+
+    An axis of length 1 has no differences, so its component adds nothing.
+    Writes into out when it is given.
+    """
+    div = np.empty_like(px) if out is None else out
+    rows, cols = px.shape
+    if rows > 1:
+        div[0, :] = px[0, :]
+        np.subtract(px[1:-1, :], px[:-2, :], out=div[1:-1, :])
+        np.negative(px[-2, :], out=div[-1, :])
+    else:
+        div.fill(0.0)
+    if cols > 1:
+        div[:, 0] += py[:, 0]
+        div[:, 1:-1] += py[:, 1:-1] - py[:, :-2]
+        div[:, -1] -= py[:, -2]
     return div
 
 
@@ -247,18 +269,34 @@ def total_variation(u: np.ndarray) -> float:
 
 
 def tv_prox(g: np.ndarray, weight: float, iters: int = 20) -> np.ndarray:
-    """argmin_u 0.5*||u - g||^2 + weight*TV(u) by dual projection iterations."""
+    """argmin_u 0.5*||u - g||^2 + weight*TV(u) by dual projection iterations.
+
+    Chambolle's projection (J. Math. Imaging Vis. 20, 2004) with step 1/4,
+    run in buffers allocated once.
+    """
     if weight <= 0.0 or iters < 1:
         return np.asarray(g, dtype=np.float64).copy()
     g = np.asarray(g, dtype=np.float64)
     tau = 0.25
-    px = np.zeros_like(g)
-    py = np.zeros_like(g)
+    g_scaled = g / weight
+    px, py = np.zeros_like(g), np.zeros_like(g)
+    u, gx, gy, denom = (np.empty_like(g) for _ in range(4))
     for _ in range(iters):
-        gx, gy = _grad2d(_div2d(px, py) - g / weight)
-        denom = 1.0 + tau * np.sqrt(gx**2 + gy**2)
-        px = (px + tau * gx) / denom
-        py = (py + tau * gy) / denom
+        # px, py <- (p + tau * grad(div p - g / weight)) / (1 + tau * |grad(...)|)
+        _div2d(px, py, out=u)
+        u -= g_scaled
+        _grad2d(u, gx, gy)
+        np.square(gx, out=denom)
+        denom += np.square(gy, out=u)
+        np.sqrt(denom, out=denom)
+        denom *= tau
+        denom += 1.0
+        gx *= tau
+        px += gx
+        px /= denom
+        gy *= tau
+        py += gy
+        py /= denom
     return g - weight * _div2d(px, py)
 
 
@@ -271,11 +309,14 @@ def tv_reconstruct(
 ) -> Image:
     """Approximately minimize 0.5*||Ax - y||^2 + lam*TV(x).
 
-    Accelerated proximal gradient with a monotone safeguard: the candidate
-    from the momentum point is kept only when it does not increase the
-    composite objective, so the objective is non-increasing across outer
-    iterations even with the fixed inner prox budget.  The gradient step is
-    1/L with L from power iteration (safety factor 1.05).
+    Accelerated proximal gradient with a monotone safeguard (Beck & Teboulle,
+    IEEE TIP 18(11), 2009): the candidate from the momentum point is kept
+    only when it does not increase the composite objective, so the objective
+    is non-increasing across outer iterations even with the fixed inner prox
+    budget.  The gradient step is 1/L with L = 1.05 * ||A^T A|| from the
+    Lanczos estimate (operator_norm_sq).  The projections of the iterate and
+    the candidate are kept, and the momentum point's projection is formed
+    from them, so each outer iteration costs one A and one A^T product.
     """
     geom.matches_sinogram(sino)
     if lam < 0.0 or not np.isfinite(lam):
@@ -290,47 +331,59 @@ def tv_reconstruct(
         lipschitz = 1.0
     step = 1.0 / lipschitz
 
-    def objective(x_flat):
-        res = op.forward(x_flat) - y
+    def objective(x_flat, ax):
+        res = ax - y
         val = 0.5 * float(res @ res)
         if lam > 0.0:
             val += lam * total_variation(x_flat.reshape(rows, cols))
         return val
 
-    x = np.zeros(rows * cols)
-    z_momentum = x.copy()
-    f_x = objective(x)
+    # A applied to the zero start is zero
+    x, ax = np.zeros(rows * cols), np.zeros(y.size)
+    z_momentum, az = x, ax
+    f_x = objective(x, ax)
     t_k = 1.0
     for _ in range(outer_iters):
-        grad = op.adjoint(op.forward(z_momentum) - y)
+        grad = op.adjoint(az - y)
         if not np.all(np.isfinite(grad)):
             raise NumericalError("TV solver produced non-finite gradient")
         cand = z_momentum - step * grad
         if lam > 0.0:
             cand = tv_prox(cand.reshape(rows, cols), lam * step, prox_iters).ravel()
-        f_cand = objective(cand)
+        acand = op.forward(cand)
+        f_cand = objective(cand, acand)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k**2))
         if f_cand <= f_x:
-            x_next, f_next = cand, f_cand
+            x_next, ax_next, f_next = cand, acand, f_cand
         else:
-            x_next, f_next = x, f_x
-        z_momentum = x_next + (t_k / t_next) * (cand - x_next) + ((t_k - 1.0) / t_next) * (
-            x_next - x
-        )
-        x, f_x = x_next, f_next
+            x_next, ax_next, f_next = x, ax, f_x
+        # z and A z share the coefficients, since A is linear
+        c_cand, c_prev = t_k / t_next, (t_k - 1.0) / t_next
+        z_momentum = x_next + c_cand * (cand - x_next) + c_prev * (x_next - x)
+        az = ax_next + c_cand * (acand - ax_next) + c_prev * (ax_next - ax)
+        x, ax, f_x = x_next, ax_next, f_next
         t_k = t_next
     return Image(rows, cols, x.reshape(rows, cols))
 
 
 def prox_consistency(
-    x_tilde: np.ndarray, y: np.ndarray, op, cfg: ProxConfig, gamma: Optional[float] = None
+    x_tilde: np.ndarray,
+    y: np.ndarray,
+    op,
+    cfg: ProxConfig,
+    gamma: Optional[float] = None,
+    *,
+    aty: Optional[np.ndarray] = None,
+    ax_tilde: Optional[np.ndarray] = None,
 ):
     """argmin_z ||z - x_tilde||^2 + gamma * ||op(z) - y||^2 on flat arrays.
 
     Solved by CG on (I + gamma A^T A) z = x_tilde + gamma A^T y, warm-started
     at x_tilde.  Every CG iterate keeps the prox objective at or below its
     value at x_tilde, so the measurement residual never increases even when
-    the iteration budget runs out (reported via converged=False).
+    the iteration budget runs out (reported via converged=False).  Callers
+    that already hold A^T y or A x_tilde pass them as aty and ax_tilde, and
+    the products are not repeated.
     """
     x_tilde = np.asarray(x_tilde, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -343,8 +396,11 @@ def prox_consistency(
     def apply(v):
         return v + g * op.adjoint(op.forward(v))
 
-    rhs = x_tilde + g * op.adjoint(y)
-    return conjugate_gradient(apply, rhs, x_tilde, cfg.cg_tol, cfg.cg_max_iter)
+    rhs = x_tilde + g * (op.adjoint(y) if aty is None else aty)
+    applied = None if ax_tilde is None else x_tilde + g * op.adjoint(ax_tilde)
+    return conjugate_gradient(
+        apply, rhs, x_tilde, cfg.cg_tol, cfg.cg_max_iter, applied_x0=applied
+    )
 
 
 def data_consistency_prox(x_tilde: Image, sino: Sinogram, geom: Geometry, cfg: ProxConfig):

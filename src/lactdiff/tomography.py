@@ -190,12 +190,14 @@ def _scatter_sum(n_rows: int, n_cols: int, coord: np.ndarray, vals: np.ndarray) 
     return acc.reshape(n_rows, n_cols)
 
 
-def _view_coords(geom: Geometry, theta_deg: float):
+def _view_coords(geom: Geometry, theta_deg: float, out=None):
     """Driving-axis layout for one view.
 
     Returns (drive_rows, coord, ray_weight): coord is the fractional index
     into the interpolated axis for every (driving index, detector) pair, and
-    ray_weight is the path length per driving-axis step.
+    ray_weight is the path length per driving-axis step.  When out is an
+    (n, detectors) array with n at least the driving count, coord is written
+    into its leading rows.
     """
     theta = math.radians(theta_deg)
     ct, st = math.cos(theta), math.sin(theta)
@@ -207,11 +209,15 @@ def _view_coords(geom: Geometry, theta_deg: float):
     if abs(ct) >= abs(st):
         # near-vertical rays: march over rows, interpolate between columns
         y = (half_r - np.arange(rows, dtype=np.float64)) * ps
-        coord = (offsets[None, :] - y[:, None] * st) / (ct * ps) + half_c
+        coord = np.subtract(offsets, (y * st)[:, None], out=None if out is None else out[:rows])
+        coord /= ct * ps
+        coord += half_c
         return True, coord, ps / abs(ct)
     # near-horizontal rays: march over columns, interpolate between rows
     x = (np.arange(cols, dtype=np.float64) - half_c) * ps
-    coord = half_r - (offsets[None, :] - x[:, None] * ct) / (st * ps)
+    coord = np.subtract(offsets, (x * ct)[:, None], out=None if out is None else out[:cols])
+    coord /= st * ps
+    np.subtract(half_r, coord, out=coord)
     return False, coord, ps / abs(st)
 
 
@@ -222,37 +228,69 @@ _PLAN_CACHE: "OrderedDict[str, sp.csr_matrix]" = OrderedDict()
 _PLAN_CACHE_SIZE = 4
 
 
-def _view_stencil(geom: Geometry, theta_deg: float):
-    """One view's stencil rows, as (detectors, 2 * drive) arrays.
+def _stencil_work(geom: Geometry):
+    """Work arrays for one view, shared by all the views of a plan build.
 
-    Returns (cols, weights, keep): the flat pixel index and coefficient of
-    every j0 / j0+1 interpolation entry, and whether the entry falls inside
-    the image.  Each detector row is in ascending column order.
+    Fresh arrays for every view cost a new process more than the arithmetic
+    on them: the allocator returns them to the system between views, and the
+    next view faults their pages in again.
     """
-    drive_rows, coord, weight = _view_coords(geom, theta_deg)
-    coord = np.ascontiguousarray(coord.T)
-    det, n_drive = coord.shape
-    j0 = np.floor(coord)
-    frac = coord - j0
-    idx = np.stack((j0, j0 + 1.0), axis=2).reshape(det, 2 * n_drive).astype(np.int64)
-    weights = np.stack((weight * (1.0 - frac), weight * frac), axis=2).reshape(
-        det, 2 * n_drive
+    n = max(geom.image_rows, geom.image_cols)
+    size = n * geom.detectors
+    return (
+        np.empty((n, geom.detectors)),
+        np.empty(size),
+        np.empty(2 * size),
+        np.empty(2 * size, dtype=np.int32),
+        np.empty(2 * size, dtype=bool),
     )
-    drive = np.repeat(np.arange(n_drive, dtype=np.int64), 2)
+
+
+def _view_stencil(geom: Geometry, theta_deg: float, work):
+    """One view's in-range stencil entries, detector row by detector row.
+
+    Returns (cols, weights): the int32 flat pixel index and the coefficient
+    of every j0 / j0+1 interpolation entry that falls inside the image, each
+    detector row in ascending column order.  work is from _stencil_work.
+    """
+    coord_buf, floor_buf, weight_buf, idx_buf, keep_buf = work
+    drive_rows, coord, weight = _view_coords(geom, theta_deg, out=coord_buf)
+    n_drive, det = coord.shape
+    size = n_drive * det
+    interp_n = geom.image_cols if drive_rows else geom.image_rows
     cols_n = geom.image_cols
+    # Each detector row holds the j0 and the j0+1 entry of every step: side
+    # by side when the row is in column order as built, else in two halves,
+    # which leaves the stable sort below two ascending runs to merge when j0
+    # rises with the drive index.
+    shape, pair_axis = ((det, n_drive, 2), 2) if drive_rows else ((det, 2, n_drive), 1)
+    j0 = np.floor(coord.T, out=floor_buf[:size].reshape(det, n_drive))
+    weights = weight_buf[: 2 * size].reshape(shape)
+    w0, w1 = np.moveaxis(weights, pair_axis, 0)
+    np.subtract(coord.T, j0, out=w1)
+    np.subtract(1.0, w1, out=w0)
+    weights *= weight
+    idx = idx_buf[: 2 * size].reshape(shape)
+    i0, i1 = np.moveaxis(idx, pair_axis, 0)
+    # entries outside the image are dropped, so clipping them keeps int32 exact
+    np.clip(j0, -2, interp_n, out=i0, casting="unsafe")
+    np.add(i0, 1, out=i1)
+    idx = idx.reshape(det, 2 * n_drive)
+    weights = weights.reshape(det, 2 * n_drive)
+    # a negative index wraps to a large unsigned one
+    keep = np.less(idx.view(np.uint32), interp_n, out=keep_buf[: 2 * size].reshape(det, -1))
     if drive_rows:
         # columns rise with the drive index, and j0 < j0+1 within one step
-        keep = (idx >= 0) & (idx < cols_n)
-        return drive * cols_n + idx, weights, keep
-    keep = (idx >= 0) & (idx < geom.image_rows)
-    cols = idx * cols_n + drive
+        idx += np.arange(0, n_drive * cols_n, cols_n, dtype=np.int32).repeat(2)
+        return idx[keep], weights[keep]
+    idx *= cols_n
+    idx += np.tile(np.arange(n_drive, dtype=np.int32), 2)
     # a row never holds one pixel twice, so sorting by column is unambiguous
-    order = np.argsort(cols, axis=1, kind="stable")
-    return (
-        np.take_along_axis(cols, order, axis=1),
-        np.take_along_axis(weights, order, axis=1),
-        np.take_along_axis(keep, order, axis=1),
-    )
+    order = np.argsort(idx, axis=1, kind="stable")
+    order += np.arange(0, idx.size, 2 * n_drive)[:, None]
+    order = order.ravel()
+    order = order[keep.ravel()[order]]
+    return idx.ravel()[order], weights.ravel()[order]
 
 
 def _build_stencil_matrix(geom: Geometry) -> sp.csr_matrix:
@@ -265,12 +303,14 @@ def _build_stencil_matrix(geom: Geometry) -> sp.csr_matrix:
     so the peak memory is about one copy of the plan.
     """
     det = geom.detectors
+    work = _stencil_work(geom)
+    coord_buf, floor_buf = work[:2]
     counts = np.zeros(geom.n_views * det + 1, dtype=np.int64)
     for v, theta_deg in enumerate(geom.angles_deg):
         # per detector row: the j0 and the j0+1 entries inside the image
-        drive_rows, coord, _ = _view_coords(geom, theta_deg)
+        drive_rows, coord, _ = _view_coords(geom, theta_deg, out=coord_buf)
         interp_n = geom.image_cols if drive_rows else geom.image_rows
-        j0 = np.floor(coord)
+        j0 = np.floor(coord, out=floor_buf[: coord.size].reshape(coord.shape))
         counts[1 + v * det : 1 + (v + 1) * det] = (
             (j0 >= 0) & (j0 < interp_n)
         ).sum(axis=0) + ((j0 >= -1) & (j0 < interp_n - 1)).sum(axis=0)
@@ -278,10 +318,8 @@ def _build_stencil_matrix(geom: Geometry) -> sp.csr_matrix:
     indices = np.empty(indptr[-1], dtype=np.int32)
     data = np.empty(indptr[-1], dtype=np.float64)
     for v, theta_deg in enumerate(geom.angles_deg):
-        cols, weights, keep = _view_stencil(geom, theta_deg)
         span = slice(indptr[v * det], indptr[(v + 1) * det])
-        indices[span] = cols[keep]
-        data[span] = weights[keep]
+        indices[span], data[span] = _view_stencil(geom, theta_deg, work)
     return sp.csr_matrix(
         (data, indices, indptr),
         shape=(geom.n_views * det, geom.image_rows * geom.image_cols),

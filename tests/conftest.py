@@ -1,4 +1,7 @@
+from collections import Counter
+
 import numpy as np
+import pytest
 
 from lactdiff.tomography import Geometry, TomoOperator
 
@@ -23,3 +26,22 @@ def dense_tomo_matrix(geom: Geometry) -> np.ndarray:
         mat[:, j] = op.forward(basis)
         basis[j] = 0.0
     return mat
+
+
+@pytest.fixture()
+def count_products(monkeypatch):
+    """Counter of the TomoOperator products made from here on, by "forward" and "adjoint"."""
+    counts = Counter()
+
+    def counted(name):
+        original = getattr(TomoOperator, name)
+
+        def product(self, v):
+            counts[name] += 1
+            return original(self, v)
+
+        monkeypatch.setattr(TomoOperator, name, product)
+
+    counted("forward")
+    counted("adjoint")
+    return counts

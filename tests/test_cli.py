@@ -13,7 +13,7 @@ import pytest
 import lactdiff
 from lactdiff import solvers, tomography
 from lactdiff.cli import _geometry_for, main
-from lactdiff.core import Image, read_raster, write_raster
+from lactdiff.core import Image, Sinogram, read_raster, write_raster
 
 
 def run(capsys, *argv):
@@ -178,6 +178,16 @@ class TestReconstructAndMetrics:
                          "--size", "32", "--iters", "15", "--lam", "1.0",
                          "--out", str(out))
         assert code == 0
+
+    @pytest.mark.parametrize("method", ["rls", "tv"])
+    def test_single_pixel_image(self, method, tmp_path, capsys):
+        # a 1x1 image has no pixel differences, so TV contributes nothing
+        sino = tmp_path / "s.ctr"
+        write_raster(sino, Sinogram(3, 3, [0.0, 30.0, 60.0], np.ones((3, 3))))
+        code, _, err = run(capsys, "reconstruct", "--method", method, "--in", str(sino),
+                           "--size", "1", "--iters", "5", "--out", str(tmp_path / "r.ctr"))
+        assert code == 0, err
+        assert read_raster(tmp_path / "r.ctr").shape == (1, 1)
 
     def test_manifest_records_norm_and_tau(self, pipeline, tmp_path, capsys, monkeypatch):
         _, sino = pipeline

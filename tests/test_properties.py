@@ -1,4 +1,5 @@
-"""Property tests over random small geometries: adjointness and the norm estimate."""
+"""Property tests: adjointness and the norm estimate over random small
+geometries, the TV difference pair, and CTR1 files that were cut or altered."""
 
 import math
 
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import dense_tomo_matrix
-from lactdiff.solvers import operator_norm_sq
+from lactdiff.core import DataError, FormatError, Image, Sinogram, read_raster, write_raster
+from lactdiff.solvers import _div2d, _grad2d, operator_norm_sq
 from lactdiff.tomography import Geometry, TomoOperator
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -49,3 +51,50 @@ def test_norm_estimate_matches_dense_eigenvalue(geom):
     mat = dense_tomo_matrix(geom)
     expected = np.linalg.eigvalsh(mat.T @ mat)[-1]
     assert operator_norm_sq(TomoOperator(geom)) == pytest.approx(expected, rel=1e-12)
+
+
+@hypothesis.given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_tv_divergence_is_negative_adjoint_of_gradient(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    u, px, py = rng.standard_normal((3, rows, cols))
+    gx, gy = _grad2d(u)
+    div = _div2d(px, py)
+    lhs, rhs = float(np.sum(gx * px) + np.sum(gy * py)), -float(np.sum(u * div))
+    scale = np.linalg.norm(u) * (np.linalg.norm(px) + np.linalg.norm(py))
+    assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@st.composite
+def rasters(draw):
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.integers(1, 4))
+    data = np.asarray(draw(st.lists(st.floats(-1e3, 1e3), min_size=rows * cols,
+                                    max_size=rows * cols))).reshape(rows, cols)
+    if draw(st.booleans()):
+        return Image(rows, cols, data)
+    angles = np.sort(draw(st.lists(st.floats(0.0, 179.0), min_size=rows, max_size=rows,
+                                   unique=True)))
+    hypothesis.assume(rows == 1 or np.all(np.diff(angles.astype(np.float32)) > 0))
+    return Sinogram(rows, cols, angles, data)
+
+
+@hypothesis.settings(max_examples=300)
+@hypothesis.given(rasters(), st.data())
+def test_ctr1_damage_is_parsed_or_rejected(tmp_path_factory, raster, data):
+    path = tmp_path_factory.getbasetemp() / "fuzz.ctr"
+    write_raster(path, raster)
+    blob = bytearray(path.read_bytes())
+    for _ in range(data.draw(st.integers(1, 3))):
+        if not blob:
+            break
+        if data.draw(st.booleans()):
+            del blob[data.draw(st.integers(0, len(blob) - 1)):]
+        else:
+            blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+    path.write_bytes(bytes(blob))
+    try:
+        parsed = read_raster(path)
+    except (FormatError, DataError):
+        return
+    assert isinstance(parsed, (Image, Sinogram))
+    assert parsed.data.shape == parsed.shape and np.all(np.isfinite(parsed.data))

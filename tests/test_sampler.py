@@ -240,6 +240,32 @@ class TestChain:
                 model, None, None, (3, 3), ConditionInput.none(3, 3), cfg
             )
 
+    def test_prox_reuses_its_products(self, count_products):
+        n = 8
+        geom = make_limited_geometry(n, default_detectors(n), 6, 120.0)
+        sino = forward_project(make_phantom(PhantomSpec(PhantomKind.DISKS, n, seed=4)), geom)
+        prior = GmmPrior(n * n, [1.0], np.zeros((1, n * n)), [0.25])
+        model = gmm_denoiser(prior, SCHED)
+        cfg = SamplerConfig(
+            steps=6, prox=ProxConfig(gamma=0.5, cg_tol=1e-30, cg_max_iter=3), seed=1,
+            n_samples=2,
+        )
+        args = (model, sino.as_f64().ravel(), TomoOperator(geom), (n, n),
+                ConditionInput.none(n, n), SCHED, cfg)
+        draw_samples(*args)
+        # untraced: A^T y once per draw, then CG's own products
+        assert count_products["adjoint"] - count_products["forward"] == 1
+        count_products.clear()
+        traces = []
+        draw_samples(*args, traces=traces)
+        iters = [r.iterations for t in traces for r in t.prox_reports]
+        assert len(iters) == cfg.steps * cfg.n_samples
+        # per step: A x~ (the "before" residual and CG's first product), CG's
+        # first A^T, two per iteration, and the "after" residual's A z
+        assert count_products == {
+            "forward": sum(i + 2 for i in iters), "adjoint": 1 + sum(i + 1 for i in iters)
+        }
+
     def test_ct_wrapper_smoke(self):
         n = 16
         geom = make_limited_geometry(n, default_detectors(n), 10, 120.0)

@@ -18,6 +18,7 @@ from lactdiff.solvers import (
     prox_consistency,
     rls_reconstruct,
     total_variation,
+    tv_prox,
     tv_reconstruct,
 )
 from lactdiff.tomography import (
@@ -194,6 +195,138 @@ class TestTv:
             for k in range(5, 41, 5)
         ]
         assert np.all(np.diff(values) <= 1e-6)
+
+
+def grad2d_reference(u):
+    gx = np.zeros_like(u)
+    gy = np.zeros_like(u)
+    gx[:-1, :] = u[1:, :] - u[:-1, :]
+    gy[:, :-1] = u[:, 1:] - u[:, :-1]
+    return gx, gy
+
+
+def div2d_reference(px, py):
+    """Negative adjoint of grad2d_reference, for at least 2 rows and 2 columns."""
+    div = np.zeros_like(px)
+    div[0, :] = px[0, :]
+    div[1:-1, :] = px[1:-1, :] - px[:-2, :]
+    div[-1, :] = -px[-2, :]
+    div[:, 0] += py[:, 0]
+    div[:, 1:-1] += py[:, 1:-1] - py[:, :-2]
+    div[:, -1] += -py[:, -2]
+    return div
+
+
+def tv_prox_reference(g, weight, iters=20):
+    """Chambolle's dual projection with fresh arrays on every iteration."""
+    tau = 0.25
+    px = np.zeros_like(g)
+    py = np.zeros_like(g)
+    for _ in range(iters):
+        gx, gy = grad2d_reference(div2d_reference(px, py) - g / weight)
+        denom = 1.0 + tau * np.sqrt(gx**2 + gy**2)
+        px = (px + tau * gx) / denom
+        py = (py + tau * gy) / denom
+    return g - weight * div2d_reference(px, py)
+
+
+def tv_reconstruct_reference(sino, geom, lam, outer_iters, prox_iters=20):
+    """The TV loop that projects every point it evaluates: the zero start, each
+    momentum point and each candidate.  Returns (x, rejected candidates)."""
+    op = TomoOperator(geom)
+    y = sino.as_f64().ravel()
+    rows, cols = geom.image_rows, geom.image_cols
+    step = 1.0 / (1.05 * solvers._tomo_norm_sq(geom))
+
+    def objective(x):
+        res = op.forward(x) - y
+        return 0.5 * float(res @ res) + lam * total_variation(x.reshape(rows, cols))
+
+    x = np.zeros(rows * cols)
+    z = x.copy()
+    f_x = objective(x)
+    t_k = 1.0
+    rejected = 0
+    for _ in range(outer_iters):
+        cand = z - step * op.adjoint(op.forward(z) - y)
+        if lam > 0.0:
+            cand = tv_prox(cand.reshape(rows, cols), lam * step, prox_iters).ravel()
+        f_cand = objective(cand)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k**2))
+        if f_cand <= f_x:
+            x_next, f_next = cand, f_cand
+        else:
+            x_next, f_next = x, f_x
+            rejected += 1
+        z = x_next + (t_k / t_next) * (cand - x_next) + ((t_k - 1.0) / t_next) * (x_next - x)
+        x, f_x = x_next, f_next
+        t_k = t_next
+    return x, rejected
+
+
+def noisy_case(geom, image, noise_std, seed):
+    data = TomoOperator(geom).forward(image.ravel())
+    data += noise_std * np.random.default_rng(seed).standard_normal(data.size)
+    return Sinogram(geom.n_views, geom.detectors, geom.angles_deg, data.reshape(geom.n_views, -1))
+
+
+class TestTvMatchesReference:
+    DISKS = make_phantom(PhantomSpec(PhantomKind.DISKS, 16, seed=3)).as_f64()
+
+    @pytest.mark.parametrize(
+        "geom, image, lam, iters, min_rejected",
+        [
+            (make_limited_geometry(16, default_detectors(16), 12, 90.0), DISKS, 0.0, 30, 0),
+            (Geometry(9, 13, 18, np.linspace(0.0, 150.0, 10)),
+             np.random.default_rng(2).standard_normal((9, 13)), 0.5, 40, 0),
+            (make_limited_geometry(16, default_detectors(16), 12, 90.0), DISKS, 5.0, 30, 1),
+        ],
+        ids=["lam0", "non-square", "rejects"],
+    )
+    def test_agrees_with_recomputed_products(self, geom, image, lam, iters, min_rejected):
+        sino = noisy_case(geom, image, 0.05, 0)
+        ref, rejected = tv_reconstruct_reference(sino, geom, lam, iters)
+        assert rejected >= min_rejected
+        got = tv_reconstruct(sino, geom, lam, iters).as_f64().ravel()
+        assert np.linalg.norm(got - ref) <= 1e-6 * np.linalg.norm(ref)
+
+
+class TestTvProx:
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 9), (9, 2), (3, 3), (16, 16), (13, 40)])
+    def test_matches_allocating_reference(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        for weight in (1e-3, 0.1, 3.0):
+            g = rng.uniform(0.1, 10.0) * rng.standard_normal(shape)
+            assert np.array_equal(tv_prox(g, weight), tv_prox_reference(g, weight))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1)])
+    def test_runs_on_a_single_row_or_column(self, shape):
+        g = np.arange(float(np.prod(shape))).reshape(shape)
+        out = tv_prox(g, 0.5)
+        assert out.shape == shape
+        # the mean is invariant under the TV prox
+        assert out.sum() == pytest.approx(g.sum(), abs=1e-9)
+
+
+class TestProductCounts:
+    """A and A^T products per solve, with the ||A^T A|| estimate cached first."""
+
+    def test_tv_makes_one_of_each_per_outer_iteration(self, count_products):
+        geom, sino = small_case()
+        solvers._tomo_norm_sq(geom)
+        for k in (1, 6):
+            count_products.clear()
+            tv_reconstruct(sino, geom, lam=0.3, outer_iters=k)
+            assert count_products == {"forward": k, "adjoint": k}
+
+    def test_rls_zero_start_makes_no_product(self, count_products):
+        geom, sino = small_case()
+        solvers._tomo_norm_sq(geom)
+        count_products.clear()
+        k = 5
+        rls_reconstruct(sino, geom, tol=0.0, max_iter=k)
+        # A^T y, then one A^T A per iteration
+        assert count_products == {"forward": k, "adjoint": k + 1}
 
 
 class TestProx:
