@@ -19,7 +19,6 @@ from .core import (
     Sinogram,
     new_image,
     read_raster,
-    sample_standard_normal,
     write_pgm,
     write_raster,
 )

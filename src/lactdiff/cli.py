@@ -53,7 +53,6 @@ from .sampler import (
 )
 from .solvers import (
     ProxConfig,
-    _tomo_norm_sq,
     default_rls_tau,
     rls_reconstruct,
     tv_reconstruct,
@@ -159,11 +158,11 @@ def _write_manifest(path: Path, argv, fields: dict, traces=None) -> None:
         for i, trace in enumerate(traces):
             capped = sum(not report.converged for report in trace.prox_reports)
             lines.append(f"prox_capped.sample{i}: {capped}/{len(trace.prox_reports)}")
-    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _read_manifest_argv(path: str):
-    for line in Path(path).read_text(encoding="ascii").splitlines():
+    for line in Path(path).read_text(encoding="utf-8").splitlines():
         if line.startswith("argv: "):
             return shlex.split(line[len("argv: ") :])
     raise FormatError(f"manifest {path} has no argv line")
@@ -273,9 +272,9 @@ def _cmd_reconstruct(args, argv) -> int:
         "geometry.digest": geom.digest(),
     }
     if args.method != "fbp":
-        # the solver filled the digest-keyed cache, so these lookups run no product
+        # the geometry kept the solver's estimate, so these reads run no product
         used_norm = args.method == "tv" or args.tau is None
-        fields["operator.norm_sq"] = _tomo_norm_sq(geom) if used_norm else "n/a"
+        fields["operator.norm_sq"] = geom.norm_sq if used_norm else "n/a"
     if args.method == "rls":
         fields["resolved.tau"] = default_rls_tau(geom) if args.tau is None else args.tau
     fields["out"] = args.out

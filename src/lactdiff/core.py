@@ -170,11 +170,6 @@ class SeededRng:
         return Image(rows, cols, self.standard_normal(rows * cols).reshape(rows, cols))
 
 
-def sample_standard_normal(rng: SeededRng, n: int) -> np.ndarray:
-    """n independent N(0,1) draws from the rng's frozen stream."""
-    return rng.standard_normal(n)
-
-
 _MAGIC = b"CTR1"
 _KIND_IMAGE = 0
 _KIND_SINOGRAM = 1

@@ -7,14 +7,13 @@ exposing forward/adjoint/shape over flat arrays.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .core import DimensionError, Image, NumericalError, ParameterError, SeededRng, Sinogram
-from .tomography import Geometry, TomoOperator, _lru_lookup
+from .tomography import Geometry, TomoOperator
 
 
 @dataclass
@@ -189,18 +188,9 @@ def operator_norm_sq(op, iters: int = 50, seed: int = 0) -> float:
     return max(theta, 0.0)
 
 
-_GEOM_NORM_CACHE: "OrderedDict[str, float]" = OrderedDict()
-
-
-def _tomo_norm_sq(geom: Geometry) -> float:
-    return _lru_lookup(
-        _GEOM_NORM_CACHE, geom.digest(), lambda: operator_norm_sq(TomoOperator(geom))
-    )
-
-
 def default_rls_tau(geom: Geometry) -> float:
     """Default Tikhonov weight, scaled to the operator: 0.05 * ||A^T A||_2."""
-    return 0.05 * _tomo_norm_sq(geom)
+    return 0.05 * geom.norm_sq
 
 
 def rls_reconstruct(
@@ -314,9 +304,10 @@ def tv_reconstruct(
     only when it does not increase the composite objective, so the objective
     is non-increasing across outer iterations even with the fixed inner prox
     budget.  The gradient step is 1/L with L = 1.05 * ||A^T A|| from the
-    Lanczos estimate (operator_norm_sq).  The projections of the iterate and
-    the candidate are kept, and the momentum point's projection is formed
-    from them, so each outer iteration costs one A and one A^T product.
+    Lanczos estimate the geometry keeps (Geometry.norm_sq).  The projections
+    of the iterate and the candidate are kept, and the momentum point's
+    projection is formed from them, so each outer iteration costs one A and
+    one A^T product.
     """
     geom.matches_sinogram(sino)
     if lam < 0.0 or not np.isfinite(lam):
@@ -326,7 +317,7 @@ def tv_reconstruct(
     op = TomoOperator(geom)
     y = sino.as_f64().ravel()
     rows, cols = geom.image_rows, geom.image_cols
-    lipschitz = 1.05 * _tomo_norm_sq(geom)
+    lipschitz = 1.05 * geom.norm_sq
     if lipschitz <= 0.0:
         lipschitz = 1.0
     step = 1.0 / lipschitz

@@ -1,0 +1,76 @@
+"""The names and plan sizes the benchmark harness relies on.
+
+benchmarks/tracing.py wraps lactdiff functions and methods that it finds by
+name, and benchmarks/workloads.py reads the size of the plan that
+`tomography._stencil_plan` returns.  A rename or a deletion here would only
+show when the benchmark runs, so these tests load the tracer by path and
+check that it installs and uninstalls cleanly.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import lactdiff.cli  # noqa: F401  (loads every module the tracer patches)
+from lactdiff import tomography
+from lactdiff.tomography import default_detectors, make_limited_geometry
+
+TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    spec = importlib.util.spec_from_file_location("lactdiff_bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def lactdiff_bindings():
+    """Every attribute of every loaded lactdiff module, by (module, name)."""
+    return {
+        (name, key): value
+        for name, module in list(sys.modules.items())
+        if module is not None and (name == "lactdiff" or name.startswith("lactdiff."))
+        for key, value in vars(module).items()
+    }
+
+
+def test_tracer_installs_and_restores_every_name(tracing):
+    before = lactdiff_bindings()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        patched = {(owner, attr) for owner, attr, _ in tracer._patches}
+        originals = {(owner, attr): original for owner, attr, original in tracer._patches}
+        # every target is found, and each is replaced where the package holds it
+        assert len(patched) == len(tracer._patches) >= len(tracing.TARGETS) + len(
+            tracing.COUNTED
+        )
+        for owner, attr in patched:
+            assert getattr(owner, attr) is not originals[owner, attr]
+    finally:
+        tracer.uninstall()
+    after = lactdiff_bindings()
+    assert after.keys() == before.keys()
+    for key, value in before.items():
+        assert after[key] is value, key
+    for owner, attr in patched:
+        if isinstance(owner, type):
+            assert owner.__dict__[attr] is originals[owner, attr], (owner, attr)
+
+
+@pytest.mark.parametrize(
+    "size, views, nnz",
+    [(128, 240, 6867900), (64, 120, 858782)],
+    ids=["classical_128", "sample_64"],
+)
+def test_stencil_plan_sizes(size, views, nnz):
+    geom = make_limited_geometry(size, default_detectors(size), views, 60.0)
+    plan = tomography._stencil_plan(geom)
+    assert plan.format == "csr"
+    assert plan.nnz == nnz
+    assert plan.shape == (views * geom.detectors, size * size)
+    assert plan.indptr[-1] == plan.data.size == plan.indices.size == nnz

@@ -4,7 +4,6 @@ import os
 import shlex
 import subprocess
 import sys
-from collections import OrderedDict
 from pathlib import Path
 
 import numpy as np
@@ -23,13 +22,30 @@ def run(capsys, *argv):
 
 
 def refuse_plan_builds(monkeypatch):
-    """Fail any stencil-plan build from here on, starting from an empty plan cache."""
+    """Fail any stencil-plan build from here on."""
 
     def refuse(geom):
         raise AssertionError("a stencil plan was built")
 
-    monkeypatch.setattr(tomography, "_PLAN_CACHE", OrderedDict())
     monkeypatch.setattr(tomography, "_build_stencil_matrix", refuse)
+
+
+def count_builds_and_estimates(monkeypatch):
+    """Lists that collect the geometry of every plan build and ||A^T A|| estimate."""
+    builds, estimates = [], []
+    build, estimate = tomography._build_stencil_matrix, solvers.operator_norm_sq
+
+    def counted_build(geom):
+        builds.append(geom)
+        return build(geom)
+
+    def counted_estimate(op, *args, **kwargs):
+        estimates.append(op.geom)
+        return estimate(op, *args, **kwargs)
+
+    monkeypatch.setattr(tomography, "_build_stencil_matrix", counted_build)
+    monkeypatch.setattr(solvers, "operator_norm_sq", counted_estimate)
+    return builds, estimates
 
 
 def test_cli_import_leaves_out_scipy_signal():
@@ -208,14 +224,13 @@ class TestReconstructAndMetrics:
             "fbp": (["--method", "fbp"], None, None),
         }
         for name, (extra, want_norm, want_tau) in cases.items():
-            monkeypatch.setattr(solvers, "_GEOM_NORM_CACHE", OrderedDict())
             estimates.clear()
             out = tmp_path / f"{name}.ctr"
             assert run(capsys, "reconstruct", "--in", str(sino), "--size", "32",
                        "--iters", "5", "--out", str(out), *extra)[0] == 0
             lines = (tmp_path / f"{name}.manifest.txt").read_text().splitlines()
             fields = dict(line.split(": ", 1) for line in lines[1:])
-            # at most one estimate per command: the manifest reads the cached value
+            # at most one estimate per command: the manifest reads the geometry's value
             assert len(estimates) == (0 if want_norm in (None, "n/a") else 1)
             if want_norm is None:
                 assert "operator.norm_sq" not in fields
@@ -230,6 +245,15 @@ class TestReconstructAndMetrics:
         (tmp_path / "rls.ctr").unlink()
         assert run(capsys, "--manifest-in", str(tmp_path / "rls.manifest.txt"))[0] == 0
         assert (tmp_path / "rls.ctr").read_bytes() == original_bytes
+
+    @pytest.mark.parametrize("method", ["rls", "tv"])
+    def test_one_build_and_one_estimate(self, method, pipeline, tmp_path, capsys, monkeypatch):
+        _, sino = pipeline
+        builds, estimates = count_builds_and_estimates(monkeypatch)
+        assert run(capsys, "reconstruct", "--method", method, "--in", str(sino),
+                   "--size", "32", "--iters", "5", "--out", str(tmp_path / "r.ctr"))[0] == 0
+        assert len(builds) == 1
+        assert estimates == builds
 
     def test_unknown_method_is_usage_error(self, pipeline, tmp_path):
         _, sino = pipeline
@@ -326,6 +350,13 @@ class TestSampleCommand:
         without = residual_of(tmp_path / "off", "--no-prox")
         assert with_prox <= without
 
+    def test_one_build_and_one_estimate(self, sino64, tmp_path, capsys, monkeypatch):
+        builds, estimates = count_builds_and_estimates(monkeypatch)
+        assert run(capsys, "sample", "--in", str(sino64), "--size", "24", "--K", "4",
+                   "--T", "60", "--samples", "2", "--out-dir", str(tmp_path / "run"))[0] == 0
+        assert len(builds) == 1
+        assert estimates == builds
+
     def test_chain_longer_than_schedule_is_usage_error(self, sino64, tmp_path, capsys):
         code, _, _ = run(capsys, "sample", "--in", str(sino64), "--size", "24",
                          "--K", "80", "--T", "60", "--samples", "1",
@@ -407,6 +438,18 @@ class TestManifestReplay:
         manifest.write_text(f"run_manifest v1\nargv: {argv}\ncommand: phantom\n")
         assert run(capsys, "--manifest-in", str(manifest))[0] == 0
         assert out.exists()
+
+    def test_non_ascii_path_replays(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, "phantom", "--kind", "disks", "--size", "16",
+                           "--out", "./phantöm.ctr")
+        assert code == 0, err
+        out = tmp_path / "phantöm.ctr"
+        original = out.read_bytes()
+        out.unlink()
+        code, _, err = run(capsys, "--manifest-in", "phantöm.manifest.txt")
+        assert code == 0, err
+        assert out.read_bytes() == original
 
     def test_missing_manifest_is_io_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, "--manifest-in", str(tmp_path / "none.txt"))

@@ -1,6 +1,7 @@
 """Conjugate gradient, regularized least squares, TV, and the consistency prox."""
 
-from collections import OrderedDict
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from lactdiff.tomography import (
     Geometry,
     TomoOperator,
     default_detectors,
+    fbp_reconstruct,
+    forward_project,
     make_limited_geometry,
 )
 
@@ -236,7 +239,7 @@ def tv_reconstruct_reference(sino, geom, lam, outer_iters, prox_iters=20):
     op = TomoOperator(geom)
     y = sino.as_f64().ravel()
     rows, cols = geom.image_rows, geom.image_cols
-    step = 1.0 / (1.05 * solvers._tomo_norm_sq(geom))
+    step = 1.0 / (1.05 * geom.norm_sq)
 
     def objective(x):
         res = op.forward(x) - y
@@ -309,11 +312,11 @@ class TestTvProx:
 
 
 class TestProductCounts:
-    """A and A^T products per solve, with the ||A^T A|| estimate cached first."""
+    """A and A^T products per solve, with the geometry's ||A^T A|| estimated first."""
 
     def test_tv_makes_one_of_each_per_outer_iteration(self, count_products):
         geom, sino = small_case()
-        solvers._tomo_norm_sq(geom)
+        geom.norm_sq
         for k in (1, 6):
             count_products.clear()
             tv_reconstruct(sino, geom, lam=0.3, outer_iters=k)
@@ -321,7 +324,7 @@ class TestProductCounts:
 
     def test_rls_zero_start_makes_no_product(self, count_products):
         geom, sino = small_case()
-        solvers._tomo_norm_sq(geom)
+        geom.norm_sq
         count_products.clear()
         k = 5
         rls_reconstruct(sino, geom, tol=0.0, max_iter=k)
@@ -435,20 +438,36 @@ class TestOperatorNormSq:
         assert operator_norm_sq(DenseOperator(np.zeros((3, 4)))) == 0.0
 
 
-class TestGeometryNormCache:
-    def test_bounded_like_the_plan_cache(self, monkeypatch):
-        monkeypatch.setattr(solvers, "_GEOM_NORM_CACHE", OrderedDict())
-        bound = tomography._PLAN_CACHE_SIZE
-        geoms = [
-            make_limited_geometry(4, default_detectors(4), views, 90.0)
-            for views in range(1, bound + 3)
-        ]
-        for geom in geoms[:bound]:
-            solvers._tomo_norm_sq(geom)
-        solvers._tomo_norm_sq(geoms[0])  # a hit makes the first the most recent
-        for geom in geoms[bound:]:
-            solvers._tomo_norm_sq(geom)
-        cache = solvers._GEOM_NORM_CACHE
-        assert len(cache) == bound
-        kept = {geom.digest() for geom in [geoms[0]] + geoms[3:]}
-        assert set(cache) == kept
+class TestGeometryOwnsPlanAndNorm:
+    def test_builds_and_estimates_once(self, monkeypatch):
+        builds, estimates = [], []
+        build, estimate = tomography._build_stencil_matrix, solvers.operator_norm_sq
+
+        def counted_build(geom):
+            builds.append(geom)
+            return build(geom)
+
+        def counted_estimate(op, *args, **kwargs):
+            estimates.append(op.geom)
+            return estimate(op, *args, **kwargs)
+
+        monkeypatch.setattr(tomography, "_build_stencil_matrix", counted_build)
+        monkeypatch.setattr(solvers, "operator_norm_sq", counted_estimate)
+        geom = make_limited_geometry(16, default_detectors(16), 12, 90.0)
+        sino = forward_project(make_phantom(PhantomSpec(PhantomKind.DISKS, 16)), geom)
+        fbp_reconstruct(sino, geom)
+        op = TomoOperator(geom)
+        op.adjoint(op.forward(np.ones(op.shape[1])))
+        for _ in range(2):
+            rls_reconstruct(sino, geom, max_iter=5)
+            tv_reconstruct(sino, geom, lam=0.1, outer_iters=3)
+        assert builds == [geom]
+        assert estimates == [geom]
+
+    def test_plan_dies_with_its_geometry(self):
+        geom, sino = small_case()
+        rls_reconstruct(sino, geom, max_iter=5)
+        plan = weakref.ref(tomography._stencil_plan(geom))
+        del geom, sino
+        gc.collect()
+        assert plan() is None

@@ -186,29 +186,6 @@ class TestAdjoint:
             bound = 1e-4 * np.linalg.norm(ax) * np.linalg.norm(y)
             assert abs(lhs - rhs) <= bound
 
-    def test_view_loop_matches_plan(self, monkeypatch):
-        # both driving axes on a non-square image; the loop path runs when
-        # the plan would exceed _PLAN_NNZ_LIMIT
-        geom = Geometry(13, 21, 40, np.linspace(0.0, 179.0, 33))
-        rng = np.random.default_rng(11)
-        x = rng.standard_normal((13, 21))
-        y = rng.standard_normal((33, 40))
-        planned_ax = project_array(x, geom)
-        planned_aty = backproject_array(y, geom)
-        monkeypatch.setattr(tomography, "_PLAN_NNZ_LIMIT", 0)
-        assert tomography._stencil_plan(geom) is None
-        ax = project_array(x, geom)
-        aty = backproject_array(y, geom)
-        np.testing.assert_allclose(
-            ax, planned_ax, rtol=1e-12, atol=1e-12 * np.abs(planned_ax).max()
-        )
-        np.testing.assert_allclose(
-            aty, planned_aty, rtol=1e-12, atol=1e-12 * np.abs(planned_aty).max()
-        )
-        lhs = float((ax * y).sum())
-        rhs = float((x * aty).sum())
-        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(ax) * np.linalg.norm(y)
-
     def test_zero_sinogram(self):
         geom = make_limited_geometry(16, 23, 8, 180.0)
         img = back_project(
@@ -241,6 +218,70 @@ class TestAdjoint:
             back_project(other, geom)
 
 
+def fresh_chunk_geometry() -> Geometry:
+    # both driving axes on a non-square image; each test takes a new geometry,
+    # because a geometry keeps the plan it builds on first use
+    return Geometry(13, 21, 40, np.linspace(0.0, 179.0, 33))
+
+
+class TestPlanBlocks:
+    """Above _PLAN_NNZ_LIMIT, each product builds the plan a chunk of views at a time."""
+
+    @staticmethod
+    def limit_views_per_block(monkeypatch, geom, views):
+        # the plan's estimate is views * _view_nnz_bound, so this makes a block
+        # hold `views` views, and the whole plan fit from 33 views up
+        limit = views * tomography._view_nnz_bound(geom)
+        monkeypatch.setattr(tomography, "_PLAN_NNZ_LIMIT", limit)
+
+    @pytest.mark.parametrize("views", [1, 7, 32, 33, 50])
+    def test_blocks_stack_to_the_plan(self, monkeypatch, views):
+        geom = fresh_chunk_geometry()
+        whole = tomography._build_stencil_matrix(geom)
+        self.limit_views_per_block(monkeypatch, geom, views)
+        blocks = list(tomography._plan_blocks(geom))
+        if views >= geom.n_views:
+            assert tomography._stencil_plan(geom) is not None
+            assert len(blocks) == 1 and blocks[0][1] is geom.plan
+        else:
+            assert tomography._stencil_plan(geom) is None
+            assert len(blocks) == -(-geom.n_views // views)
+        rows = [row for row, _, _ in blocks]
+        assert rows == [v * geom.detectors for v in range(0, geom.n_views, views)]
+        offsets = np.cumsum([0] + [block.nnz for _, block, _ in blocks])
+        indptr = np.concatenate(
+            [[0]] + [block.indptr[1:] + off for (_, block, _), off in zip(blocks, offsets)]
+        )
+        assert np.array_equal(indptr, whole.indptr)
+        for name in ("indices", "data"):
+            stacked = np.concatenate([getattr(block, name) for _, block, _ in blocks])
+            assert stacked.dtype == getattr(whole, name).dtype, name
+            assert np.array_equal(stacked, getattr(whole, name)), name
+
+    @pytest.mark.parametrize("views", [1, 7])
+    def test_products_match_the_whole_plan(self, monkeypatch, views):
+        geom = fresh_chunk_geometry()
+        whole = tomography._build_stencil_matrix(geom)
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((13, 21))
+        y = rng.standard_normal((33, 40))
+        want_ax, want_aty = whole @ x.ravel(), whole.T @ y.ravel()
+        self.limit_views_per_block(monkeypatch, geom, views)
+        op = TomoOperator(geom)
+        ax = project_array(x, geom)
+        assert np.array_equal(ax.ravel(), want_ax)
+        assert np.array_equal(op.forward(x.ravel()), want_ax)
+        aty = backproject_array(y, geom)
+        for got in (aty.ravel(), op.adjoint(y.ravel())):
+            np.testing.assert_allclose(
+                got, want_aty, rtol=1e-12, atol=1e-12 * np.abs(want_aty).max()
+            )
+        lhs = float((ax * y).sum())
+        rhs = float((x * aty).sum())
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(ax) * np.linalg.norm(y)
+        assert geom.plan is None
+
+
 class TestTomoOperator:
     GEOM = Geometry(13, 21, 40, np.linspace(0.0, 179.0, 33))
 
@@ -253,37 +294,20 @@ class TestTomoOperator:
         assert np.array_equal(op.adjoint(y.ravel()), backproject_array(y, self.GEOM).ravel())
 
     def test_fetches_the_plan_once(self, monkeypatch):
-        digests = []
-        original = Geometry.digest
+        builds = []
+        original = tomography._build_stencil_matrix
 
         def counted(geom):
-            digests.append(geom)
+            builds.append(geom)
             return original(geom)
 
-        monkeypatch.setattr(Geometry, "digest", counted)
-        op = TomoOperator(self.GEOM)
-        x = np.ones(op.shape[1])
-        for _ in range(5):
-            x = op.adjoint(op.forward(x))
-        assert len(digests) == 1
-
-    def test_loop_path_when_the_plan_is_too_large(self, monkeypatch):
-        rng = np.random.default_rng(13)
-        x = rng.standard_normal(13 * 21)
-        y = rng.standard_normal(33 * 40)
-        planned = TomoOperator(self.GEOM)
-        planned_ax, planned_aty = planned.forward(x), planned.adjoint(y)
-        monkeypatch.setattr(tomography, "_PLAN_NNZ_LIMIT", 0)
-        looped = TomoOperator(self.GEOM)
-        ax, aty = looped.forward(x), looped.adjoint(y)
-        np.testing.assert_allclose(
-            ax, planned_ax, rtol=1e-12, atol=1e-12 * np.abs(planned_ax).max()
-        )
-        np.testing.assert_allclose(
-            aty, planned_aty, rtol=1e-12, atol=1e-12 * np.abs(planned_aty).max()
-        )
-        # an operator keeps the plan it fetched on its first product
-        assert np.array_equal(planned.forward(x), planned_ax)
+        monkeypatch.setattr(tomography, "_build_stencil_matrix", counted)
+        geom = fresh_chunk_geometry()
+        x = np.ones(13 * 21)
+        for op in (TomoOperator(geom), TomoOperator(geom)):
+            for _ in range(5):
+                x = op.adjoint(op.forward(x))
+        assert builds == [geom]
 
     def test_size_mismatch(self):
         op = TomoOperator(self.GEOM)
