@@ -365,13 +365,12 @@ def backproject_array(sino: np.ndarray, geom: Geometry) -> np.ndarray:
             f"{(geom.n_views, geom.detectors)}"
         )
     y = np.asarray(sino, dtype=np.float64).ravel()
-    out = None
-    for row, block, block_t in _plan_blocks(geom):
-        part = block_t @ y[row : row + block.shape[0]]
-        if out is None:
-            out = part
-        else:
-            out += part
+    parts = (
+        block_t @ y[row : row + block.shape[0]] for row, block, block_t in _plan_blocks(geom)
+    )
+    out = next(parts)
+    for part in parts:
+        out += part
     return out.reshape(geom.image_rows, geom.image_cols)
 
 
