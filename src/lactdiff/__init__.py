@@ -59,7 +59,6 @@ from .denoiser import (
     Denoiser,
     DenoiserOutput,
     GmmPrior,
-    TableDenoiser,
     conditional_gmm_denoiser,
     denoise,
     gmm_denoiser,
@@ -73,6 +72,7 @@ from .sampler import (
     SampleSet,
     SamplerConfig,
     build_condition,
+    chain_seeds,
     draw_samples,
     sample_average,
     sample_posterior,

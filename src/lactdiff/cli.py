@@ -47,6 +47,7 @@ from .sampler import (
     ChainTrace,
     SamplerConfig,
     build_condition,
+    chain_seeds,
     draw_samples,
     sample_average,
     uncertainty_map,
@@ -146,7 +147,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_manifest(path: Path, argv, fields: dict, traces=None) -> None:
+def _write_manifest(path: Path, argv, fields: dict, traces=None, seeds=()) -> None:
     lines = ["run_manifest v2", f"argv: {shlex.join(argv)}"]
     for key, value in fields.items():
         lines.append(f"{key}: {value}")
@@ -158,6 +159,9 @@ def _write_manifest(path: Path, argv, fields: dict, traces=None) -> None:
         for i, trace in enumerate(traces):
             capped = sum(not report.converged for report in trace.prox_reports)
             lines.append(f"prox_capped.sample{i}: {capped}/{len(trace.prox_reports)}")
+    # the seed each chain's SeededRng was given, for sample_posterior to rerun it
+    for i, seed in enumerate(seeds):
+        lines.append(f"chain_seed.sample{i}: {seed}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -382,6 +386,7 @@ def _cmd_sample(args, argv) -> int:
             "duration_s": f"{time.perf_counter() - started:.3f}",
         },
         traces=traces,
+        seeds=chain_seeds(cfg.seed, cfg.n_samples),
     )
     return 0
 

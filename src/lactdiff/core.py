@@ -11,7 +11,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 
 class DimensionError(ValueError):
@@ -140,13 +139,13 @@ def new_image(rows: int, cols: int, fill: float) -> Image:
 
 
 class SeededRng:
-    """Deterministic random source: PCG64 bit stream with inverse-CDF normals.
+    """Deterministic random source: one PCG64 bit stream for both kinds of draw.
 
     The mapping is frozen for reproducibility across platforms: each 64-bit
     word w becomes the open-interval uniform u = ((w >> 12) + 0.5) * 2**-52,
-    and a standard normal is obtained as the Gaussian inverse CDF of u.
-    The whole value stream is a pure function of the seed.  Instances are
-    single-owner; never share one across concurrent chains.
+    and standard normals are numpy's ziggurat draws from the same bit
+    generator.  The whole value stream is a pure function of the seed.
+    Instances are single-owner; never share one across concurrent chains.
     """
 
     def __init__(self, seed: int):
@@ -155,6 +154,7 @@ class SeededRng:
             raise ParameterError("seed must be an unsigned 64-bit integer")
         self.seed = seed
         self._bits = np.random.PCG64(seed)
+        self._normals = np.random.Generator(self._bits)
 
     def uniform(self, n: int) -> np.ndarray:
         """n uniforms in the open interval (0, 1)."""
@@ -164,7 +164,10 @@ class SeededRng:
         return ((raw >> np.uint64(12)) + 0.5) * 2.0**-52
 
     def standard_normal(self, n: int) -> np.ndarray:
-        return ndtri(self.uniform(n))
+        """n standard normals (ziggurat)."""
+        if n < 1:
+            raise ParameterError(f"sample count must be >= 1, got {n}")
+        return self._normals.standard_normal(n)
 
     def normal_image(self, rows: int, cols: int) -> Image:
         return Image(rows, cols, self.standard_normal(rows * cols).reshape(rows, cols))

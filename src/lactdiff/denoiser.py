@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional, Protocol, runtime_checkable
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import DataError, DimensionError, Image, ParameterError
 from .diffusion import NoiseSchedule
@@ -198,6 +197,22 @@ def load_gmm_prior(path) -> GmmPrior:
     return GmmPrior(width - 2, arr[:, 0], arr[:, 1:-1], arr[:, -1])
 
 
+def _logsumexp(a, axis=None, keepdims=False):
+    """log(sum(exp(a))) over `axis` of a real array, in the arithmetic of
+    scipy.special.logsumexp (scipy 1.17): the maxima are kept out of the sum,
+    and the result is log1p(rest / count) + log(count) + max."""
+    a = np.asarray(a, dtype=np.float64)
+    top = a.max(axis=axis, keepdims=True)
+    is_top = a == top
+    count = is_top.sum(axis=axis, keepdims=True, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        rest = np.exp(np.where(is_top, -np.inf, a) - top).sum(axis=axis, keepdims=True)
+        out = np.log1p(rest / count) + np.log(count) + top
+        # without a finite maximum there is no shift; sum directly
+        out = np.where(np.isfinite(out), out, np.log(np.exp(a).sum(axis=axis, keepdims=True)))
+    return out if keepdims else np.squeeze(out, axis=axis)[()]
+
+
 def _diffused_components(prior: GmmPrior, t: int, sched: NoiseSchedule):
     """Marginal of x_t per component: N(sqrt(ab)*mu_i, (ab*s2_i + 1 - ab) I)."""
     ab = sched.alpha_bar_at(t)
@@ -212,7 +227,7 @@ def gmm_log_marginal(prior: GmmPrior, x_t: np.ndarray, t: int, sched: NoiseSched
     _, centers, m2 = _diffused_components(prior, t, sched)
     sq = ((x[None, :] - centers) ** 2).sum(axis=1)
     log_comp = -0.5 * (prior.dim * np.log(2.0 * np.pi * m2) + sq / m2)
-    return float(logsumexp(log_comp + np.log(prior.weights)))
+    return float(_logsumexp(log_comp + np.log(prior.weights)))
 
 
 def _gmm_posterior_mean_rows(
@@ -238,7 +253,7 @@ def _gmm_posterior_mean_rows(
 def _mixture_average(log_resp: np.ndarray, comp_means) -> np.ndarray:
     """Sum of the (n, dim) component means weighted by the responsibilities
     normalised from the (n, k) log_resp, accumulated in component order."""
-    resp = np.exp(log_resp - logsumexp(log_resp, axis=1, keepdims=True))
+    resp = np.exp(log_resp - _logsumexp(log_resp, axis=1, keepdims=True))
     total = resp[:, :1] * comp_means[0]
     for i in range(1, len(comp_means)):
         total += resp[:, i : i + 1] * comp_means[i]
@@ -362,7 +377,7 @@ class ConditionalGmmDenoiser:
                 - 0.5 * (y.size * np.log(2.0 * np.pi) + logdet)
                 - 0.5 * float(diff @ np.linalg.solve(ev_cov, diff))
             )
-        log_w -= logsumexp(log_w)
+        log_w -= _logsumexp(log_w)
         self.posterior = GaussianMixtureFull(np.exp(log_w), means, covs)
         # eigendecompositions make every timestep's marginals cheap
         self._eigvals = np.empty((k, dim))
@@ -425,43 +440,3 @@ def conditional_gmm_denoiser(
 ) -> ConditionalGmmDenoiser:
     return ConditionalGmmDenoiser(prior, matrix, y, noise_var, sched)
 
-
-class TableDenoiser:
-    """Piecewise-linear elementwise response loaded from a file.
-
-    Each line of the file holds an (input, output) knot pair; the prediction
-    applies linear interpolation through the sorted knots to every pixel,
-    independent of t and the condition.  Deterministic stand-in for a
-    trained model in integration tests.
-    """
-
-    def __init__(self, knots_x, knots_y):
-        x = np.asarray(knots_x, dtype=np.float64).ravel()
-        y = np.asarray(knots_y, dtype=np.float64).ravel()
-        if x.size != y.size or x.size < 2:
-            raise ParameterError("need at least two (x, y) knots")
-        if np.any(np.diff(x) <= 0.0):
-            raise ParameterError("knot inputs must be strictly increasing")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ParameterError("knots must be finite")
-        self.knots_x = x
-        self.knots_y = y
-
-    @classmethod
-    def from_file(cls, path) -> "TableDenoiser":
-        pairs = []
-        with open(path, "r", encoding="ascii") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                a, b = line.split()
-                pairs.append((float(a), float(b)))
-        if len(pairs) < 2:
-            raise ParameterError(f"no usable knots in {path}")
-        arr = np.asarray(pairs)
-        return cls(arr[:, 0], arr[:, 1])
-
-    def denoise(self, x_t: Image, t: int, cond: ConditionInput) -> DenoiserOutput:
-        eps = np.interp(x_t.as_f64(), self.knots_x, self.knots_y)
-        return DenoiserOutput(Image(x_t.rows, x_t.cols, eps))

@@ -236,8 +236,8 @@ def respace(sched: NoiseSchedule, K: int) -> TimestepMap:
 
     K evenly spaced reals spanning [1, T] are rounded to the nearest integer
     and deduplicated ascending; the shortened schedule reuses the original
-    alpha_bar values at those indices exactly and rederives beta and
-    beta_tilde from the ratios.
+    alpha_bar values at those indices exactly and rederives alpha as their
+    ratios, then beta and beta_tilde from those.
     """
     K = int(K)
     if not 1 <= K < sched.T:
@@ -246,8 +246,11 @@ def respace(sched: NoiseSchedule, K: int) -> TimestepMap:
     indices = np.unique(np.round(raw).astype(np.int64))
     ab = sched.alpha_bar[indices - 1].copy()
     prev = np.concatenate(([1.0], ab[:-1]))
-    beta = 1.0 - ab / prev
+    # alpha as the ratio itself: 1 - (1 - ratio) loses the relative precision
+    # of a small ratio that the running-product check needs
+    alpha = ab / prev
+    beta = 1.0 - alpha
     beta_tilde = beta * (1.0 - prev) / (1.0 - ab)
     beta_tilde[0] = 0.0
-    respaced = NoiseSchedule(beta, 1.0 - beta, ab, beta_tilde)
+    respaced = NoiseSchedule(beta, alpha, ab, beta_tilde)
     return TimestepMap(indices, respaced)

@@ -37,7 +37,8 @@ class SamplerConfig:
 
     prox is None to disable the data-consistency step entirely; prox_skip
     leaves the first few (largest-noise) steps unconstrained.  Guidance
-    weights other than 1 require an unconditional model.
+    weights other than 1 require an unconditional model.  seed is an
+    unsigned 64-bit integer.
     """
 
     steps: int
@@ -56,6 +57,8 @@ class SamplerConfig:
             raise ParameterError("prox_skip must be >= 0")
         if not np.isfinite(self.guidance):
             raise ParameterError("guidance weight must be finite")
+        if not 0 <= self.seed < (1 << 64):
+            raise ParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
 @dataclass
@@ -147,9 +150,10 @@ def _run_chains(
     The state of every chain is one row of a float64 array.  Each step calls
     the denoiser once on the whole stack, except for models without
     `denoise_batch`, and applies the prox and the residual traces chain by
-    chain.  Chain i draws only from SeededRng(seeds[i]), and no row
-    reduction depends on the number of chains, so a chain's result does not
-    depend on the others run with it.
+    chain.  Chain i draws its start and the noise of every step but the last
+    from SeededRng(seeds[i]) alone, and no row reduction depends on the
+    number of chains, so a chain's result does not depend on the others run
+    with it.
     """
     if cfg.guidance != 1.0 and uncond_model is None:
         raise ParameterError("guidance weight != 1 requires an unconditional model")
@@ -252,8 +256,9 @@ def sample_posterior(
     from the v head or the schedule lower bound, the stochastic reverse
     update (no noise on the final step), and the consistency prox when
     enabled.  The denoiser receives original-schedule timestep indices.
-    Everything is a pure function of (seed, config, inputs), and the result
-    equals the same chain drawn by draw_samples.
+    The chain draws from SeededRng(seed), cfg.seed when seed is None, so
+    everything is a pure function of (seed, config, inputs); with seed
+    chain_seeds(cfg.seed, n)[i] the result equals chain i of draw_samples.
     """
     x = _run_chains(
         model, measurements, operator, shape, cond, sched, cfg, uncond_model,
@@ -289,6 +294,15 @@ def sample_posterior_ct(
     )
 
 
+def chain_seeds(seed: int, n: int) -> List[int]:
+    """The seeds of n chains drawn with one seed: SeedSequence(seed).spawn(n),
+    one 64-bit word from each child.  Seed i depends only on (seed, i), and
+    the streams of different seeds and chains are statistically independent.
+    """
+    children = np.random.SeedSequence(seed).spawn(n)
+    return [int(child.generate_state(1, np.uint64)[0]) for child in children]
+
+
 def draw_samples(
     model: Denoiser,
     measurements: Optional[np.ndarray],
@@ -301,19 +315,19 @@ def draw_samples(
     context_digest: str = "",
     traces: Optional[List[ChainTrace]] = None,
 ) -> SampleSet:
-    """cfg.n_samples independent chains; chain i uses seed cfg.seed + i.
+    """cfg.n_samples independent chains; chain i uses chain_seeds(cfg.seed, n)[i].
 
     The chains run together, one step at a time for all of them; chain i
-    equals sample_posterior with seed cfg.seed + i bit for bit.  When traces
-    is a list, one ChainTrace per chain is appended to it.
+    equals sample_posterior with that seed bit for bit, and does not depend
+    on n.  When traces is a list, one ChainTrace per chain is appended to it.
     """
     chain_traces = None
     if traces is not None:
         chain_traces = [ChainTrace() for _ in range(cfg.n_samples)]
         traces.extend(chain_traces)
-    seeds = [(cfg.seed + i) % (1 << 64) for i in range(cfg.n_samples)]
     x = _run_chains(
-        model, measurements, operator, shape, cond, sched, cfg, uncond_model, seeds, chain_traces
+        model, measurements, operator, shape, cond, sched, cfg, uncond_model,
+        chain_seeds(cfg.seed, cfg.n_samples), chain_traces,
     )
     return SampleSet(tuple(Image(*shape, row.reshape(shape)) for row in x), cfg, context_digest)
 

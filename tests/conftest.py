@@ -3,6 +3,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from lactdiff.core import Image, ParameterError
+from lactdiff.denoiser import DenoiserOutput
 from lactdiff.tomography import Geometry, TomoOperator
 
 try:
@@ -45,3 +47,44 @@ def count_products(monkeypatch):
     counted("forward")
     counted("adjoint")
     return counts
+
+
+class TableDenoiser:
+    """Piecewise-linear elementwise response loaded from a file.
+
+    Each line of the file holds an (input, output) knot pair; the prediction
+    applies linear interpolation through the sorted knots to every pixel,
+    independent of t and the condition.  Deterministic stand-in for a
+    trained model in the sampler and denoiser tests.
+    """
+
+    def __init__(self, knots_x, knots_y):
+        x = np.asarray(knots_x, dtype=np.float64).ravel()
+        y = np.asarray(knots_y, dtype=np.float64).ravel()
+        if x.size != y.size or x.size < 2:
+            raise ParameterError("need at least two (x, y) knots")
+        if np.any(np.diff(x) <= 0.0):
+            raise ParameterError("knot inputs must be strictly increasing")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ParameterError("knots must be finite")
+        self.knots_x = x
+        self.knots_y = y
+
+    @classmethod
+    def from_file(cls, path) -> "TableDenoiser":
+        pairs = []
+        with open(path, "r", encoding="ascii") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                a, b = line.split()
+                pairs.append((float(a), float(b)))
+        if len(pairs) < 2:
+            raise ParameterError(f"no usable knots in {path}")
+        arr = np.asarray(pairs)
+        return cls(arr[:, 0], arr[:, 1])
+
+    def denoise(self, x_t: Image, t: int, cond) -> DenoiserOutput:
+        eps = np.interp(x_t.as_f64(), self.knots_x, self.knots_y)
+        return DenoiserOutput(Image(x_t.rows, x_t.cols, eps))

@@ -13,6 +13,11 @@ import lactdiff
 from lactdiff import solvers, tomography
 from lactdiff.cli import _geometry_for, main
 from lactdiff.core import Image, Sinogram, read_raster, write_raster
+from lactdiff.denoiser import GmmPrior, gmm_denoiser
+from lactdiff.diffusion import default_linear_schedule
+from lactdiff.sampler import SamplerConfig, build_condition, sample_posterior
+from lactdiff.solvers import ProxConfig
+from lactdiff.tomography import TomoOperator
 
 
 def run(capsys, *argv):
@@ -52,6 +57,13 @@ def test_cli_import_leaves_out_scipy_signal():
     # scipy.signal loads only when ssim runs; every command pays the import
     env = dict(os.environ, PYTHONPATH=str(Path(lactdiff.__file__).parents[1]))
     code = "import sys, lactdiff.cli; assert 'scipy.signal' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+
+
+def test_cli_import_leaves_out_scipy_special():
+    # normals and log-sum-exp come from numpy; scipy.special costs every process
+    env = dict(os.environ, PYTHONPATH=str(Path(lactdiff.__file__).parents[1]))
+    code = "import sys, lactdiff.cli; assert 'scipy.special' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
@@ -374,6 +386,40 @@ class TestSampleCommand:
         assert code == 2
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_seed_outside_64_bits_is_usage_error(
+        self, sino64, tmp_path, capsys, monkeypatch, seed
+    ):
+        refuse_plan_builds(monkeypatch)
+        code, _, err = run(capsys, "sample", "--in", str(sino64), "--size", "24",
+                           "--T", "60", "--K", "4", "--samples", "2", "--seed", seed,
+                           "--out-dir", str(tmp_path / "bad"))
+        assert code == 2
+        assert "seed" in err
+        assert not (tmp_path / "bad").exists()
+
+    def test_recorded_chain_seeds_rerun_each_sample(self, sino64, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert run(capsys, "sample", "--in", str(sino64), "--size", "24", "--K", "6",
+                   "--T", "60", "--samples", "2", "--seed", "3",
+                   "--out-dir", str(out_dir))[0] == 0
+        manifest = (out_dir / "manifest.txt").read_text().splitlines()
+        seeds = [int(line.split(": ")[1]) for line in manifest
+                 if line.startswith("chain_seed.sample")]
+        assert len(seeds) == 2 and seeds[0] != seeds[1]
+        # the builtin prior is a Gaussian at the condition with --prior-std 0.5
+        sino = read_raster(sino64)
+        geom = _geometry_for(sino, 24)
+        sched = default_linear_schedule(60)
+        cond = build_condition(sino, geom, "rls")
+        model = gmm_denoiser(GmmPrior(24 * 24, [1.0], cond.image.as_f64().reshape(1, -1),
+                                      [0.25]), sched)
+        cfg = SamplerConfig(steps=6, prox=ProxConfig(gamma=1.0))
+        for i, seed in enumerate(seeds):
+            lone = sample_posterior(model, sino.as_f64().ravel(), TomoOperator(geom), (24, 24),
+                                    cond, sched, cfg, seed=seed)
+            assert read_raster(out_dir / f"sample_{i:03d}.ctr") == lone
+
     def test_guidance_needs_unconditional_prior(self, sino64, tmp_path, capsys):
         code, _, _ = run(capsys, "sample", "--in", str(sino64), "--size", "24",
                          "--K", "5", "--T", "60", "--samples", "1",
@@ -469,9 +515,15 @@ class TestManifestReplay:
                    "--out-dir", str(out_dir))[0] == 0
         sino_bytes = sino.read_bytes()
         avg_bytes = (out_dir / "average.ctr").read_bytes()
+        seed_lines = [line for line in (out_dir / "manifest.txt").read_text().splitlines()
+                      if line.startswith("chain_seed.")]
         sino.unlink()
         (out_dir / "average.ctr").unlink()
         assert run(capsys, "--manifest-in", str(tmp_path / "s.manifest.txt"))[0] == 0
         assert run(capsys, "--manifest-in", str(out_dir / "manifest.txt"))[0] == 0
         assert sino.read_bytes() == sino_bytes
         assert (out_dir / "average.ctr").read_bytes() == avg_bytes
+        assert len(seed_lines) == 2 and seed_lines == [
+            line for line in (out_dir / "manifest.txt").read_text().splitlines()
+            if line.startswith("chain_seed.")
+        ]

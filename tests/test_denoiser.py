@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from conftest import TableDenoiser
 from lactdiff.core import DataError, DimensionError, Image, ParameterError
 from lactdiff.denoiser import (
     ConditionInput,
     ConditionSource,
     DenoiserOutput,
     GmmPrior,
-    TableDenoiser,
+    _logsumexp,
     conditional_gmm_denoiser,
     denoise,
     gmm_denoiser,
@@ -314,6 +315,27 @@ class TestPriorSerialization:
         path.write_text("0.5 0.0 1.0\n0.5 0.0 0.0 1.0\n")
         with pytest.raises(ParameterError):
             load_gmm_prior(path)
+
+
+class TestLogSumExp:
+    def test_bit_equal_to_scipy(self):
+        # the mixture responsibilities keep scipy's bits with numpy alone
+        from scipy.special import logsumexp
+
+        rng = np.random.default_rng(5)
+        flat = rng.standard_normal(7) * 40.0
+        assert np.array_equal(_logsumexp(flat), logsumexp(flat))
+        rows = rng.standard_normal((6, 4)) * [[1.0], [30.0], [800.0], [1.0], [5.0], [0.1]]
+        assert np.array_equal(
+            _logsumexp(rows, axis=1, keepdims=True), logsumexp(rows, axis=1, keepdims=True)
+        )
+        # tied maxima, a -inf term and an all -inf row
+        tied = np.array([[2.5, -1.0, 2.5, 2.5], [0.0, -np.inf, 0.0, -3.0],
+                         [-np.inf, -np.inf, -np.inf, -np.inf]])
+        assert np.array_equal(
+            _logsumexp(tied, axis=1, keepdims=True), logsumexp(tied, axis=1, keepdims=True)
+        )
+        assert np.array_equal(_logsumexp(tied[0]), logsumexp(tied[0]))
 
 
 class TestTableDenoiser:

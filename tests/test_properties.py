@@ -1,5 +1,6 @@
 """Property tests: adjointness and the norm estimate over random small
-geometries, the TV difference pair, and CTR1 files that were cut or altered."""
+geometries, the TV difference pair, CTR1 files that were cut or altered, and
+the respaced schedule for every chain length."""
 
 import math
 
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import dense_tomo_matrix
 from lactdiff.core import DataError, FormatError, Image, Sinogram, read_raster, write_raster
+from lactdiff.diffusion import cosine_schedule, default_linear_schedule, respace
 from lactdiff.solvers import _div2d, _grad2d, operator_norm_sq
 from lactdiff.tomography import Geometry, TomoOperator
 
@@ -98,3 +100,30 @@ def test_ctr1_damage_is_parsed_or_rejected(tmp_path_factory, raster, data):
         return
     assert isinstance(parsed, (Image, Sinogram))
     assert parsed.data.shape == parsed.shape and np.all(np.isfinite(parsed.data))
+
+
+@st.composite
+def schedules_and_lengths(draw):
+    """A linear schedule (T >= 21, its shortest) or a cosine one, and any K in [1, T)."""
+    if draw(st.booleans()):
+        sched = default_linear_schedule(draw(st.integers(21, 2000)))
+    else:
+        sched = cosine_schedule(draw(st.integers(2, 2000)))
+    return sched, draw(st.integers(1, sched.T - 1))
+
+
+@hypothesis.given(schedules_and_lengths())
+# 1 - (1 - ab/prev) lost the precision of the tiny last ratio here
+@hypothesis.example((cosine_schedule(1000), 2))
+def test_respace_keeps_the_lattice_and_alpha_bar(case):
+    sched, K = case
+    tmap = respace(sched, K)
+    idx, short = tmap.indices, tmap.schedule
+    assert idx.size == short.T == K
+    assert idx[0] == 1 and np.all(np.diff(idx) > 0)
+    assert K == 1 or idx[-1] == sched.T
+    assert short.alpha_bar.tobytes() == sched.alpha_bar[idx - 1].tobytes()
+    assert short.beta_tilde[0] == 0.0
+    assert np.all(short.beta_tilde >= 0.0)
+    assert np.all(short.beta_tilde <= short.beta)
+    assert np.all(short.beta < 1.0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import TableDenoiser
 from lactdiff.core import DimensionError, Image, NumericalError, ParameterError, Sinogram
 from lactdiff.denoiser import (
     ConditionInput,
@@ -19,6 +20,7 @@ from lactdiff.sampler import (
     SampleSet,
     SamplerConfig,
     build_condition,
+    chain_seeds,
     draw_samples,
     sample_average,
     sample_posterior,
@@ -51,15 +53,16 @@ def gaussian_setup(seed=42):
 def assert_chains_match_lone_runs(
     model, measurements, operator, shape, cond, cfg, uncond_model=None, traced=False
 ):
-    """Chain i of draw_samples equals sample_posterior with seed cfg.seed + i,
-    byte for byte, and so does its trace."""
+    """Chain i of draw_samples equals sample_posterior with seed
+    chain_seeds(cfg.seed, n)[i], byte for byte, and so does its trace."""
     traces = [] if traced else None
     batch = draw_samples(model, measurements, operator, shape, cond, SCHED, cfg,
                          uncond_model=uncond_model, traces=traces)
+    seeds = chain_seeds(cfg.seed, cfg.n_samples)
     for i, sample in enumerate(batch.samples):
         trace = ChainTrace() if traced else None
         lone = sample_posterior(model, measurements, operator, shape, cond, SCHED, cfg,
-                                uncond_model=uncond_model, seed=cfg.seed + i, trace=trace)
+                                uncond_model=uncond_model, seed=seeds[i], trace=trace)
         assert sample.data.tobytes() == lone.data.tobytes()
         if traced:
             assert len(trace.prox_reports) == cfg.steps - cfg.prox_skip
@@ -192,8 +195,6 @@ class TestChain:
 
     def test_table_denoiser_integration(self, tmp_path):
         # a file-loaded piecewise response drives a full deterministic chain
-        from lactdiff.denoiser import TableDenoiser
-
         path = tmp_path / "response.txt"
         path.write_text("-4.0 -3.2\n0.0 0.0\n4.0 3.2\n")
         model = TableDenoiser.from_file(path)
@@ -227,8 +228,6 @@ class TestChain:
         )
 
     def test_row_by_row_chains_match_lone_runs(self):
-        from lactdiff.denoiser import TableDenoiser
-
         class ShrinkWithVHead:
             def denoise(self, x_t, t, cond):
                 half = Image(x_t.rows, x_t.cols, np.full(x_t.shape, 0.5))
@@ -357,7 +356,29 @@ class TestAggregation:
         s = draw_samples(model, y, DenseOperator(mat), (4, 4),
                          ConditionInput.none(4, 4), SCHED, cfg, traces=traces)
         assert len(s.samples) == 3 and len(traces) == 3
-        # chain i is the single-sample run with seed 7 + i
+        # chain i is the single-sample run with the i-th seed spawned from 7
+        seeds = chain_seeds(7, 3)
         lone = sample_posterior(model, None, None, (4, 4), ConditionInput.none(4, 4),
-                                SCHED, SamplerConfig(steps=10, seed=8))
+                                SCHED, SamplerConfig(steps=10, seed=seeds[1]))
         assert s.samples[1] == lone
+        # and that seed does not depend on how many chains were drawn
+        assert chain_seeds(7, 2) == seeds[:2]
+        assert chain_seeds(7, 5)[:3] == seeds
+
+    def test_neighbouring_seeds_share_no_chain(self):
+        # with seed + i streams, seed 3's chain 1 was seed 4's chain 0
+        model, _, _ = gaussian_setup()
+        cond = ConditionInput.none(4, 4)
+        samples = [
+            sample.data.tobytes()
+            for seed in (3, 4)
+            for sample in draw_samples(model, None, None, (4, 4), cond, SCHED,
+                                       SamplerConfig(steps=10, seed=seed, n_samples=2)).samples
+        ]
+        assert len(set(samples)) == 4
+
+    def test_seed_range_validated(self):
+        for seed in (-1, 1 << 64):
+            with pytest.raises(ParameterError):
+                SamplerConfig(steps=1, seed=seed)
+        assert SamplerConfig(steps=1, seed=(1 << 64) - 1).seed == (1 << 64) - 1
