@@ -141,10 +141,11 @@ def new_image(rows: int, cols: int, fill: float) -> Image:
 class SeededRng:
     """Deterministic random source: one PCG64 bit stream for both kinds of draw.
 
-    The mapping is frozen for reproducibility across platforms: each 64-bit
-    word w becomes the open-interval uniform u = ((w >> 12) + 0.5) * 2**-52,
-    and standard normals are numpy's ziggurat draws from the same bit
-    generator.  The whole value stream is a pure function of the seed.
+    Each 64-bit word w becomes the open-interval uniform
+    u = ((w >> 12) + 0.5) * 2**-52, a mapping frozen across platforms, and
+    standard normals are numpy's ziggurat draws from the same bit generator
+    (numpy's stream policy lets those change with a numpy release; a golden
+    test pins them).  The whole value stream is a pure function of the seed.
     Instances are single-owner; never share one across concurrent chains.
     """
 
@@ -164,7 +165,6 @@ class SeededRng:
         return ((raw >> np.uint64(12)) + 0.5) * 2.0**-52
 
     def standard_normal(self, n: int) -> np.ndarray:
-        """n standard normals (ziggurat)."""
         if n < 1:
             raise ParameterError(f"sample count must be >= 1, got {n}")
         return self._normals.standard_normal(n)

@@ -150,10 +150,9 @@ def _run_chains(
     The state of every chain is one row of a float64 array.  Each step calls
     the denoiser once on the whole stack, except for models without
     `denoise_batch`, and applies the prox and the residual traces chain by
-    chain.  Chain i draws its start and the noise of every step but the last
-    from SeededRng(seeds[i]) alone, and no row reduction depends on the
-    number of chains, so a chain's result does not depend on the others run
-    with it.
+    chain.  Chain i draws only from SeededRng(seeds[i]) (draw_samples gives
+    it chain_seeds), and no row reduction depends on the number of chains,
+    so a chain's result does not depend on the others run with it.
     """
     if cfg.guidance != 1.0 and uncond_model is None:
         raise ParameterError("guidance weight != 1 requires an unconditional model")

@@ -366,7 +366,7 @@ class TestAggregation:
         assert chain_seeds(7, 5)[:3] == seeds
 
     def test_neighbouring_seeds_share_no_chain(self):
-        # with seed + i streams, seed 3's chain 1 was seed 4's chain 0
+        # seed + i streams would make seed 3's chain 1 equal seed 4's chain 0
         model, _, _ = gaussian_setup()
         cond = ConditionInput.none(4, 4)
         samples = [
