@@ -57,7 +57,6 @@ from .denoiser import (
     ConditionInput,
     ConditionSource,
     Denoiser,
-    DenoiserOutput,
     GmmPrior,
     conditional_gmm_denoiser,
     denoise,

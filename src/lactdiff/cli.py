@@ -307,6 +307,8 @@ def _cmd_sample(args, argv) -> int:
     )
     if args.lam != 1.0 and args.uncond_prior is None:
         raise ParameterError("lambda != 1 requires --uncond-prior")
+    if args.K > sched.T:
+        raise ParameterError(f"--K {args.K} exceeds the schedule length --T {sched.T}")
     # both configs check their arguments, before the condition's solve
     prox = None if args.no_prox else ProxConfig(gamma=args.gamma)
     cfg = SamplerConfig(
@@ -339,7 +341,6 @@ def _cmd_sample(args, argv) -> int:
         sched,
         cfg,
         uncond_model=uncond_model,
-        context_digest=geom.digest(),
         traces=traces,
     )
 

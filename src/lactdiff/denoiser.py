@@ -1,9 +1,10 @@
 """Noise-prediction interface and analytic stand-ins for a trained network.
 
-A denoiser maps (x_t, t, condition) to a noise estimate eps (and optionally
-a per-pixel variance-interpolation coefficient v in [0, 1]).  For Gaussian
-mixture priors the minimum-MSE estimator E[x0 | x_t] is available in closed
-form, which yields an exact eps-predictor:
+A denoiser maps a stack of chain states x_t, a timestep t and a condition to
+a noise estimate eps (and optionally a per-pixel variance-interpolation
+coefficient v in [0, 1]).  For Gaussian mixture priors the minimum-MSE
+estimator E[x0 | x_t] is available in closed form, which yields an exact
+eps-predictor:
 
     eps_hat = (x_t - sqrt(ab_t) * E[x0 | x_t]) / sqrt(1 - ab_t)
             = -sqrt(1 - ab_t) * grad log p_t(x_t).
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol, Tuple
 
 import numpy as np
 
@@ -48,85 +49,58 @@ class ConditionInput:
         return cls(Image(rows, cols, np.zeros((rows, cols))), ConditionSource.NONE)
 
 
-@dataclass(frozen=True)
-class DenoiserOutput:
-    """eps prediction plus optional variance-interpolation coefficient."""
-
-    eps: Image
-    v: Optional[Image] = None
-
-    def __post_init__(self):
-        if self.v is not None:
-            if self.v.shape != self.eps.shape:
-                raise DimensionError("v head shape differs from eps shape")
-            arr = self.v.data
-            if arr.min() < 0.0 or arr.max() > 1.0:
-                raise DataError("variance coefficient v must lie in [0, 1]")
-
-
-@runtime_checkable
 class Denoiser(Protocol):
-    """Pure function of (x_t, t, cond); must accept cond.source == NONE.
+    """A noise predictor for a stack of chain states.
 
-    A model may also offer `denoise_batch(x, t, cond)`, which takes an
-    (n, rows, cols) float64 stack and returns the eps stack of the same
-    shape, with v = 0 (the lower-bound variance) implied; the sampler then
-    evaluates all chains in one call.
+    denoise(x, t, cond) takes an (n, rows, cols) float64 stack x at original
+    timestep t and returns (eps, v): the eps stack of x's shape, and v either
+    None (the reverse variance is the schedule's lower bound) or a stack of
+    x's shape with variance-interpolation coefficients in [0, 1].  Row i of
+    eps and v depends only on x[i], t and cond, never on the other rows or
+    on n, so a chain gets the same bits alone or in a batch.  A model must
+    accept cond.source == NONE.
     """
 
-    def denoise(self, x_t: Image, t: int, cond: ConditionInput) -> DenoiserOutput:
+    def denoise(
+        self, x: np.ndarray, t: int, cond: ConditionInput
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         ...
 
 
-def denoise(model: Denoiser, x_t, t: int, cond: ConditionInput):
-    """Validated call through the denoiser interface.
+def denoise(model: Denoiser, x: np.ndarray, t: int, cond: ConditionInput):
+    """model.denoise(x, t, cond) with its inputs and outputs checked.
 
-    x_t is one Image, answered with the model's DenoiserOutput, or an
-    (n, rows, cols) float64 stack, answered with (eps, v) stacks of that
-    shape, v None when the model predicts no variance coefficient.  A stack
-    goes to the model's `denoise_batch` when it has one, otherwise through
-    this function row by row.
+    x must be an (n, rows, cols) stack matching the condition image, eps
+    must have x's shape, and v, when not None, x's shape and values in
+    [0, 1].
     """
-    if cond.source is not ConditionSource.NONE and cond.image.shape != x_t.shape[-2:]:
-        raise DimensionError(
-            f"condition {cond.image.shape} does not match sample {x_t.shape[-2:]}"
-        )
-    if isinstance(x_t, Image):
-        out = model.denoise(x_t, t, cond)
-        if out.eps.shape != x_t.shape:
-            raise DimensionError(f"denoiser returned eps of shape {out.eps.shape}")
-        return out
-    if x_t.ndim != 3:
-        raise DimensionError(f"expected an (n, rows, cols) stack, got shape {x_t.shape}")
-    batch = getattr(model, "denoise_batch", None)
-    if batch is not None:
-        eps = batch(x_t, t, cond)
-        if eps.shape != x_t.shape:
-            raise DimensionError(f"denoiser returned eps of shape {eps.shape}")
-        return eps, None
-    outs = [denoise(model, Image.from_array(x), t, cond) for x in x_t]
-    eps = np.stack([out.eps.as_f64() for out in outs])
-    if outs[0].v is None:
-        return eps, None
-    return eps, np.stack([out.v.as_f64() for out in outs])
+    if x.ndim != 3:
+        raise DimensionError(f"expected an (n, rows, cols) stack, got shape {x.shape}")
+    if cond.source is not ConditionSource.NONE and cond.image.shape != x.shape[1:]:
+        raise DimensionError(f"condition {cond.image.shape} does not match sample {x.shape[1:]}")
+    eps, v = model.denoise(x, t, cond)
+    if eps.shape != x.shape:
+        raise DimensionError(f"denoiser returned eps of shape {eps.shape}")
+    if v is not None:
+        if v.shape != x.shape:
+            raise DimensionError("v head shape differs from eps shape")
+        if not (v.min() >= 0.0 and v.max() <= 1.0):
+            raise DataError("variance coefficient v must lie in [0, 1]")
+    return eps, v
 
 
-def guided_epsilon(
-    cond_out: DenoiserOutput, uncond_out: DenoiserOutput, lam: float
-) -> DenoiserOutput:
-    """Blend conditional and unconditional predictions:
-    eps = lam * eps_cond + (1 - lam) * eps_uncond, v taken from the
-    conditional branch.  lam = 1 returns the conditional prediction exactly
-    (guidance off); lam = 0 the unconditional one.
+def guided_epsilon(eps_cond: np.ndarray, eps_uncond: np.ndarray, lam: float) -> np.ndarray:
+    """Blend conditional and unconditional noise predictions:
+    lam * eps_cond + (1 - lam) * eps_uncond.  lam = 1 returns eps_cond itself
+    (guidance off); lam = 0 returns eps_uncond itself.
     """
-    if cond_out.eps.shape != uncond_out.eps.shape:
+    if eps_cond.shape != eps_uncond.shape:
         raise DimensionError("guidance branches have mismatched shapes")
     if lam == 1.0:
-        return cond_out
+        return eps_cond
     if lam == 0.0:
-        return DenoiserOutput(uncond_out.eps, cond_out.v)
-    mixed = lam * cond_out.eps.as_f64() + (1.0 - lam) * uncond_out.eps.as_f64()
-    return DenoiserOutput(Image(cond_out.eps.rows, cond_out.eps.cols, mixed), cond_out.v)
+        return eps_uncond
+    return lam * eps_cond + (1.0 - lam) * eps_uncond
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,17 +251,10 @@ def _eps_from_posterior_mean(x: np.ndarray, post_mean: np.ndarray, ab: float) ->
     return (x - np.sqrt(ab) * post_mean) / np.sqrt(1.0 - ab)
 
 
-def _denoise_one(model, x_t: Image, t: int, cond: ConditionInput) -> DenoiserOutput:
-    """A batched model's denoise on one image: its batch of one, v = 0."""
-    shape = x_t.shape
-    eps = model.denoise_batch(x_t.as_f64()[None], t, cond)[0]
-    return DenoiserOutput(Image(*shape, eps), Image(*shape, np.zeros(shape)))
-
-
 class GmmDenoiser:
     """Exact eps-predictor for a Gaussian-mixture data distribution.
 
-    Returns v = 0 everywhere (the lower-bound reverse variance); the exact
+    Returns v = None, the lower-bound reverse variance; the exact
     reverse variance of an analytic model is distribution dependent, and the
     lower bound is the conservative fallback.
     """
@@ -296,13 +263,11 @@ class GmmDenoiser:
         self.prior = prior
         self.sched = sched
 
-    def denoise_batch(self, x: np.ndarray, t: int, cond: ConditionInput) -> np.ndarray:
+    def denoise(self, x: np.ndarray, t: int, cond: ConditionInput):
         flat = x.reshape(x.shape[0], -1)
         post = _gmm_posterior_mean_rows(self.prior, flat, t, self.sched)
-        return _eps_from_posterior_mean(flat, post, self.sched.alpha_bar_at(t)).reshape(x.shape)
-
-    def denoise(self, x_t: Image, t: int, cond: ConditionInput) -> DenoiserOutput:
-        return _denoise_one(self, x_t, t, cond)
+        eps = _eps_from_posterior_mean(flat, post, self.sched.alpha_bar_at(t))
+        return eps.reshape(x.shape), None
 
 
 def gmm_denoiser(prior: GmmPrior, sched: NoiseSchedule) -> GmmDenoiser:
@@ -422,13 +387,11 @@ class ConditionalGmmDenoiser:
         x = np.asarray(x_t_flat, dtype=np.float64).reshape(1, -1)
         return self._posterior_mean_rows(x, t)[0]
 
-    def denoise_batch(self, x: np.ndarray, t: int, cond: ConditionInput) -> np.ndarray:
+    def denoise(self, x: np.ndarray, t: int, cond: ConditionInput):
         flat = x.reshape(x.shape[0], -1)
         post = self._posterior_mean_rows(flat, t)
-        return _eps_from_posterior_mean(flat, post, self.sched.alpha_bar_at(t)).reshape(x.shape)
-
-    def denoise(self, x_t: Image, t: int, cond: ConditionInput) -> DenoiserOutput:
-        return _denoise_one(self, x_t, t, cond)
+        eps = _eps_from_posterior_mean(flat, post, self.sched.alpha_bar_at(t))
+        return eps.reshape(x.shape), None
 
 
 def conditional_gmm_denoiser(

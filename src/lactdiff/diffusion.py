@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DimensionError, Image, ParameterError
+from .core import DimensionError, ParameterError
 
 
 def _check_t(t: int, T: int) -> int:
@@ -81,10 +81,6 @@ class NoiseSchedule:
 
     def alpha_bar_at(self, t: int) -> float:
         return float(self.alpha_bar[_check_t(t, self.T) - 1])
-
-    def alpha_bar_before(self, t: int) -> float:
-        t = _check_t(t, self.T)
-        return 1.0 if t == 1 else float(self.alpha_bar[t - 2])
 
     def beta_tilde_at(self, t: int) -> float:
         return float(self.beta_tilde[_check_t(t, self.T) - 1])
@@ -165,21 +161,22 @@ def cosine_schedule(T: int, clip: float = 0.999) -> NoiseSchedule:
     return NoiseSchedule.from_betas(betas)
 
 
-def _check_same_shape(a: Image, b: Image, what: str) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"{what}: shapes {a.shape} and {b.shape} differ")
-
-
-def forward_sample(x0: Image, t: int, eps: Image, sched: NoiseSchedule) -> Image:
-    """Noisy sample at level t: sqrt(ab_t) * x0 + sqrt(1 - ab_t) * eps."""
-    _check_same_shape(x0, eps, "forward_sample")
+def forward_sample(x0, t: int, eps, sched: NoiseSchedule):
+    """Noisy sample at level t: sqrt(ab_t) * x0 + sqrt(1 - ab_t) * eps, on
+    float64 arrays of one shape."""
+    if x0.shape != eps.shape:
+        raise DimensionError(f"forward_sample: shapes {x0.shape} and {eps.shape} differ")
     ab = sched.alpha_bar_at(t)
-    data = math.sqrt(ab) * x0.as_f64() + math.sqrt(1.0 - ab) * eps.as_f64()
-    return Image(x0.rows, x0.cols, data)
+    return math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * eps
 
 
-def variance_from_v(v: np.ndarray, t: int, sched: NoiseSchedule) -> np.ndarray:
-    """Array form of interpolate_variance, elementwise over any float64 array."""
+def interpolate_variance(v, t: int, sched: NoiseSchedule):
+    """Reverse variance exp(v*log beta_t + (1-v)*log beta_tilde_t), elementwise
+    over a float64 array of coefficients v.
+
+    At t = 1 the lower bound is exactly zero and the log-interpolation
+    degenerates, so the variance is forced to zero there.
+    """
     t = _check_t(t, sched.T)
     if t == 1:
         return np.zeros_like(v)
@@ -188,47 +185,27 @@ def variance_from_v(v: np.ndarray, t: int, sched: NoiseSchedule) -> np.ndarray:
     return np.exp(v * log_beta + (1.0 - v) * log_bt)
 
 
-def interpolate_variance(v: Image, t: int, sched: NoiseSchedule) -> Image:
-    """Per-pixel reverse variance exp(v*log beta_t + (1-v)*log beta_tilde_t).
+def reverse_step(x_t, eps_hat, sigma2, t: int, sched: NoiseSchedule, z):
+    """One reverse transition from level t to t-1, on float64 arrays.
 
-    At t = 1 the lower bound is exactly zero and the log-interpolation
-    degenerates, so the variance is forced to zero there.
+    (1/sqrt(alpha_t)) * (x_t - ((1 - alpha_t)/sqrt(1 - alpha_bar_t)) * eps_hat)
+    plus sqrt(sigma2) * z elementwise.  eps_hat has the shape of x_t; sigma2
+    and z are each a scalar or an array of that shape.  The sampler applies
+    it to the (n, rows*cols) stack of all its chains at once.
     """
-    return Image(v.rows, v.cols, variance_from_v(v.as_f64(), t, sched))
-
-
-def reverse_update(x_t, eps_hat, sigma2, t: int, sched: NoiseSchedule, z):
-    """Array form of reverse_step on float64 arrays (or scalars) that broadcast.
-
-    The sampler applies it to an (n, rows*cols) stack of chains at once.
-    """
+    # attribute reads and scalar comparisons only: this runs on every step
+    if eps_hat.shape != x_t.shape:
+        raise DimensionError(f"reverse_step: eps_hat has shape {eps_hat.shape}, x_t {x_t.shape}")
+    for name, operand in (("sigma2", sigma2), ("z", z)):
+        shape = getattr(operand, "shape", ())
+        if shape and shape != x_t.shape:
+            raise DimensionError(f"reverse_step: {name} has shape {shape}, x_t {x_t.shape}")
+    if np.any(sigma2 < 0.0) if isinstance(sigma2, np.ndarray) else sigma2 < 0.0:
+        raise ParameterError("reverse variance must be non-negative")
     alpha = sched.alpha_at(t)
     ab = sched.alpha_bar_at(t)
     mean = (x_t - ((1.0 - alpha) / math.sqrt(1.0 - ab)) * eps_hat) / math.sqrt(alpha)
     return mean + np.sqrt(sigma2) * z
-
-
-def reverse_step(
-    x_t: Image,
-    eps_hat: Image,
-    sigma2: Image,
-    t: int,
-    sched: NoiseSchedule,
-    z: Image,
-) -> Image:
-    """One reverse transition from level t to t-1.
-
-    (1/sqrt(alpha_t)) * (x_t - ((1 - alpha_t)/sqrt(1 - alpha_bar_t)) * eps_hat)
-    plus sqrt(sigma2) * z elementwise.
-    """
-    _check_same_shape(x_t, eps_hat, "reverse_step")
-    _check_same_shape(x_t, sigma2, "reverse_step")
-    _check_same_shape(x_t, z, "reverse_step")
-    var = sigma2.as_f64()
-    if np.any(var < 0.0):
-        raise ParameterError("reverse variance must be non-negative")
-    data = reverse_update(x_t.as_f64(), eps_hat.as_f64(), var, t, sched, z.as_f64())
-    return Image(x_t.rows, x_t.cols, data)
 
 
 def respace(sched: NoiseSchedule, K: int) -> TimestepMap:

@@ -16,17 +16,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import (
-    DataError,
-    DimensionError,
-    Image,
-    NumericalError,
-    ParameterError,
-    SeededRng,
-    Sinogram,
-)
-from .denoiser import ConditionInput, ConditionSource, Denoiser, denoise
-from .diffusion import NoiseSchedule, respace, reverse_update, variance_from_v
+from .core import DimensionError, Image, NumericalError, ParameterError, SeededRng, Sinogram
+from .denoiser import ConditionInput, ConditionSource, Denoiser, denoise, guided_epsilon
+from .diffusion import NoiseSchedule, interpolate_variance, respace, reverse_step
 from .solvers import CgReport, ProxConfig, prox_consistency, rls_reconstruct
 from .tomography import FilterKind, Geometry, TomoOperator, fbp_reconstruct
 
@@ -77,11 +69,10 @@ class ChainTrace:
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """Samples from one configuration plus enough provenance to rerun it."""
+    """The samples of one draw_samples call and the configuration that drew them."""
 
     samples: Tuple[Image, ...]
     config: SamplerConfig
-    context_digest: str = ""
 
     def __post_init__(self):
         samples = tuple(self.samples)
@@ -148,11 +139,12 @@ def _run_chains(
     """Run one chain per seed, all at once; returns their (n, rows*cols) end states.
 
     The state of every chain is one row of a float64 array.  Each step calls
-    the denoiser once on the whole stack, except for models without
-    `denoise_batch`, and applies the prox and the residual traces chain by
-    chain.  Chain i draws only from SeededRng(seeds[i]) (draw_samples gives
-    it chain_seeds), and no row reduction depends on the number of chains,
-    so a chain's result does not depend on the others run with it.
+    the denoiser (and the unconditional model when guidance is on) once on
+    the whole (n, rows, cols) stack, blends with guided_epsilon, takes one
+    reverse_step for all rows, and applies the prox and the residual traces
+    chain by chain.  Chain i draws only from SeededRng(seeds[i]), and row i
+    of every denoiser call depends only on row i of the state, so a chain's
+    result does not depend on the others run with it.
     """
     if cfg.guidance != 1.0 and uncond_model is None:
         raise ParameterError("guidance weight != 1 requires an unconditional model")
@@ -190,15 +182,10 @@ def _run_chains(
         step_index = K - k  # 0 for the first (noisiest) step
         t_orig = int(indices[k - 1])
         stack = x.reshape(n, rows, cols)
-        try:
-            eps, v = denoise(model, stack, t_orig, cond)
-            if cfg.guidance != 1.0:
-                eps_u, _ = denoise(uncond_model, stack, t_orig, cond_none)
-                eps = cfg.guidance * eps + (1.0 - cfg.guidance) * eps_u
-        except DataError as exc:
-            raise NumericalError(
-                f"chain state became non-finite at step {k} (t={t_orig}): {exc}"
-            ) from exc
+        eps, v = denoise(model, stack, t_orig, cond)
+        if cfg.guidance != 1.0:
+            eps_u, _ = denoise(uncond_model, stack, t_orig, cond_none)
+            eps = guided_epsilon(eps, eps_u, cfg.guidance)
         eps = eps.reshape(n, -1)
         if k == 1:
             sigma2, z = 0.0, 0.0
@@ -206,10 +193,10 @@ def _run_chains(
             sigma2 = (
                 chain_sched.beta_tilde_at(k)
                 if v is None
-                else variance_from_v(v.reshape(n, -1), k, chain_sched)
+                else interpolate_variance(v.reshape(n, -1), k, chain_sched)
             )
             z = next(noise)
-        x = reverse_update(x, eps, sigma2, k, chain_sched, z)
+        x = reverse_step(x, eps, sigma2, k, chain_sched, z)
         # the samples are float32 rasters, so a state they cannot hold is invalid
         if not np.all(np.abs(x) <= _F32_MAX):
             raise NumericalError(
@@ -255,13 +242,16 @@ def sample_posterior(
     from the v head or the schedule lower bound, the stochastic reverse
     update (no noise on the final step), and the consistency prox when
     enabled.  The denoiser receives original-schedule timestep indices.
-    The chain draws from SeededRng(seed), cfg.seed when seed is None, so
-    everything is a pure function of (seed, config, inputs); with seed
-    chain_seeds(cfg.seed, n)[i] the result equals chain i of draw_samples.
+    The chain draws from SeededRng(seed), so everything is a pure function
+    of (seed, config, inputs); with seed chain_seeds(cfg.seed, n)[i] the
+    result equals chain i of draw_samples.  seed None means
+    chain_seeds(cfg.seed, 1)[0], so the result equals the one sample of
+    draw_samples with n_samples = 1.
     """
     x = _run_chains(
         model, measurements, operator, shape, cond, sched, cfg, uncond_model,
-        [cfg.seed if seed is None else seed], None if trace is None else [trace],
+        [chain_seeds(cfg.seed, 1)[0] if seed is None else seed],
+        None if trace is None else [trace],
     )
     return Image(*shape, x[0].reshape(shape))
 
@@ -311,7 +301,6 @@ def draw_samples(
     sched: NoiseSchedule,
     cfg: SamplerConfig,
     uncond_model: Optional[Denoiser] = None,
-    context_digest: str = "",
     traces: Optional[List[ChainTrace]] = None,
 ) -> SampleSet:
     """cfg.n_samples independent chains; chain i uses chain_seeds(cfg.seed, n)[i].
@@ -328,7 +317,7 @@ def draw_samples(
         model, measurements, operator, shape, cond, sched, cfg, uncond_model,
         chain_seeds(cfg.seed, cfg.n_samples), chain_traces,
     )
-    return SampleSet(tuple(Image(*shape, row.reshape(shape)) for row in x), cfg, context_digest)
+    return SampleSet(tuple(Image(*shape, row.reshape(shape)) for row in x), cfg)
 
 
 def sample_average(sample_set: SampleSet) -> Image:

@@ -375,7 +375,7 @@ class TestSampleCommand:
                          "--out-dir", str(tmp_path / "bad"))
         assert code == 2
 
-    @pytest.mark.parametrize("steps, samples", [("0", "1"), ("5", "0")])
+    @pytest.mark.parametrize("steps, samples", [("0", "1"), ("5", "0"), ("80", "1")])
     def test_bad_config_fails_before_the_condition(
         self, sino64, tmp_path, capsys, monkeypatch, steps, samples
     ):

@@ -8,7 +8,6 @@ from lactdiff.core import DataError, DimensionError, Image, ParameterError
 from lactdiff.denoiser import (
     ConditionInput,
     ConditionSource,
-    DenoiserOutput,
     GmmPrior,
     _logsumexp,
     conditional_gmm_denoiser,
@@ -27,8 +26,18 @@ SCHED = default_linear_schedule(1000)
 
 
 class ZeroDenoiser:
-    def denoise(self, x_t, t, cond):
-        return DenoiserOutput(Image(x_t.rows, x_t.cols, np.zeros(x_t.shape)))
+    def denoise(self, x, t, cond):
+        return np.zeros_like(x), None
+
+
+class FixedOutput:
+    """Returns the given eps and v whatever its input."""
+
+    def __init__(self, eps, v=None):
+        self.eps, self.v = eps, v
+
+    def denoise(self, x, t, cond):
+        return self.eps, self.v
 
 
 def none_cond(rows, cols):
@@ -37,21 +46,21 @@ def none_cond(rows, cols):
 
 class TestInterface:
     def test_zero_stub(self):
-        x = Image(2, 2, np.ones((2, 2)))
-        out = denoise(ZeroDenoiser(), x, 10, none_cond(2, 2))
-        assert np.all(out.eps.data == 0.0)
+        x = np.ones((1, 2, 2))
+        eps, v = denoise(ZeroDenoiser(), x, 10, none_cond(2, 2))
+        assert np.all(eps == 0.0) and v is None
 
     def test_purity(self):
         prior = GmmPrior(4, [1.0], np.zeros((1, 4)), [1.0])
         model = gmm_denoiser(prior, SCHED)
-        x = Image(2, 2, [[0.1, -0.5], [2.0, 0.3]])
-        a = denoise(model, x, 500, none_cond(2, 2))
-        b = denoise(model, x, 500, none_cond(2, 2))
-        assert a.eps == b.eps
+        x = np.array([[[0.1, -0.5], [2.0, 0.3]]])
+        a, _ = denoise(model, x, 500, none_cond(2, 2))
+        b, _ = denoise(model, x, 500, none_cond(2, 2))
+        assert a.tobytes() == b.tobytes()
 
     def test_unconditional_input_accepted_everywhere(self):
         prior = GmmPrior(4, [1.0], np.zeros((1, 4)), [1.0])
-        x = Image(2, 2, np.ones((2, 2)))
+        x = np.ones((1, 2, 2))
         cond = none_cond(2, 2)
         for model in (
             gmm_denoiser(prior, SCHED),
@@ -59,19 +68,18 @@ class TestInterface:
             TableDenoiser([-1.0, 1.0], [-1.0, 1.0]),
             ZeroDenoiser(),
         ):
-            out = denoise(model, x, 100, cond)
-            assert np.all(np.isfinite(out.eps.data))
+            eps, _ = denoise(model, x, 100, cond)
+            assert np.all(np.isfinite(eps))
 
-    def test_stack_rows_equal_single_image_calls(self):
-        # batched models take the stack in one call, the others row by row;
-        # either way row i is the answer for image i alone
+    def test_stack_rows_equal_single_row_calls(self):
+        # row i of a stack's answer is the answer for x[i] alone, bit for bit
         class HalfVHead:
-            def denoise(self, x_t, t, cond):
-                return DenoiserOutput(x_t, Image(x_t.rows, x_t.cols, np.full(x_t.shape, 0.5)))
+            def denoise(self, x, t, cond):
+                return x, np.full(x.shape, 0.5)
 
         rng = np.random.default_rng(12)
         prior = GmmPrior(4, [0.4, 0.6], rng.standard_normal((2, 4)), [0.5, 1.2])
-        stack = rng.standard_normal((3, 2, 2)).astype(np.float32).astype(np.float64)
+        stack = rng.standard_normal((3, 2, 2))
         cond = none_cond(2, 2)
         for model in (
             gmm_denoiser(prior, SCHED),
@@ -81,14 +89,14 @@ class TestInterface:
         ):
             eps, v = denoise(model, stack, 300, cond)
             assert eps.shape == stack.shape
-            for i, x in enumerate(stack):
-                out = denoise(model, Image.from_array(x), 300, cond)
-                assert eps[i].astype(np.float32).tobytes() == out.eps.data.tobytes()
+            for i in range(len(stack)):
+                alone, _ = denoise(model, stack[i : i + 1], 300, cond)
+                assert eps[i].tobytes() == alone[0].tobytes()
             assert (v is None) == (not isinstance(model, HalfVHead))
         assert np.all(v == 0.5)
 
     def test_condition_shape_checked(self):
-        x = Image(2, 2, np.ones((2, 2)))
+        x = np.ones((1, 2, 2))
         cond = ConditionInput(Image(3, 3, np.zeros((3, 3))), ConditionSource.FBP)
         with pytest.raises(DimensionError):
             denoise(ZeroDenoiser(), x, 10, cond)
@@ -98,9 +106,25 @@ class TestInterface:
             ConditionInput(Image(1, 2, [[0.0, 1.5]]), ConditionSource.FBP)
 
     def test_v_head_range_checked(self):
-        eps = Image(1, 1, [[0.0]])
-        with pytest.raises(DataError):
-            DenoiserOutput(eps, Image(1, 1, [[1.5]]))
+        x = np.zeros((2, 1, 2))
+        eps = np.zeros_like(x)
+        for bad in (1.5, -1e-3, np.nan):
+            v = np.full(x.shape, 0.5)
+            v[1, 0, 1] = bad
+            with pytest.raises(DataError):
+                denoise(FixedOutput(eps, v), x, 10, none_cond(1, 2))
+        _, v = denoise(FixedOutput(eps, np.ones(x.shape)), x, 10, none_cond(1, 2))
+        assert np.all(v == 1.0)
+
+    def test_shapes_checked(self):
+        x = np.zeros((2, 1, 2))
+        cond = none_cond(1, 2)
+        with pytest.raises(DimensionError):
+            denoise(ZeroDenoiser(), x[0], 10, cond)  # one image, not a stack
+        with pytest.raises(DimensionError):
+            denoise(FixedOutput(np.zeros((2, 2))), x, 10, cond)
+        with pytest.raises(DimensionError):
+            denoise(FixedOutput(np.zeros_like(x), np.zeros((1, 1, 2))), x, 10, cond)
 
 
 class TestPosteriorMean:
@@ -175,8 +199,8 @@ class TestScoreIdentity:
             for t in (3, 77, 512, 900):
                 x = rng.standard_normal(dim)
                 ab = SCHED.alpha_bar_at(t)
-                out = model.denoise(Image(1, dim, x.reshape(1, dim)), t, none_cond(1, dim))
-                eps = out.eps.as_f64().ravel()
+                eps, _ = model.denoise(x.reshape(1, 1, dim), t, none_cond(1, dim))
+                eps = eps.ravel()
                 h = 1e-4
                 grad = np.empty(dim)
                 for j in range(dim):
@@ -190,11 +214,15 @@ class TestScoreIdentity:
                 assert np.abs(eps + np.sqrt(1.0 - ab) * grad).max() <= 1e-4
 
     def test_v_head_defaults_to_lower_bound(self):
+        # v None: the sampler uses the schedule's lower bound beta_tilde_t
         prior = GmmPrior(2, [1.0], np.zeros((1, 2)), [1.0])
-        out = gmm_denoiser(prior, SCHED).denoise(
-            Image(1, 2, [[0.0, 1.0]]), 100, none_cond(1, 2)
-        )
-        assert out.v is not None and np.all(out.v.data == 0.0)
+        x = np.array([[[0.0, 1.0]]])
+        for model in (
+            gmm_denoiser(prior, SCHED),
+            conditional_gmm_denoiser(prior, np.eye(2), np.zeros(2), 1.0, SCHED),
+        ):
+            _, v = model.denoise(x, 100, none_cond(1, 2))
+            assert v is None
 
 
 class TestConditionalDenoiser:
@@ -203,9 +231,9 @@ class TestConditionalDenoiser:
         prior = GmmPrior(4, [0.4, 0.6], rng.standard_normal((2, 4)), [0.5, 1.2])
         uncond = gmm_denoiser(prior, SCHED)
         cond = conditional_gmm_denoiser(prior, np.zeros((3, 4)), np.zeros(3), 1.0, SCHED)
-        x = Image(2, 2, rng.standard_normal((2, 2)))
-        a = uncond.denoise(x, 600, none_cond(2, 2)).eps.as_f64()
-        b = cond.denoise(x, 600, none_cond(2, 2)).eps.as_f64()
+        x = rng.standard_normal((1, 2, 2))
+        a, _ = uncond.denoise(x, 600, none_cond(2, 2))
+        b, _ = cond.denoise(x, 600, none_cond(2, 2))
         assert np.allclose(a, b, atol=1e-12)
 
     def test_exact_observation_limit(self):
@@ -217,9 +245,9 @@ class TestConditionalDenoiser:
         ab = SCHED.alpha_bar_at(t)
         x = rng.standard_normal(3)
         assert np.allclose(model.posterior_mean_x0(x, t), y, atol=1e-6)
-        eps = model.denoise(Image(1, 3, x.reshape(1, 3)), t, none_cond(1, 3)).eps
+        eps, _ = model.denoise(x.reshape(1, 1, 3), t, none_cond(1, 3))
         expected = (x - np.sqrt(ab) * y) / np.sqrt(1.0 - ab)
-        assert np.allclose(eps.as_f64().ravel(), expected, atol=1e-6)
+        assert np.allclose(eps.ravel(), expected, atol=1e-6)
 
     def test_posterior_matches_dense_bayes_update(self):
         rng = np.random.default_rng(33)
@@ -245,44 +273,34 @@ class TestConditionalDenoiser:
 
 
 class TestGuidance:
-    def _outs(self):
-        cond = DenoiserOutput(
-            Image(1, 2, [[1.0, 1.0]]), Image(1, 2, [[0.25, 0.5]])
-        )
-        uncond = DenoiserOutput(Image(1, 2, [[0.0, 0.0]]))
-        return cond, uncond
+    def _eps(self):
+        return np.array([[1.0, 1.0]]), np.array([[0.0, 0.0]])
 
     def test_weight_one_is_conditional_exactly(self):
-        cond, uncond = self._outs()
-        out = guided_epsilon(cond, uncond, 1.0)
-        assert out.eps.data.tobytes() == cond.eps.data.tobytes()
-        assert out.v is cond.v
+        cond, uncond = self._eps()
+        assert guided_epsilon(cond, uncond, 1.0) is cond
 
     def test_weight_zero_is_unconditional(self):
-        cond, uncond = self._outs()
-        out = guided_epsilon(cond, uncond, 0.0)
-        assert out.eps.data.tobytes() == uncond.eps.data.tobytes()
+        cond, uncond = self._eps()
+        assert guided_epsilon(cond, uncond, 0.0) is uncond
 
     def test_extrapolation_arithmetic(self):
-        cond, uncond = self._outs()
-        out = guided_epsilon(cond, uncond, 2.0)
-        assert np.allclose(out.eps.as_f64(), 2.0)
+        cond, uncond = self._eps()
+        assert np.allclose(guided_epsilon(cond, uncond, 2.0), 2.0)
 
     def test_affine_in_weight(self):
         rng = np.random.default_rng(40)
-        cond = DenoiserOutput(Image(2, 2, rng.standard_normal((2, 2))))
-        uncond = DenoiserOutput(Image(2, 2, rng.standard_normal((2, 2))))
+        cond = rng.standard_normal((3, 2, 2))
+        uncond = rng.standard_normal((3, 2, 2))
         lam = 0.3
-        lo = guided_epsilon(cond, uncond, lam).eps.as_f64()
-        hi = guided_epsilon(cond, uncond, 2.0 - lam).eps.as_f64()
-        mid = guided_epsilon(cond, uncond, 1.0).eps.as_f64()
+        lo = guided_epsilon(cond, uncond, lam)
+        hi = guided_epsilon(cond, uncond, 2.0 - lam)
+        mid = guided_epsilon(cond, uncond, 1.0)
         assert np.allclose(lo + hi, 2.0 * mid, atol=1e-6)
 
     def test_shape_mismatch(self):
-        cond = DenoiserOutput(Image(1, 2, [[0.0, 0.0]]))
-        uncond = DenoiserOutput(Image(2, 1, [[0.0], [0.0]]))
         with pytest.raises(DimensionError):
-            guided_epsilon(cond, uncond, 0.5)
+            guided_epsilon(np.zeros((1, 2)), np.zeros((2, 1)), 0.5)
 
 
 class TestPriorSerialization:
@@ -343,9 +361,8 @@ class TestTableDenoiser:
         path = tmp_path / "knots.txt"
         path.write_text("# knots\n-1.0 -0.5\n0.0 0.0\n2.0 1.0\n")
         model = TableDenoiser.from_file(path)
-        x = Image(1, 3, [[-1.0, 1.0, 3.0]])
-        out = model.denoise(x, 5, none_cond(1, 3))
-        assert np.allclose(out.eps.as_f64().ravel(), [-0.5, 0.5, 1.0], atol=1e-7)
+        eps, _ = model.denoise(np.array([[[-1.0, 1.0, 3.0]]]), 5, none_cond(1, 3))
+        assert np.allclose(eps.ravel(), [-0.5, 0.5, 1.0], atol=1e-7)
 
     def test_knot_validation(self):
         with pytest.raises(ParameterError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lactdiff.core import Image, ParameterError, SeededRng
+from lactdiff.core import DimensionError, ParameterError, SeededRng
 from lactdiff.diffusion import (
     NoiseSchedule,
     cosine_schedule,
@@ -72,17 +72,17 @@ class TestSchedules:
 class TestForwardSample:
     def test_zero_noise(self):
         sched = tiny_schedule()
-        x0 = Image(2, 2, np.full((2, 2), 2.0))
-        eps = Image(2, 2, np.zeros((2, 2)))
-        out = forward_sample(x0, 3, eps, sched)
-        assert np.allclose(out.as_f64(), np.sqrt(0.504) * 2.0, rtol=1e-6)
+        out = forward_sample(np.full((2, 2), 2.0), 3, np.zeros((2, 2)), sched)
+        assert np.allclose(out, np.sqrt(0.504) * 2.0, rtol=1e-6)
 
     def test_zero_signal(self):
         sched = tiny_schedule()
-        x0 = Image(2, 2, np.zeros((2, 2)))
-        eps = Image(2, 2, np.full((2, 2), -1.0))
-        out = forward_sample(x0, 2, eps, sched)
-        assert np.allclose(out.as_f64(), -np.sqrt(1.0 - 0.72), rtol=1e-6)
+        out = forward_sample(np.zeros((2, 2)), 2, np.full((2, 2), -1.0), sched)
+        assert np.allclose(out, -np.sqrt(1.0 - 0.72), rtol=1e-6)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            forward_sample(np.zeros((2, 2)), 2, np.zeros((2, 3)), tiny_schedule())
 
     def test_chain_matches_marginal_moments(self):
         # one-step transitions composed t times agree with the closed-form
@@ -104,32 +104,28 @@ class TestForwardSample:
 class TestVarianceInterpolation:
     def test_endpoints_and_midpoint(self):
         sched = tiny_schedule()
-        ones = Image(1, 2, np.ones((1, 2)))
-        zeros = Image(1, 2, np.zeros((1, 2)))
-        halves = Image(1, 2, np.full((1, 2), 0.5))
         t = 3
         beta, bt = sched.beta_at(t), sched.beta_tilde_at(t)
-        assert np.allclose(interpolate_variance(ones, t, sched).as_f64(), beta, rtol=1e-6)
-        assert np.allclose(interpolate_variance(zeros, t, sched).as_f64(), bt, rtol=1e-6)
+        assert np.allclose(interpolate_variance(np.ones((1, 2)), t, sched), beta, rtol=1e-6)
+        assert np.allclose(interpolate_variance(np.zeros((1, 2)), t, sched), bt, rtol=1e-6)
         assert np.allclose(
-            interpolate_variance(halves, t, sched).as_f64(),
+            interpolate_variance(np.full((1, 2), 0.5), t, sched),
             np.sqrt(beta * bt),
             rtol=1e-6,
         )
 
     def test_first_step_is_deterministic(self):
         sched = tiny_schedule()
-        v = Image(1, 2, np.full((1, 2), 0.7))
-        assert np.all(interpolate_variance(v, 1, sched).as_f64() == 0.0)
+        assert np.all(interpolate_variance(np.full((1, 2), 0.7), 1, sched) == 0.0)
 
 
 class TestReverseStep:
     def test_vanishing_step_is_identity(self):
         sched = NoiseSchedule.from_betas([1e-12])
-        x = Image(2, 2, np.array([[0.3, -1.2], [2.0, 0.0]]))
-        zeros = Image(2, 2, np.zeros((2, 2)))
+        x = np.array([[0.3, -1.2], [2.0, 0.0]])
+        zeros = np.zeros((2, 2))
         out = reverse_step(x, zeros, zeros, 1, sched, zeros)
-        assert np.allclose(out.as_f64(), x.as_f64(), atol=1e-9)
+        assert np.allclose(out, x, atol=1e-9)
 
     def test_scalar_hand_oracle(self):
         # independent arithmetic for t=3 on the beta=[.1,.2,.3,.4] schedule
@@ -140,37 +136,48 @@ class TestReverseStep:
         expected = (x3 - (1.0 - alpha3) / np.sqrt(1.0 - ab3) * eps_val) / np.sqrt(alpha3)
 
         # the same quantities through the library
-        x0_img = Image(1, 1, [[x0]])
-        eps_img = Image(1, 1, [[eps_val]])
-        zeros = Image(1, 1, [[0.0]])
-        x3_img = forward_sample(x0_img, 3, eps_img, sched)
-        out = reverse_step(x3_img, eps_img, zeros, 3, sched, zeros)
-        assert out.as_f64()[0, 0] == pytest.approx(expected, rel=1e-6)
+        eps = np.array([[eps_val]])
+        x3_arr = forward_sample(np.array([[x0]]), 3, eps, sched)
+        out = reverse_step(x3_arr, eps, 0.0, 3, sched, 0.0)
+        assert out[0, 0] == pytest.approx(expected, rel=1e-6)
 
     def test_noise_variance_injected(self):
         sched = tiny_schedule()
         n = 100000
         c = 0.37
-        rng = SeededRng(17)
-        z = rng.standard_normal(n)
-        x = Image(1, n, np.zeros((1, n)))
-        out = reverse_step(
-            x,
-            Image(1, n, np.zeros((1, n))),
-            Image(1, n, np.full((1, n), c)),
-            2,
-            sched,
-            Image(1, n, z.reshape(1, n)),
-        )
-        var = out.as_f64().var(ddof=1)
-        assert abs(var - c) <= 3.0 * c * np.sqrt(2.0 / (n - 1))
+        z = SeededRng(17).standard_normal(n).reshape(1, n)
+        zeros = np.zeros((1, n))
+        for sigma2 in (c, np.full((1, n), c)):
+            out = reverse_step(zeros, zeros, sigma2, 2, sched, z)
+            var = out.var(ddof=1)
+            assert abs(var - c) <= 3.0 * c * np.sqrt(2.0 / (n - 1))
+
+    def test_scalar_and_array_operands_agree(self):
+        sched = tiny_schedule()
+        rng = np.random.default_rng(3)
+        x, eps, z = rng.standard_normal((3, 2, 4))
+        scalar = reverse_step(x, eps, 0.25, 3, sched, z)
+        array = reverse_step(x, eps, np.full(x.shape, 0.25), 3, sched, z)
+        assert scalar.tobytes() == array.tobytes()
+        assert np.array_equal(reverse_step(x, eps, 0.0, 3, sched, 0.0),
+                              reverse_step(x, eps, 0.25, 3, sched, np.zeros_like(x)))
+
+    def test_shape_mismatch_rejected(self):
+        sched = tiny_schedule()
+        x = np.zeros((2, 4))
+        wrong = np.zeros((2, 3))
+        for eps, sigma2, z in ((wrong, 0.0, 0.0), (x, wrong, 0.0), (x, 0.0, wrong),
+                               (np.float64(0.0), 0.0, 0.0)):
+            with pytest.raises(DimensionError):
+                reverse_step(x, eps, sigma2, 2, sched, z)
 
     def test_negative_variance_rejected(self):
         sched = tiny_schedule()
-        x = Image(1, 1, [[0.0]])
-        bad = Image(1, 1, [[-1e-3]])
-        with pytest.raises(ParameterError):
-            reverse_step(x, x, bad, 2, sched, x)
+        x = np.zeros((1, 2))
+        bad = np.array([[0.1, -1e-3]])
+        for sigma2 in (-1e-3, bad):
+            with pytest.raises(ParameterError):
+                reverse_step(x, x, sigma2, 2, sched, x)
 
 
 class TestRespace:

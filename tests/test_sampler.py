@@ -1,5 +1,7 @@
 """Reverse-diffusion reconstruction: conditioning, chains, and aggregation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from lactdiff.core import DimensionError, Image, NumericalError, ParameterError,
 from lactdiff.denoiser import (
     ConditionInput,
     ConditionSource,
-    DenoiserOutput,
     GmmPrior,
     conditional_gmm_denoiser,
     gmm_denoiser,
@@ -181,17 +182,20 @@ class TestChain:
                          ConditionInput.none(4, 4), SCHED, cfg, trace=trace)
         assert len(trace.prox_residuals) == 30 - 12
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in cast")
     def test_non_finite_state_reports_step(self):
+        # a state float32 cannot hold, or a non-finite prediction, stops the run
         class ExplodingDenoiser:
-            def denoise(self, x_t, t, cond):
-                eps = np.full(x_t.shape, -3e38)
-                return DenoiserOutput(Image(x_t.rows, x_t.cols, eps))
+            def __init__(self, value):
+                self.value = value
+
+            def denoise(self, x, t, cond):
+                return np.full(x.shape, self.value), None
 
         cfg = SamplerConfig(steps=5, seed=0)
-        with pytest.raises(NumericalError, match="step"):
-            sample_posterior(ExplodingDenoiser(), None, None, (2, 2),
-                             ConditionInput.none(2, 2), SCHED, cfg)
+        for value in (-3e38, np.nan, np.inf):
+            with pytest.raises(NumericalError, match="step"):
+                sample_posterior(ExplodingDenoiser(value), None, None, (2, 2),
+                                 ConditionInput.none(2, 2), SCHED, cfg)
 
     def test_table_denoiser_integration(self, tmp_path):
         # a file-loaded piecewise response drives a full deterministic chain
@@ -227,17 +231,43 @@ class TestChain:
             model, None, None, (4, 4), ConditionInput.none(4, 4), cfg, uncond_model=uncond
         )
 
-    def test_row_by_row_chains_match_lone_runs(self):
+    def test_elementwise_model_chains_match_lone_runs(self):
         class ShrinkWithVHead:
-            def denoise(self, x_t, t, cond):
-                half = Image(x_t.rows, x_t.cols, np.full(x_t.shape, 0.5))
-                return DenoiserOutput(Image(x_t.rows, x_t.cols, 0.8 * x_t.as_f64()), half)
+            def denoise(self, x, t, cond):
+                return 0.8 * x, np.full(x.shape, 0.5)
 
         cfg = SamplerConfig(steps=12, seed=2, n_samples=3)
         for model in (TableDenoiser([-4.0, 0.0, 4.0], [-3.2, 0.0, 3.2]), ShrinkWithVHead()):
             assert_chains_match_lone_runs(
                 model, None, None, (3, 3), ConditionInput.none(3, 3), cfg
             )
+
+    def test_guidance_endpoints_select_one_model(self):
+        model, _, _ = gaussian_setup()
+        uncond = gmm_denoiser(GmmPrior(16, [1.0], np.zeros((1, 16)), [1.0]), SCHED)
+
+        class Counting:
+            calls = 0
+
+            def denoise(self, x, t, cond):
+                Counting.calls += 1
+                return uncond.denoise(x, t, cond)
+
+        cond = ConditionInput.none(4, 4)
+        cfg = SamplerConfig(steps=20, seed=11, n_samples=3)
+
+        def draw(cond_model, lam, uncond_model):
+            sample_set = draw_samples(cond_model, None, None, (4, 4), cond, SCHED,
+                                      replace(cfg, guidance=lam), uncond_model=uncond_model)
+            return [s.data.tobytes() for s in sample_set.samples]
+
+        # lambda = 0: the unconditional model's own chains
+        assert draw(model, 0.0, uncond) == draw(uncond, 1.0, None)
+        # lambda = 1: the conditional chains, and the unconditional model is never called
+        assert draw(model, 1.0, Counting()) == draw(model, 1.0, None)
+        assert Counting.calls == 0
+        assert draw(model, 0.5, Counting()) != draw(model, 1.0, None)
+        assert Counting.calls == cfg.steps
 
     def test_prox_reuses_its_products(self, count_products):
         n = 8
@@ -359,11 +389,20 @@ class TestAggregation:
         # chain i is the single-sample run with the i-th seed spawned from 7
         seeds = chain_seeds(7, 3)
         lone = sample_posterior(model, None, None, (4, 4), ConditionInput.none(4, 4),
-                                SCHED, SamplerConfig(steps=10, seed=seeds[1]))
+                                SCHED, cfg, seed=seeds[1])
         assert s.samples[1] == lone
         # and that seed does not depend on how many chains were drawn
         assert chain_seeds(7, 2) == seeds[:2]
         assert chain_seeds(7, 5)[:3] == seeds
+
+    def test_default_seed_is_the_one_sample_draw(self):
+        # without seed=, sample_posterior is draw_samples with n_samples = 1
+        model, _, _ = gaussian_setup()
+        cfg = SamplerConfig(steps=10, seed=7, n_samples=3)
+        args = (model, None, None, (4, 4), ConditionInput.none(4, 4), SCHED)
+        lone = sample_posterior(*args, cfg)
+        drawn = draw_samples(*args, replace(cfg, n_samples=1)).samples[0]
+        assert lone.data.tobytes() == drawn.data.tobytes()
 
     def test_neighbouring_seeds_share_no_chain(self):
         # seed + i streams would make seed 3's chain 1 equal seed 4's chain 0
