@@ -60,12 +60,12 @@ from .solvers import (
 )
 from .tomography import (
     FilterKind,
-    Geometry,
     TomoOperator,
     default_detectors,
     fbp_reconstruct,
     forward_project,
     make_limited_geometry,
+    square_geometry,
 )
 
 USAGE_ERROR = 2
@@ -186,17 +186,6 @@ def _expect_sinogram(path) -> Sinogram:
     return raster
 
 
-def _geometry_for(sino: Sinogram, size: int) -> Geometry:
-    # same spacing rule as make_limited_geometry, so sinograms produced with
-    # a widened detector array reconstruct without extra flags
-    diagonal = float(np.hypot(size, size))
-    spacing = 1.0 if sino.detectors >= diagonal else diagonal / sino.detectors
-    return Geometry(
-        size, size, sino.detectors, sino.angles_deg.astype(np.float64),
-        1.0, spacing,
-    )
-
-
 def _cmd_phantom(args, argv) -> int:
     spec = PhantomSpec(PhantomKind(args.kind), args.size, args.seed)
     image = make_phantom(spec)
@@ -255,7 +244,7 @@ def _cmd_project(args, argv) -> int:
 def _cmd_reconstruct(args, argv) -> int:
     started = time.perf_counter()
     sino = _expect_sinogram(args.input)
-    geom = _geometry_for(sino, args.size)
+    geom = square_geometry(args.size, sino.detectors, sino.angles_deg)
     if args.method == "fbp":
         kind = FilterKind.RAM_LAK if args.filter == "ramlak" else FilterKind.HANN
         recon = fbp_reconstruct(sino, geom, kind)
@@ -299,7 +288,7 @@ def _load_prior(spec: str, dim: int, center: np.ndarray, std: float) -> GmmPrior
 def _cmd_sample(args, argv) -> int:
     started = time.perf_counter()
     sino = _expect_sinogram(args.input)
-    geom = _geometry_for(sino, args.size)
+    geom = square_geometry(args.size, sino.detectors, sino.angles_deg)
     sched = (
         default_linear_schedule(args.T)
         if args.schedule == "linear"

@@ -356,8 +356,11 @@ class ConditionalGmmDenoiser:
     def _posterior_mean_rows(self, x: np.ndarray, t: int) -> np.ndarray:
         """E[x0 | x_t, y] for each row of an (n, dim) array.
 
-        Products with the eigenbases are broadcast sums over the last axis,
-        not BLAS matmuls, so each row's result does not depend on n.
+        Component i's mean is mean_i + (x - sqrt(ab) mean_i) G_i with the
+        symmetric gain G_i = V_i diag(sqrt(ab) lam_i / (ab lam_i + 1 - ab)) V_i^T.
+        Every product with x is an np.einsum without optimize, which sums
+        each row by itself; a BLAS matmul (`@`, np.dot, optimize=True) would
+        give row bits that depend on n.
         """
         post = self.posterior
         ab = self.sched.alpha_bar_at(t)
@@ -369,12 +372,12 @@ class ConditionalGmmDenoiser:
         for i in range(k):
             lam = self._eigvals[i]
             marg = ab * lam + (1.0 - ab)
+            # G_i does not depend on x, so a BLAS product is fine here
+            gain = (self._eigvecs[i] * (sqrt_ab * lam / marg)) @ self._eigvecs_t[i]
             diff = x - sqrt_ab * post.means[i]
-            proj = (diff[:, None, :] * self._eigvecs_t[i][None]).sum(axis=2)
-            gain_proj = (lam / marg) * proj
-            back = (gain_proj[:, None, :] * self._eigvecs[i][None]).sum(axis=2)
-            comp_means.append(post.means[i] + sqrt_ab * back)
+            comp_means.append(post.means[i] + np.einsum("nj,jk->nk", diff, gain))
             if k > 1:
+                proj = np.einsum("nj,aj->na", diff, self._eigvecs_t[i])
                 log_resp[:, i] = np.log(post.weights[i]) - 0.5 * (
                     dim * np.log(2.0 * np.pi) + np.log(marg).sum() + ((proj**2) / marg).sum(axis=1)
                 )

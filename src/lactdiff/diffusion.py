@@ -133,7 +133,12 @@ def linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule
 
 
 def default_linear_schedule(T: int) -> NoiseSchedule:
-    """Linear schedule with the customary endpoints rescaled to length T."""
+    """Linear schedule with the customary endpoints rescaled to length T.
+
+    The last beta is 20 / T, so T must be at least 21.
+    """
+    if T < 21:
+        raise ParameterError(f"the default linear schedule needs T >= 21, got T = {T}")
     scale = 1000.0 / T
     return linear_schedule(T, 1e-4 * scale, 0.02 * scale)
 

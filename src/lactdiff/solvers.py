@@ -40,8 +40,8 @@ class ProxConfig:
     def __post_init__(self):
         if not (self.gamma > 0.0 and np.isfinite(self.gamma)):
             raise ParameterError("gamma must be positive and finite")
-        if not (self.cg_tol > 0.0):
-            raise ParameterError("cg_tol must be positive")
+        if not (self.cg_tol > 0.0 and np.isfinite(self.cg_tol)):
+            raise ParameterError("cg_tol must be positive and finite")
         if self.cg_max_iter < 1:
             raise ParameterError("cg_max_iter must be >= 1")
 

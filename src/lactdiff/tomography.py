@@ -159,9 +159,8 @@ def make_limited_geometry(
     """Limited-angle geometry for an n x n image.
 
     Angles are n_views values evenly spaced on the half-open interval
-    [0, theta_max_deg).  When the requested bin count cannot span the image
-    diagonal at unit spacing, the detector spacing is widened to exactly
-    cover it, preserving the no-truncation invariant.
+    [0, theta_max_deg).  The detector spacing follows `square_geometry`,
+    preserving the no-truncation invariant.
     """
     if n < 1:
         raise DimensionError("image size must be >= 1")
@@ -174,9 +173,18 @@ def make_limited_geometry(
             f"theta_max must lie in (0, 180] degrees, got {theta_max_deg}"
         )
     angles = theta_max_deg * np.arange(n_views, dtype=np.float64) / n_views
+    return square_geometry(n, detectors, angles)
+
+
+def square_geometry(n: int, detectors: int, angles_deg) -> Geometry:
+    """Geometry for an n x n image of unit pixels on the given view angles.
+
+    The detector spacing is 1, or widened to exactly cover the image
+    diagonal when `detectors` bins at unit spacing cannot span it.
+    """
     diagonal = math.hypot(n, n)
     spacing = 1.0 if detectors >= diagonal else diagonal / detectors
-    return Geometry(n, n, detectors, angles, 1.0, spacing)
+    return Geometry(n, n, detectors, angles_deg, 1.0, spacing)
 
 
 def _view_coords(geom: Geometry, theta_deg: float, out=None):

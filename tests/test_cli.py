@@ -11,13 +11,13 @@ import pytest
 
 import lactdiff
 from lactdiff import solvers, tomography
-from lactdiff.cli import _geometry_for, main
+from lactdiff.cli import main
 from lactdiff.core import Image, Sinogram, read_raster, write_raster
 from lactdiff.denoiser import GmmPrior, gmm_denoiser
 from lactdiff.diffusion import default_linear_schedule
 from lactdiff.sampler import SamplerConfig, build_condition, sample_posterior
 from lactdiff.solvers import ProxConfig
-from lactdiff.tomography import TomoOperator
+from lactdiff.tomography import TomoOperator, square_geometry
 
 
 def run(capsys, *argv):
@@ -219,7 +219,8 @@ class TestReconstructAndMetrics:
 
     def test_manifest_records_norm_and_tau(self, pipeline, tmp_path, capsys, monkeypatch):
         _, sino = pipeline
-        geom = _geometry_for(read_raster(sino), 32)
+        raster = read_raster(sino)
+        geom = square_geometry(32, raster.detectors, raster.angles_deg)
         norm_sq = solvers.operator_norm_sq(tomography.TomoOperator(geom))
         estimates = []
         original = solvers.operator_norm_sq
@@ -409,7 +410,7 @@ class TestSampleCommand:
         assert len(seeds) == 2 and seeds[0] != seeds[1]
         # the builtin prior is a Gaussian at the condition with --prior-std 0.5
         sino = read_raster(sino64)
-        geom = _geometry_for(sino, 24)
+        geom = square_geometry(24, sino.detectors, sino.angles_deg)
         sched = default_linear_schedule(60)
         cond = build_condition(sino, geom, "rls")
         model = gmm_denoiser(GmmPrior(24 * 24, [1.0], cond.image.as_f64().reshape(1, -1),
@@ -419,6 +420,15 @@ class TestSampleCommand:
             lone = sample_posterior(model, sino.as_f64().ravel(), TomoOperator(geom), (24, 24),
                                     cond, sched, cfg, seed=seed)
             assert read_raster(out_dir / f"sample_{i:03d}.ctr") == lone
+
+    def test_too_short_linear_schedule_names_T(self, sino64, tmp_path, capsys):
+        code, _, err = run(capsys, "sample", "--in", str(sino64), "--size", "24",
+                           "--K", "5", "--T", "20", "--samples", "1",
+                           "--out-dir", str(tmp_path / "short"))
+        assert code == 2
+        assert "T >= 21, got T = 20" in err
+        assert "beta_start" not in err
+        assert not (tmp_path / "short").exists()
 
     def test_guidance_needs_unconditional_prior(self, sino64, tmp_path, capsys):
         code, _, _ = run(capsys, "sample", "--in", str(sino64), "--size", "24",

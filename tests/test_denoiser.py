@@ -266,6 +266,42 @@ class TestConditionalDenoiser:
         assert np.allclose(model.posterior.means[0], mean, atol=1e-10)
         assert np.allclose(model.posterior.covariances[0], cov, atol=1e-10)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_dim16_rows_are_stack_invariant_and_match_dense_oracle(self, k):
+        # the gauss_4x4 shape; every product with x is a row-wise einsum, so
+        # a row's bits must not depend on how many rows share the call
+        rng = np.random.default_rng(34 + k)
+        dim, rows = 16, 8
+        prior = GmmPrior(dim, [0.4, 0.6][:k], 0.5 * rng.standard_normal((k, dim)), [1.0, 0.4][:k])
+        mat = rng.standard_normal((rows, dim)) * np.geomspace(0.25, 2.0, dim)
+        model = conditional_gmm_denoiser(prior, mat, rng.standard_normal(rows), 0.05, SCHED)
+        post = model.posterior
+        stack = rng.standard_normal((500, 4, 4))
+        x = stack.reshape(500, dim)
+        cond = none_cond(4, 4)
+        for t in (50, 500, 950):
+            alone = np.concatenate([denoise(model, row[None], t, cond)[0] for row in stack])
+            for n in (1, 2, 7, 50, 500):
+                eps, _ = denoise(model, stack[:n], t, cond)
+                assert eps.tobytes() == alone[:n].tobytes()
+            # dense oracle: solve with each component's diffused covariance
+            ab = SCHED.alpha_bar_at(t)
+            log_resp = np.empty((500, k))
+            comp_means = []
+            for i in range(k):
+                marg = ab * post.covariances[i] + (1.0 - ab) * np.eye(dim)
+                diff = x - np.sqrt(ab) * post.means[i]
+                sol = np.linalg.solve(marg, diff.T).T
+                comp_means.append(post.means[i] + np.sqrt(ab) * sol @ post.covariances[i])
+                logdet = np.linalg.slogdet(marg)[1]
+                log_resp[:, i] = np.log(post.weights[i]) - 0.5 * (logdet + (diff * sol).sum(1))
+            resp = np.exp(log_resp - log_resp.max(axis=1, keepdims=True))
+            resp /= resp.sum(axis=1, keepdims=True)
+            mean = sum(resp[:, i : i + 1] * comp_means[i] for i in range(k))
+            oracle = (x - np.sqrt(ab) * mean) / np.sqrt(1.0 - ab)
+            err = np.abs(alone.reshape(500, dim) - oracle).max()
+            assert err <= 1e-10 * np.abs(oracle).max()
+
     def test_dimension_validation(self):
         prior = GmmPrior(4, [1.0], np.zeros((1, 4)), [1.0])
         with pytest.raises(DimensionError):

@@ -41,6 +41,13 @@ class TestSchedules:
         assert sched.beta_at(1) == pytest.approx(5e-5)
         assert sched.beta_at(2000) == pytest.approx(0.01)
 
+    @pytest.mark.parametrize("T", [0, 1, 20])
+    def test_default_schedule_names_its_shortest_length(self, T):
+        # the last beta is 20 / T, so T <= 20 has no valid linear schedule
+        with pytest.raises(ParameterError, match=rf"T >= 21, got T = {T}$"):
+            default_linear_schedule(T)
+        assert default_linear_schedule(21).beta_at(21) == pytest.approx(20 / 21)
+
     def test_endpoint_validation(self):
         with pytest.raises(ParameterError):
             linear_schedule(10, 0.0, 0.5)

@@ -1,6 +1,6 @@
 """Property tests: adjointness and the norm estimate over random small
-geometries, the TV difference pair, CTR1 files that were cut or altered, and
-the respaced schedule for every chain length."""
+geometries, the TV difference pair, CTR1 files that were cut or altered, the
+schedules for every length, and the respaced schedule for every chain length."""
 
 import math
 
@@ -100,6 +100,26 @@ def test_ctr1_damage_is_parsed_or_rejected(tmp_path_factory, raster, data):
         return
     assert isinstance(parsed, (Image, Sinogram))
     assert parsed.data.shape == parsed.shape and np.all(np.isfinite(parsed.data))
+
+
+@st.composite
+def schedules(draw):
+    """A default linear schedule (T >= 21, its shortest) or a cosine one, T up to 4000."""
+    if draw(st.booleans()):
+        return default_linear_schedule(draw(st.integers(21, 4000)))
+    return cosine_schedule(draw(st.integers(1, 4000)))
+
+
+@hypothesis.given(schedules())
+@hypothesis.example(default_linear_schedule(21))
+@hypothesis.example(cosine_schedule(1))
+@hypothesis.example(cosine_schedule(4000))
+def test_schedule_invariants(sched):
+    ab = sched.alpha_bar
+    assert np.all(ab > 0.0) and np.all(ab < 1.0)
+    assert np.all(np.diff(ab) < 0.0)
+    assert sched.beta_tilde[0] == 0.0
+    assert np.all(sched.beta_tilde <= sched.beta)
 
 
 @st.composite

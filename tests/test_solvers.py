@@ -392,6 +392,12 @@ class TestProx:
         with pytest.raises(ParameterError):
             ProxConfig(gamma=1.0, cg_tol=0.0)
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan])
+    def test_non_finite_cg_tol_rejected(self, tol):
+        # an infinite tolerance would accept x_tilde untouched as a converged prox
+        with pytest.raises(ParameterError, match="cg_tol"):
+            ProxConfig(gamma=1.0, cg_tol=tol)
+
     def test_gamma_schedule(self):
         cfg = ProxConfig(gamma=1.0, gamma_schedule=lambda step: 0.5 * step)
         assert cfg.gamma_for_step(4) == 2.0
