@@ -17,7 +17,6 @@ from .core import (
     ParameterError,
     SeededRng,
     Sinogram,
-    new_image,
     read_raster,
     write_pgm,
     write_raster,

@@ -172,17 +172,13 @@ def _read_manifest_argv(path: str):
     raise FormatError(f"manifest {path} has no argv line")
 
 
-def _expect_image(path) -> Image:
+def _read_expected(path, kind):
+    """read_raster, refusing a raster that is not of type kind."""
     raster = read_raster(path)
-    if not isinstance(raster, Image):
-        raise ParameterError(f"{path} holds a sinogram, expected an image")
-    return raster
-
-
-def _expect_sinogram(path) -> Sinogram:
-    raster = read_raster(path)
-    if not isinstance(raster, Sinogram):
-        raise ParameterError(f"{path} holds an image, expected a sinogram")
+    if not isinstance(raster, kind):
+        raise ParameterError(
+            f"{path} holds {type(raster).__name__} data, expected {kind.__name__} data"
+        )
     return raster
 
 
@@ -208,11 +204,13 @@ def _cmd_phantom(args, argv) -> int:
 
 def _cmd_project(args, argv) -> int:
     started = time.perf_counter()
-    image = _expect_image(args.input)
+    image = _read_expected(args.input, Image)
     if image.rows != image.cols:
         raise ParameterError("projection expects a square image")
-    if args.noise_std < 0.0:
-        raise ParameterError("noise std must be >= 0")
+    if not (args.noise_std >= 0.0 and math.isfinite(args.noise_std)):
+        raise ParameterError(f"noise std must be finite and >= 0, got {args.noise_std}")
+    if args.detectors < 0:
+        raise ParameterError(f"detector count must be >= 0, got {args.detectors}")
     detectors = args.detectors if args.detectors > 0 else default_detectors(image.rows)
     geom = make_limited_geometry(image.rows, detectors, args.views, args.theta_max)
     sino = forward_project(image, geom)
@@ -243,7 +241,7 @@ def _cmd_project(args, argv) -> int:
 
 def _cmd_reconstruct(args, argv) -> int:
     started = time.perf_counter()
-    sino = _expect_sinogram(args.input)
+    sino = _read_expected(args.input, Sinogram)
     geom = square_geometry(args.size, sino.detectors, sino.angles_deg)
     if args.method == "fbp":
         kind = FilterKind.RAM_LAK if args.filter == "ramlak" else FilterKind.HANN
@@ -287,7 +285,7 @@ def _load_prior(spec: str, dim: int, center: np.ndarray, std: float) -> GmmPrior
 
 def _cmd_sample(args, argv) -> int:
     started = time.perf_counter()
-    sino = _expect_sinogram(args.input)
+    sino = _read_expected(args.input, Sinogram)
     geom = square_geometry(args.size, sino.detectors, sino.angles_deg)
     sched = (
         default_linear_schedule(args.T)

@@ -59,13 +59,6 @@ class Image:
             raise DimensionError(f"image dimensions must be positive, got {self.rows}x{self.cols}")
         object.__setattr__(self, "data", _frozen_f32(self.data, self.rows, self.cols, "image"))
 
-    @classmethod
-    def from_array(cls, arr) -> "Image":
-        arr = np.asarray(arr)
-        if arr.ndim != 2:
-            raise DimensionError(f"expected a 2-D array, got ndim={arr.ndim}")
-        return cls(arr.shape[0], arr.shape[1], arr)
-
     @property
     def shape(self):
         return (self.rows, self.cols)
@@ -129,15 +122,6 @@ class Sinogram:
         )
 
 
-def new_image(rows: int, cols: int, fill: float) -> Image:
-    """Constant-filled image; `fill` must be finite."""
-    if not np.isfinite(fill):
-        raise ParameterError(f"fill value must be finite, got {fill}")
-    if rows < 1 or cols < 1:
-        raise DimensionError(f"image dimensions must be positive, got {rows}x{cols}")
-    return Image(rows, cols, np.full((rows, cols), fill, dtype=np.float32))
-
-
 class SeededRng:
     """Deterministic random source: one PCG64 bit stream for both kinds of draw.
 
@@ -153,7 +137,6 @@ class SeededRng:
         seed = int(seed)
         if not 0 <= seed < (1 << 64):
             raise ParameterError("seed must be an unsigned 64-bit integer")
-        self.seed = seed
         self._bits = np.random.PCG64(seed)
         self._normals = np.random.Generator(self._bits)
 

@@ -156,12 +156,16 @@ def save_gmm_prior(path, prior: GmmPrior) -> None:
 
 def load_gmm_prior(path) -> GmmPrior:
     rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
+    # a byte outside ASCII decodes to U+FFFD, which float() rejects with the line
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rows.append([float(tok) for tok in line.split()])
+            try:
+                rows.append([float(tok) for tok in line.split()])
+            except ValueError as exc:
+                raise ParameterError(f"{path} line {number}: {exc}") from exc
     if not rows:
         raise ParameterError(f"no mixture components found in {path}")
     width = len(rows[0])
@@ -384,11 +388,6 @@ class ConditionalGmmDenoiser:
         if k == 1:
             return comp_means[0]
         return _mixture_average(log_resp, comp_means)
-
-    def posterior_mean_x0(self, x_t_flat: np.ndarray, t: int) -> np.ndarray:
-        """E[x0 | x_t, y] for the full-covariance posterior mixture."""
-        x = np.asarray(x_t_flat, dtype=np.float64).reshape(1, -1)
-        return self._posterior_mean_rows(x, t)[0]
 
     def denoise(self, x: np.ndarray, t: int, cond: ConditionInput):
         flat = x.reshape(x.shape[0], -1)

@@ -85,16 +85,6 @@ class NoiseSchedule:
     def beta_tilde_at(self, t: int) -> float:
         return float(self.beta_tilde[_check_t(t, self.T) - 1])
 
-    def to_table(self) -> str:
-        """Plain-text audit table with one row (t, beta, alpha_bar, beta_tilde)."""
-        lines = ["t beta alpha_bar beta_tilde"]
-        for t in range(1, self.T + 1):
-            lines.append(
-                f"{t} {self.beta[t - 1]:.17g} {self.alpha_bar[t - 1]:.17g} "
-                f"{self.beta_tilde[t - 1]:.17g}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True, eq=False)
 class TimestepMap:
@@ -115,10 +105,6 @@ class TimestepMap:
             raise ParameterError("indices must be strictly increasing")
         idx.setflags(write=False)
         object.__setattr__(self, "indices", idx)
-
-    @property
-    def K(self) -> int:
-        return self.indices.size
 
 
 def linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
@@ -143,11 +129,11 @@ def default_linear_schedule(T: int) -> NoiseSchedule:
     return linear_schedule(T, 1e-4 * scale, 0.02 * scale)
 
 
-def cosine_schedule(T: int, clip: float = 0.999) -> NoiseSchedule:
+def cosine_schedule(T: int) -> NoiseSchedule:
     """Squared-cosine alpha_bar profile with offset s = 0.008.
 
     alpha_bar(t/T) = f(t/T) / f(0) with f(u) = cos((u + s)/(1 + s) * pi/2)^2;
-    betas are the successive ratios, clipped to at most `clip`.
+    betas are the successive ratios, clipped to at most 0.999.
     """
     if T < 1:
         raise ParameterError(f"T must be >= 1, got {T}")
@@ -162,7 +148,7 @@ def cosine_schedule(T: int, clip: float = 0.999) -> NoiseSchedule:
         cur = f(t / T) / f(0.0)
         ratios[t - 1] = cur / prev
         prev = cur
-    betas = np.minimum(1.0 - ratios, clip)
+    betas = np.minimum(1.0 - ratios, 0.999)
     return NoiseSchedule.from_betas(betas)
 
 

@@ -78,10 +78,6 @@ def _rasterize(n: int, ellipse_list) -> np.ndarray:
     return img.reshape(n, _SUBSAMPLE, n, _SUBSAMPLE).mean(axis=(1, 3))
 
 
-def _head_phantom(n: int) -> np.ndarray:
-    return _rasterize(n, _HEAD_ELLIPSES)
-
-
 def _random_shapes(n: int, seed: int, ellipses: bool) -> np.ndarray:
     """Non-overlapping random disks/ellipses with seeded placement."""
     rng = SeededRng(seed)
@@ -111,7 +107,7 @@ def _random_shapes(n: int, seed: int, ellipses: bool) -> np.ndarray:
 def make_phantom(spec: PhantomSpec) -> Image:
     """Deterministic test object with values in [0, 2]."""
     if spec.kind is PhantomKind.SHEPP_LOGAN:
-        data = _head_phantom(spec.size)
+        data = _rasterize(spec.size, _HEAD_ELLIPSES)
     elif spec.kind is PhantomKind.DISKS:
         data = _random_shapes(spec.size, spec.seed, ellipses=False)
     elif spec.kind is PhantomKind.ELLIPSES:

@@ -69,10 +69,9 @@ class ChainTrace:
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """The samples of one draw_samples call and the configuration that drew them."""
+    """The samples of one draw_samples call, all of one shape."""
 
     samples: Tuple[Image, ...]
-    config: SamplerConfig
 
     def __post_init__(self):
         samples = tuple(self.samples)
@@ -204,12 +203,11 @@ def _run_chains(
                 f"(t={t_orig})"
             )
         if cfg.prox is not None and step_index >= cfg.prox_skip:
-            gamma = cfg.prox.gamma_for_step(k)
             for i in range(n):
                 # A x~ behind the "before" residual is also CG's first product
                 ax = operator.forward(x[i]) if traces is not None else None
                 x[i], report = prox_consistency(
-                    x[i], y, operator, cfg.prox, gamma=gamma, aty=aty, ax_tilde=ax
+                    x[i], y, operator, cfg.prox, aty=aty, ax_tilde=ax
                 )
                 if traces is not None:
                     before = float(np.linalg.norm(ax - y))
@@ -317,7 +315,7 @@ def draw_samples(
         model, measurements, operator, shape, cond, sched, cfg, uncond_model,
         chain_seeds(cfg.seed, cfg.n_samples), chain_traces,
     )
-    return SampleSet(tuple(Image(*shape, row.reshape(shape)) for row in x), cfg)
+    return SampleSet(tuple(Image(*shape, row.reshape(shape)) for row in x))
 
 
 def sample_average(sample_set: SampleSet) -> Image:

@@ -27,15 +27,12 @@ class CgReport:
 class ProxConfig:
     """Weight and solver budget for the data-consistency proximal step.
 
-    gamma_schedule, when set, overrides the constant gamma per reverse step
-    (step index counts down the sampling chain); the default is a constant
-    weight for every step.
+    The sampler applies the one weight gamma at every reverse step.
     """
 
     gamma: float
     cg_tol: float = 1e-8
     cg_max_iter: int = 100
-    gamma_schedule: Optional[Callable[[int], float]] = None
 
     def __post_init__(self):
         if not (self.gamma > 0.0 and np.isfinite(self.gamma)):
@@ -44,14 +41,6 @@ class ProxConfig:
             raise ParameterError("cg_tol must be positive and finite")
         if self.cg_max_iter < 1:
             raise ParameterError("cg_max_iter must be >= 1")
-
-    def gamma_for_step(self, step: int) -> float:
-        if self.gamma_schedule is None:
-            return self.gamma
-        value = float(self.gamma_schedule(step))
-        if not (value > 0.0 and np.isfinite(value)):
-            raise ParameterError(f"gamma schedule produced invalid weight {value}")
-        return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,6 +191,8 @@ def rls_reconstruct(
 ) -> Image:
     """Minimize ||Ax - y||^2 + tau * ||x||^2 via CG on the normal equations."""
     geom.matches_sinogram(sino)
+    if max_iter < 1:
+        raise ParameterError("max_iter must be >= 1")
     if tau is None:
         tau = default_rls_tau(geom)
     if tau < 0.0 or not np.isfinite(tau):
@@ -362,7 +353,6 @@ def prox_consistency(
     y: np.ndarray,
     op,
     cfg: ProxConfig,
-    gamma: Optional[float] = None,
     *,
     aty: Optional[np.ndarray] = None,
     ax_tilde: Optional[np.ndarray] = None,
@@ -382,13 +372,13 @@ def prox_consistency(
         raise DimensionError(
             f"prox inputs {x_tilde.size}/{y.size} do not match operator {op.shape}"
         )
-    g = cfg.gamma if gamma is None else gamma
+    gamma = cfg.gamma
 
     def apply(v):
-        return v + g * op.adjoint(op.forward(v))
+        return v + gamma * op.adjoint(op.forward(v))
 
-    rhs = x_tilde + g * (op.adjoint(y) if aty is None else aty)
-    applied = None if ax_tilde is None else x_tilde + g * op.adjoint(ax_tilde)
+    rhs = x_tilde + gamma * (op.adjoint(y) if aty is None else aty)
+    applied = None if ax_tilde is None else x_tilde + gamma * op.adjoint(ax_tilde)
     return conjugate_gradient(
         apply, rhs, x_tilde, cfg.cg_tol, cfg.cg_max_iter, applied_x0=applied
     )

@@ -139,6 +139,30 @@ class TestProjectCommand:
         assert code == 2
         assert "noise std" in err
 
+    @pytest.mark.parametrize("std", ["nan", "inf"])
+    def test_non_finite_noise_is_usage_error(
+        self, phantom_file, tmp_path, capsys, monkeypatch, std
+    ):
+        refuse_plan_builds(monkeypatch)
+        out = tmp_path / "s.ctr"
+        code, _, err = run(capsys, "project", "--in", str(phantom_file),
+                           "--views", "12", "--noise-std", std, "--out", str(out))
+        assert code == 2
+        assert "noise std" in err
+        assert not out.exists()
+
+    def test_negative_detector_count_is_usage_error(
+        self, phantom_file, tmp_path, capsys, monkeypatch
+    ):
+        # 0 asks for the default; a negative count is a mistake, not the default
+        refuse_plan_builds(monkeypatch)
+        out = tmp_path / "s.ctr"
+        code, _, err = run(capsys, "project", "--in", str(phantom_file),
+                           "--views", "12", "--detectors", "-5", "--out", str(out))
+        assert code == 2
+        assert "detector count" in err
+        assert not out.exists()
+
     def test_missing_input_is_io_error(self, tmp_path, capsys):
         code, _, _ = run(capsys, "project", "--in", str(tmp_path / "nope.ctr"),
                          "--views", "12", "--out", str(tmp_path / "s.ctr"))
@@ -275,6 +299,16 @@ class TestReconstructAndMetrics:
                   "--size", "32", "--out", str(tmp_path / "x.ctr")])
         assert exc.value.code == 2
 
+    def test_rls_zero_iterations_is_usage_error(self, pipeline, tmp_path, capsys, monkeypatch):
+        # as --method tv --iters 0 is
+        _, sino = pipeline
+        refuse_plan_builds(monkeypatch)
+        out = tmp_path / "r.ctr"
+        code, _, _ = run(capsys, "reconstruct", "--method", "rls", "--in", str(sino),
+                         "--size", "32", "--iters", "0", "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+
     def test_metrics_identical_files(self, pipeline, capsys):
         phantom, _ = pipeline
         code, text, _ = run(capsys, "metrics", "--recon", str(phantom),
@@ -386,6 +420,17 @@ class TestSampleCommand:
                          "--out-dir", str(tmp_path / "bad"))
         assert code == 2
         assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("bad_line", [b"1 abc 0.5", b"1 0.5\xe9 0.5"],
+                             ids=["word", "non_ascii"])
+    def test_non_numeric_prior_file_is_usage_error(self, sino64, tmp_path, capsys, bad_line):
+        prior = tmp_path / "prior.txt"
+        prior.write_bytes(b"# weight, 576 means, variance\n" + bad_line + b"\n")
+        code, _, err = run(capsys, "sample", "--in", str(sino64), "--size", "24",
+                           "--T", "60", "--K", "4", "--samples", "1",
+                           "--prior", str(prior), "--out-dir", str(tmp_path / "bad"))
+        assert code == 2
+        assert f"{prior} line 2" in err
 
     @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
     def test_seed_outside_64_bits_is_usage_error(

@@ -244,8 +244,9 @@ class TestConditionalDenoiser:
         t = 700
         ab = SCHED.alpha_bar_at(t)
         x = rng.standard_normal(3)
-        assert np.allclose(model.posterior_mean_x0(x, t), y, atol=1e-6)
         eps, _ = model.denoise(x.reshape(1, 1, 3), t, none_cond(1, 3))
+        post_mean = (x - np.sqrt(1.0 - ab) * eps.ravel()) / np.sqrt(ab)
+        assert np.allclose(post_mean, y, atol=1e-6)
         expected = (x - np.sqrt(ab) * y) / np.sqrt(1.0 - ab)
         assert np.allclose(eps.ravel(), expected, atol=1e-6)
 

@@ -315,7 +315,7 @@ class TestChain:
 class TestAggregation:
     def _set(self, arrays):
         images = tuple(Image(2, 2, a) for a in arrays)
-        return SampleSet(images, SamplerConfig(steps=1, n_samples=len(images)))
+        return SampleSet(images)
 
     def test_average_of_one_is_identity(self):
         s = self._set([np.arange(4.0).reshape(2, 2)])
@@ -353,12 +353,9 @@ class TestAggregation:
 
     def test_sample_set_validation(self):
         with pytest.raises(ParameterError):
-            SampleSet((), SamplerConfig(steps=1))
+            SampleSet(())
         with pytest.raises(DimensionError):
-            SampleSet(
-                (Image(2, 2, np.zeros((2, 2))), Image(2, 3, np.zeros((2, 3)))),
-                SamplerConfig(steps=1),
-            )
+            SampleSet((Image(2, 2, np.zeros((2, 2))), Image(2, 3, np.zeros((2, 3)))))
 
     def test_sampling_improves_on_its_condition(self):
         # end to end: conditioned chains with the consistency prox beat the

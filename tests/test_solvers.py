@@ -128,6 +128,12 @@ class TestRls:
         with pytest.raises(ParameterError):
             rls_reconstruct(sino, geom, tau=-1.0)
 
+    def test_zero_iterations_rejected(self):
+        # with no iteration CG would return its zero start as the reconstruction
+        geom, sino = small_case()
+        with pytest.raises(ParameterError, match="max_iter"):
+            rls_reconstruct(sino, geom, tau=0.1, max_iter=0)
+
     def test_solution_unique_for_positive_tau(self):
         # the regularized normal equations have one minimizer; CG reaches it
         # from different starting points
@@ -397,12 +403,6 @@ class TestProx:
         # an infinite tolerance would accept x_tilde untouched as a converged prox
         with pytest.raises(ParameterError, match="cg_tol"):
             ProxConfig(gamma=1.0, cg_tol=tol)
-
-    def test_gamma_schedule(self):
-        cfg = ProxConfig(gamma=1.0, gamma_schedule=lambda step: 0.5 * step)
-        assert cfg.gamma_for_step(4) == 2.0
-        with pytest.raises(ParameterError):
-            cfg.gamma_for_step(0)
 
 
 class TestDenseOperator:
