@@ -274,9 +274,14 @@ def _cmd_reconstruct(args, argv) -> int:
     return 0
 
 
-def _load_prior(spec: str, dim: int, center: np.ndarray, std: float) -> GmmPrior:
+def _builtin_prior(dim: int, center: np.ndarray, std: float) -> GmmPrior:
+    return GmmPrior(dim, [1.0], center.reshape(1, dim), [std**2])
+
+
+def _load_prior_file(spec: str, dim: int) -> GmmPrior | None:
+    """The mixture in prior file `spec`, or None for "builtin"."""
     if spec == "builtin":
-        return GmmPrior(dim, [1.0], center.reshape(1, dim), [std**2])
+        return None
     prior = load_gmm_prior(spec)
     if prior.dim != dim:
         raise ParameterError(f"prior file dim {prior.dim} does not match image dim {dim}")
@@ -296,6 +301,8 @@ def _cmd_sample(args, argv) -> int:
         raise ParameterError("lambda != 1 requires --uncond-prior")
     if args.K > sched.T:
         raise ParameterError(f"--K {args.K} exceeds the schedule length --T {sched.T}")
+    if not (math.isfinite(args.prior_std) and args.prior_std > 0.0):
+        raise ParameterError(f"--prior-std must be positive and finite, got {args.prior_std}")
     # both configs check their arguments, before the condition's solve
     prox = None if args.no_prox else ProxConfig(gamma=args.gamma)
     cfg = SamplerConfig(
@@ -306,17 +313,19 @@ def _cmd_sample(args, argv) -> int:
         seed=args.seed,
         n_samples=args.samples,
     )
-    cond = build_condition(sino, geom, args.condition)
     dim = args.size * args.size
-
-    prior = _load_prior(args.prior, dim, cond.image.as_f64().ravel(), args.prior_std)
-    model = gmm_denoiser(prior, sched)
+    # prior files are read before the condition's solve too
+    prior = _load_prior_file(args.prior, dim)
     uncond_model = None
     if args.uncond_prior is not None:
-        uncond_prior = _load_prior(
-            args.uncond_prior, dim, np.zeros(dim), max(args.prior_std, 1.0)
-        )
+        uncond_prior = _load_prior_file(args.uncond_prior, dim)
+        if uncond_prior is None:
+            uncond_prior = _builtin_prior(dim, np.zeros(dim), max(args.prior_std, 1.0))
         uncond_model = gmm_denoiser(uncond_prior, sched)
+    cond = build_condition(sino, geom, args.condition)
+    if prior is None:
+        prior = _builtin_prior(dim, cond.image.as_f64().ravel(), args.prior_std)
+    model = gmm_denoiser(prior, sched)
 
     traces: list[ChainTrace] = []
     sample_set = draw_samples(

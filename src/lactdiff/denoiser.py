@@ -16,6 +16,7 @@ closed-form posteriors; no network training happens here.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Optional, Protocol, Tuple
 
@@ -252,7 +253,7 @@ def gmm_posterior_mean(
 
 
 def _eps_from_posterior_mean(x: np.ndarray, post_mean: np.ndarray, ab: float) -> np.ndarray:
-    return (x - np.sqrt(ab) * post_mean) / np.sqrt(1.0 - ab)
+    return (x - math.sqrt(ab) * post_mean) / math.sqrt(1.0 - ab)
 
 
 class GmmDenoiser:
@@ -285,6 +286,12 @@ class GaussianMixtureFull:
     weights: np.ndarray
     means: np.ndarray
     covariances: np.ndarray
+
+
+# the per-timestep tables of one ConditionalGmmDenoiser stop growing once
+# their gains take this many bytes; a timestep without a table forms its
+# terms on every call
+_STEP_TABLE_BYTES = 1 << 24
 
 
 class ConditionalGmmDenoiser:
@@ -356,43 +363,69 @@ class ConditionalGmmDenoiser:
             self._eigvals[i] = np.maximum(vals, 0.0)
             self._eigvecs[i] = vecs
         self._eigvecs_t = np.ascontiguousarray(self._eigvecs.transpose(0, 2, 1))
+        # per original timestep, the terms of _step_table
+        self._tables = {}
 
-    def _posterior_mean_rows(self, x: np.ndarray, t: int) -> np.ndarray:
-        """E[x0 | x_t, y] for each row of an (n, dim) array.
+    def _step_table(self, t: int):
+        """(ab, parts) at original timestep t, kept from the first call at t
+        while the kept gains fit in _STEP_TABLE_BYTES.
 
-        Component i's mean is mean_i + (x - sqrt(ab) mean_i) G_i with the
-        symmetric gain G_i = V_i diag(sqrt(ab) lam_i / (ab lam_i + 1 - ab)) V_i^T.
-        Every product with x is an np.einsum without optimize, which sums
-        each row by itself; a BLAS matmul (`@`, np.dot, optimize=True) would
-        give row bits that depend on n.
+        parts holds, for each component i, its shift sqrt(ab) mean_i, its
+        symmetric gain G_i = V_i diag(sqrt(ab) lam_i / marg_i) V_i^T with
+        marg_i = ab lam_i + 1 - ab, marg_i itself, and, when there are
+        several components, its log-density constant dim log(2 pi) +
+        sum(log marg_i).  None of them depends on x, so a BLAS product is
+        fine here.
+        """
+        table = self._tables.get(t)
+        if table is None:
+            post = self.posterior
+            k, dim = post.means.shape
+            ab = self.sched.alpha_bar_at(t)
+            sqrt_ab = np.sqrt(ab)
+            parts = []
+            for i in range(k):
+                lam = self._eigvals[i]
+                marg = ab * lam + (1.0 - ab)
+                gain = (self._eigvecs[i] * (sqrt_ab * lam / marg)) @ self._eigvecs_t[i]
+                log_norm = dim * np.log(2.0 * np.pi) + np.log(marg).sum() if k > 1 else None
+                parts.append((sqrt_ab * post.means[i], gain, marg, log_norm))
+            table = (ab, parts)
+            # all gains together take the bytes of the eigenvectors
+            if (len(self._tables) + 1) * self._eigvecs.nbytes <= _STEP_TABLE_BYTES:
+                self._tables[t] = table
+        return table
+
+    def _posterior_mean_rows(self, x: np.ndarray, parts) -> np.ndarray:
+        """E[x0 | x_t, y] for each row of an (n, dim) array, from the parts
+        of _step_table at t.
+
+        Component i's mean is mean_i + (x - sqrt(ab) mean_i) G_i.  Every
+        product with x is an np.einsum without optimize, which sums each row
+        by itself; a BLAS matmul (`@`, np.dot, optimize=True) would give row
+        bits that depend on n.
         """
         post = self.posterior
-        ab = self.sched.alpha_bar_at(t)
-        sqrt_ab = np.sqrt(ab)
-        n, dim = x.shape
         k = post.weights.size
-        log_resp = np.empty((n, k))
+        log_resp = np.empty((x.shape[0], k))
         comp_means = []
-        for i in range(k):
-            lam = self._eigvals[i]
-            marg = ab * lam + (1.0 - ab)
-            # G_i does not depend on x, so a BLAS product is fine here
-            gain = (self._eigvecs[i] * (sqrt_ab * lam / marg)) @ self._eigvecs_t[i]
-            diff = x - sqrt_ab * post.means[i]
+        for i, (shift, gain, marg, log_norm) in enumerate(parts):
+            diff = x - shift
             comp_means.append(post.means[i] + np.einsum("nj,jk->nk", diff, gain))
             if k > 1:
                 proj = np.einsum("nj,aj->na", diff, self._eigvecs_t[i])
                 log_resp[:, i] = np.log(post.weights[i]) - 0.5 * (
-                    dim * np.log(2.0 * np.pi) + np.log(marg).sum() + ((proj**2) / marg).sum(axis=1)
+                    log_norm + ((proj**2) / marg).sum(axis=1)
                 )
         if k == 1:
             return comp_means[0]
         return _mixture_average(log_resp, comp_means)
 
     def denoise(self, x: np.ndarray, t: int, cond: ConditionInput):
+        ab, parts = self._step_table(t)
         flat = x.reshape(x.shape[0], -1)
-        post = self._posterior_mean_rows(flat, t)
-        eps = _eps_from_posterior_mean(flat, post, self.sched.alpha_bar_at(t))
+        post = self._posterior_mean_rows(flat, parts)
+        eps = _eps_from_posterior_mean(flat, post, ab)
         return eps.reshape(x.shape), None
 
 

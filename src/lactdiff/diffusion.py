@@ -191,12 +191,14 @@ def reverse_step(x_t, eps_hat, sigma2, t: int, sched: NoiseSchedule, z):
         shape = getattr(operand, "shape", ())
         if shape and shape != x_t.shape:
             raise DimensionError(f"reverse_step: {name} has shape {shape}, x_t {x_t.shape}")
-    if np.any(sigma2 < 0.0) if isinstance(sigma2, np.ndarray) else sigma2 < 0.0:
+    array = isinstance(sigma2, np.ndarray)
+    if np.any(sigma2 < 0.0) if array else sigma2 < 0.0:
         raise ParameterError("reverse variance must be non-negative")
     alpha = sched.alpha_at(t)
     ab = sched.alpha_bar_at(t)
     mean = (x_t - ((1.0 - alpha) / math.sqrt(1.0 - ab)) * eps_hat) / math.sqrt(alpha)
-    return mean + np.sqrt(sigma2) * z
+    # both square roots are correctly rounded; math.sqrt skips numpy's scalar path
+    return mean + (np.sqrt(sigma2) if array else math.sqrt(sigma2)) * z
 
 
 def respace(sched: NoiseSchedule, K: int) -> TimestepMap:

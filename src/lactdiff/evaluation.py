@@ -60,13 +60,29 @@ def _pixel_grid(n: int):
     return x, y
 
 
+def _grid_span(center: float, reach: float, fine: int) -> slice:
+    """Indices of the grid coordinates u (see _pixel_grid) within reach of
+    center, widened by 2 on each side so that rounding cannot drop one.
+    Index i holds u = (i - (fine-1)/2) * 2/fine."""
+    half = fine / 2.0
+    lo = math.floor((center - reach + 1.0) * half - 0.5) - 2
+    hi = math.ceil((center + reach + 1.0) * half - 0.5) + 3
+    return slice(max(0, lo), max(0, min(fine, hi)))
+
+
 def _add_ellipse(img, x, y, value, a, b, x0, y0, phi_deg):
+    """Add value to the points of img inside the ellipse, testing only the
+    rows and columns of its bounding box; img, x and y are (fine, fine)."""
     phi = math.radians(phi_deg)
     c, s = math.cos(phi), math.sin(phi)
-    dx = x - x0
-    dy = y - y0
+    fine = img.shape[0]
+    # columns hold x = u and rows y = -u
+    box = (_grid_span(-y0, math.hypot(a * s, b * c), fine),
+           _grid_span(x0, math.hypot(a * c, b * s), fine))
+    dx = x[box] - x0
+    dy = y[box] - y0
     inside = ((dx * c + dy * s) / a) ** 2 + ((-dx * s + dy * c) / b) ** 2 <= 1.0
-    img[inside] += value
+    img[box][inside] += value
 
 
 def _rasterize(n: int, ellipse_list) -> np.ndarray:

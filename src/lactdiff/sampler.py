@@ -196,8 +196,9 @@ def _run_chains(
             )
             z = next(noise)
         x = reverse_step(x, eps, sigma2, k, chain_sched, z)
-        # the samples are float32 rasters, so a state they cannot hold is invalid
-        if not np.all(np.abs(x) <= _F32_MAX):
+        # the samples are float32 rasters, so a state they cannot hold is invalid;
+        # the max is NaN when any entry is, so NaN fails too
+        if not np.abs(x).max() <= _F32_MAX:
             raise NumericalError(
                 f"chain state became non-finite or left the float32 range at step {k} "
                 f"(t={t_orig})"

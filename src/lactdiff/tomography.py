@@ -183,7 +183,8 @@ def square_geometry(n: int, detectors: int, angles_deg) -> Geometry:
     diagonal when `detectors` bins at unit spacing cannot span it.
     """
     diagonal = math.hypot(n, n)
-    spacing = 1.0 if detectors >= diagonal else diagonal / detectors
+    # a count below 1 keeps spacing 1, and Geometry rejects it
+    spacing = diagonal / detectors if 0 < detectors < diagonal else 1.0
     return Geometry(n, n, detectors, angles_deg, 1.0, spacing)
 
 

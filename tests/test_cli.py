@@ -432,6 +432,31 @@ class TestSampleCommand:
         assert code == 2
         assert f"{prior} line 2" in err
 
+    @pytest.mark.parametrize("std", ["-0.5", "0", "nan"])
+    def test_bad_prior_std_fails_before_the_condition(
+        self, sino64, tmp_path, capsys, monkeypatch, std
+    ):
+        refuse_plan_builds(monkeypatch)
+        code, _, err = run(capsys, "sample", "--in", str(sino64), "--size", "24",
+                           "--T", "60", "--K", "4", "--samples", "1", "--prior-std", std,
+                           "--out-dir", str(tmp_path / "bad"))
+        assert code == 2
+        assert "--prior-std" in err
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("flag", ["--prior", "--uncond-prior"])
+    def test_missing_prior_file_fails_before_the_condition(
+        self, sino64, tmp_path, capsys, monkeypatch, flag
+    ):
+        refuse_plan_builds(monkeypatch)
+        missing = tmp_path / "missing.txt"
+        code, _, err = run(capsys, "sample", "--in", str(sino64), "--size", "24",
+                           "--T", "60", "--K", "4", "--samples", "1", flag, str(missing),
+                           "--out-dir", str(tmp_path / "bad"))
+        assert code == 3
+        assert "missing.txt" in err
+        assert not (tmp_path / "bad").exists()
+
     @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
     def test_seed_outside_64_bits_is_usage_error(
         self, sino64, tmp_path, capsys, monkeypatch, seed

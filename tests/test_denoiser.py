@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import TableDenoiser
+from lactdiff import denoiser
 from lactdiff.core import DataError, DimensionError, Image, ParameterError
 from lactdiff.denoiser import (
     ConditionInput,
@@ -302,6 +303,39 @@ class TestConditionalDenoiser:
             oracle = (x - np.sqrt(ab) * mean) / np.sqrt(1.0 - ab)
             err = np.abs(alone.reshape(500, dim) - oracle).max()
             assert err <= 1e-10 * np.abs(oracle).max()
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_revisited_timesteps_match_a_fresh_model(self, k):
+        # each timestep's gains are built on its first call and kept; every
+        # later call at t gives the bits of a model that has seen only t
+        rng = np.random.default_rng(40 + k)
+        dim, rows = 16, 8
+        prior = GmmPrior(dim, [0.4, 0.6][:k], 0.5 * rng.standard_normal((k, dim)), [1.0, 0.4][:k])
+        mat = rng.standard_normal((rows, dim)) * np.geomspace(0.25, 2.0, dim)
+        y = rng.standard_normal(rows)
+        model = conditional_gmm_denoiser(prior, mat, y, 0.05, SCHED)
+        cond = none_cond(4, 4)
+        steps = [1, 2, 300, 301, 999, 1000]
+        for t in np.concatenate([rng.permutation(steps), rng.permutation(steps)]):
+            stack = rng.standard_normal((7, 4, 4))
+            eps, _ = denoise(model, stack, int(t), cond)
+            fresh = conditional_gmm_denoiser(prior, mat, y, 0.05, SCHED)
+            assert eps.tobytes() == denoise(fresh, stack, int(t), cond)[0].tobytes()
+        assert sorted(model._tables) == steps
+
+    def test_step_tables_stop_at_their_byte_limit(self, monkeypatch):
+        # a dim-3 gain is 3*3 float64s; room for two of them
+        monkeypatch.setattr(denoiser, "_STEP_TABLE_BYTES", 2 * 9 * 8)
+        rng = np.random.default_rng(43)
+        prior = GmmPrior(3, [1.0], np.zeros((1, 3)), [1.0])
+        mat, y = rng.standard_normal((2, 3)), rng.standard_normal(2)
+        model = conditional_gmm_denoiser(prior, mat, y, 0.1, SCHED)
+        cond = none_cond(1, 3)
+        for t in (5, 9, 700, 5, 700, 9):
+            x = rng.standard_normal((4, 1, 3))
+            fresh = conditional_gmm_denoiser(prior, mat, y, 0.1, SCHED)
+            assert denoise(model, x, t, cond)[0].tobytes() == denoise(fresh, x, t, cond)[0].tobytes()
+        assert sorted(model._tables) == [5, 9]
 
     def test_dimension_validation(self):
         prior = GmmPrior(4, [1.0], np.zeros((1, 4)), [1.0])

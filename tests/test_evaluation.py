@@ -12,6 +12,7 @@ from lactdiff.evaluation import (
     METRICS_CSV_HEADER,
     PhantomKind,
     PhantomSpec,
+    _grid_span,
     gaussian_posterior_oracle,
     make_phantom,
     metrics_csv_row,
@@ -21,6 +22,12 @@ from lactdiff.evaluation import (
 
 
 class TestPhantoms:
+    @pytest.mark.parametrize("center, expected", [(-1.6, range(0)), (1.6, range(0)),
+                                                  (0.0, range(26, 38))])
+    def test_ellipse_span_clips_to_the_grid(self, center, expected):
+        # reach 0.1 on a 64-point grid: 3.2 points each side, plus a margin of 2
+        assert range(64)[_grid_span(center, 0.1, 64)] == expected
+
     def test_outside_support_is_zero(self):
         ph = make_phantom(PhantomSpec(PhantomKind.SHEPP_LOGAN, 128))
         assert ph.data[0, 0] == 0.0

@@ -1,6 +1,7 @@
 """Property tests: adjointness and the norm estimate over random small
 geometries, the TV difference pair, CTR1 files that were cut or altered, the
-schedules for every length, and the respaced schedule for every chain length."""
+schedules for every length, the respaced schedule for every chain length, and
+the phantom rasterizer against a whole-grid reference."""
 
 import math
 
@@ -10,6 +11,7 @@ import pytest
 from conftest import dense_tomo_matrix
 from lactdiff.core import DataError, FormatError, Image, Sinogram, read_raster, write_raster
 from lactdiff.diffusion import cosine_schedule, default_linear_schedule, respace
+from lactdiff.evaluation import _HEAD_ELLIPSES, _SUBSAMPLE, _rasterize
 from lactdiff.solvers import _div2d, _grad2d, operator_norm_sq
 from lactdiff.tomography import Geometry, TomoOperator
 
@@ -147,3 +149,40 @@ def test_respace_keeps_the_lattice_and_alpha_bar(case):
     assert np.all(short.beta_tilde >= 0.0)
     assert np.all(short.beta_tilde <= short.beta)
     assert np.all(short.beta < 1.0)
+
+
+def whole_grid_raster(n, shapes):
+    """Reference rasterizer: every ellipse tested on the whole supersampled grid."""
+    fine = n * _SUBSAMPLE
+    u = (np.arange(fine, dtype=np.float64) - (fine - 1) / 2.0) * (2.0 / fine)
+    x = np.broadcast_to(u[None, :], (fine, fine))
+    y = np.broadcast_to(-u[:, None], (fine, fine))
+    img = np.zeros((fine, fine))
+    for value, a, b, x0, y0, phi_deg in shapes:
+        phi = math.radians(phi_deg)
+        c, s = math.cos(phi), math.sin(phi)
+        dx = x - x0
+        dy = y - y0
+        img[((dx * c + dy * s) / a) ** 2 + ((-dx * s + dy * c) / b) ** 2 <= 1.0] += value
+    return img.reshape(n, _SUBSAMPLE, n, _SUBSAMPLE).mean(axis=(1, 3))
+
+
+# centres up to 1.6 from the middle of the [-1, 1] plane, so that shapes
+# cross or lie beyond its border as well as inside it
+ellipses = st.tuples(
+    st.floats(-2.0, 2.0),
+    st.floats(0.01, 1.5),
+    st.floats(0.01, 1.5),
+    st.floats(-1.6, 1.6),
+    st.floats(-1.6, 1.6),
+    st.floats(-180.0, 360.0),
+)
+
+
+@hypothesis.given(st.integers(1, 12), st.lists(ellipses, min_size=1, max_size=4))
+@hypothesis.example(16, list(_HEAD_ELLIPSES))
+# touching the right, top, left and bottom borders from inside and outside
+@hypothesis.example(4, [(1.0, 0.5, 0.25, 0.5, 0.0, 0.0), (1.0, 0.25, 0.5, 0.0, 1.5, 0.0)])
+@hypothesis.example(4, [(1.0, 0.5, 0.25, -1.5, 0.0, 0.0), (1.0, 0.5, 0.25, 0.0, -0.75, 90.0)])
+def test_rasterizer_matches_the_whole_grid(n, shapes):
+    assert _rasterize(n, shapes).tobytes() == whole_grid_raster(n, shapes).tobytes()

@@ -14,7 +14,7 @@ from lactdiff.denoiser import (
     conditional_gmm_denoiser,
     gmm_denoiser,
 )
-from lactdiff.diffusion import default_linear_schedule, linear_schedule
+from lactdiff.diffusion import default_linear_schedule, linear_schedule, respace
 from lactdiff.evaluation import PhantomKind, PhantomSpec, make_phantom, psnr
 from lactdiff.sampler import (
     ChainTrace,
@@ -196,6 +196,28 @@ class TestChain:
             with pytest.raises(NumericalError, match="step"):
                 sample_posterior(ExplodingDenoiser(value), None, None, (2, 2),
                                  ConditionInput.none(2, 2), SCHED, cfg)
+
+    @pytest.mark.parametrize("state", [np.nan, np.inf, 1e39])
+    def test_range_check_names_the_step(self, state):
+        # one entry of one chain of three leaves the float32 range at the
+        # third step of five; the run stops there and names that step
+        cfg = SamplerConfig(steps=5, seed=0, n_samples=3)
+        tmap = respace(SCHED, cfg.steps)
+        k = 3
+        t_bad = int(tmap.indices[k - 1])
+        alpha, ab = tmap.schedule.alpha_at(k), tmap.schedule.alpha_bar_at(k)
+
+        class Poisoned:
+            def denoise(self, x, t, cond):
+                eps = np.zeros(x.shape)
+                if t == t_bad:
+                    # reverse_step's mean (x - (1-alpha)/sqrt(1-ab) eps)/sqrt(alpha)
+                    # lands at about `state`
+                    eps[1, 0, 1] = -state * np.sqrt(alpha) * np.sqrt(1.0 - ab) / (1.0 - alpha)
+                return eps, None
+
+        with pytest.raises(NumericalError, match=rf"at step {k} \(t={t_bad}\)"):
+            draw_samples(Poisoned(), None, None, (2, 2), ConditionInput.none(2, 2), SCHED, cfg)
 
     def test_table_denoiser_integration(self, tmp_path):
         # a file-loaded piecewise response drives a full deterministic chain

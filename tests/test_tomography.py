@@ -19,6 +19,7 @@ from lactdiff.tomography import (
     make_limited_geometry,
     project_array,
     ramp_filter,
+    square_geometry,
 )
 
 
@@ -122,6 +123,11 @@ class TestGeometry:
     def test_narrow_array_widens_spacing(self):
         geom = make_limited_geometry(512, 512, 720, 180.0)
         assert geom.detectors * geom.detector_spacing >= np.hypot(512, 512) - 1e-6
+
+    @pytest.mark.parametrize("detectors", [0, -1])
+    def test_square_geometry_rejects_a_count_below_one(self, detectors):
+        with pytest.raises(ParameterError, match="detector count"):
+            square_geometry(16, detectors, [0.0, 45.0])
 
     def test_default_detectors(self):
         assert default_detectors(64) == 92
