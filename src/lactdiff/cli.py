@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .core import (
     DataError,
     DimensionError,
@@ -148,7 +149,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _write_manifest(path: Path, argv, fields: dict, traces=None, seeds=()) -> None:
-    lines = ["run_manifest v2", f"argv: {shlex.join(argv)}"]
+    lines = [
+        "run_manifest v2",
+        f"argv: {shlex.join(argv)}",
+        f"version.lactdiff: {__version__}",
+        f"version.numpy: {np.__version__}",
+    ]
+    # scipy is recorded when the run loaded it (every stencil plan build does),
+    # and is not imported just to be recorded
+    scipy = sys.modules.get("scipy")
+    if scipy is not None:
+        lines.append(f"version.scipy: {scipy.__version__}")
     for key, value in fields.items():
         lines.append(f"{key}: {value}")
     if traces:
@@ -216,9 +227,15 @@ def _cmd_project(args, argv) -> int:
     sino = forward_project(image, geom)
     if args.noise_std > 0.0:
         rng = SeededRng(args.seed)
-        noisy = sino.as_f64() + args.noise_std * rng.standard_normal(
-            sino.views * sino.detectors
-        ).reshape(sino.shape)
+        noise = rng.standard_normal(sino.views * sino.detectors).reshape(sino.shape)
+        # the sinogram is a float32 raster; a std near the float64 limit
+        # overflows to inf here, which the range check rejects too
+        with np.errstate(over="ignore"):
+            noisy = sino.as_f64() + args.noise_std * noise
+        if not np.abs(noisy).max() <= np.finfo(np.float32).max:
+            raise ParameterError(
+                f"--noise-std {args.noise_std:g} puts the sinogram outside the float32 range"
+            )
         sino = Sinogram(sino.views, sino.detectors, sino.angles_deg, noisy)
     write_raster(args.out, sino)
     _write_manifest(

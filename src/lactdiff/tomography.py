@@ -18,12 +18,14 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import DimensionError, Image, ParameterError, Sinogram
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class FilterKind(enum.Enum):
@@ -303,6 +305,10 @@ def _build_stencil_matrix(geom: Geometry) -> sp.csr_matrix:
     view at a time, with sorted int32 indices and the explicit zeros of
     integer crossings kept, so the peak memory is about one copy of the plan.
     """
+    # imported here: scipy.sparse costs about 0.2 s and 18 MB at start-up,
+    # which processes that never build a plan need not pay
+    import scipy.sparse as sp
+
     det = geom.detectors
     work = _stencil_work(geom)
     coord_buf, floor_buf = work[:2]

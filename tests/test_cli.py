@@ -17,7 +17,13 @@ from lactdiff.denoiser import GmmPrior, gmm_denoiser
 from lactdiff.diffusion import default_linear_schedule
 from lactdiff.sampler import SamplerConfig, build_condition, sample_posterior
 from lactdiff.solvers import ProxConfig
-from lactdiff.tomography import TomoOperator, square_geometry
+from lactdiff.tomography import (
+    TomoOperator,
+    back_project,
+    forward_project,
+    make_limited_geometry,
+    square_geometry,
+)
 
 
 def run(capsys, *argv):
@@ -53,18 +59,80 @@ def count_builds_and_estimates(monkeypatch):
     return builds, estimates
 
 
-def test_cli_import_leaves_out_scipy_signal():
-    # scipy.signal loads only when ssim runs; every command pays the import
+def run_fresh(code):
+    """stdout of `python -c code` in a fresh interpreter importing this lactdiff."""
     env = dict(os.environ, PYTHONPATH=str(Path(lactdiff.__file__).parents[1]))
-    code = "import sys, lactdiff.cli; assert 'scipy.signal' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, check=True, timeout=60,
+        capture_output=True, text=True,
+    ).stdout
 
 
-def test_cli_import_leaves_out_scipy_special():
-    # normals and log-sum-exp come from numpy; scipy.special costs every process
-    env = dict(os.environ, PYTHONPATH=str(Path(lactdiff.__file__).parents[1]))
-    code = "import sys, lactdiff.cli; assert 'scipy.special' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+@pytest.mark.parametrize("module", ["lactdiff", "lactdiff.cli"])
+def test_import_leaves_out_scipy(module):
+    # every process pays what the import loads: scipy.sparse loads at a
+    # geometry's first plan build, scipy.signal inside ssim, scipy.special never
+    code = (
+        f"import sys, {module}; "
+        "print(*[m for m in ('scipy.sparse', 'scipy.signal', 'scipy.special') "
+        "if m in sys.modules])"
+    )
+    assert run_fresh(code) == "\n"
+
+
+def test_phantom_command_leaves_out_scipy_sparse(tmp_path):
+    out = tmp_path / "p.ctr"
+    code = (
+        "import sys; from lactdiff.cli import main; "
+        f"main(['phantom', '--kind', 'disks', '--size', '16', '--out', {str(out)!r}]); "
+        "print('scipy.sparse' in sys.modules)"
+    )
+    assert run_fresh(code) == "False\n"
+    assert read_raster(out).shape == (16, 16)
+    assert "version.scipy" not in (tmp_path / "p.manifest.txt").read_text()
+
+
+def test_first_plan_build_loads_scipy_sparse():
+    # a fresh process imports scipy.sparse at its first projection, and its
+    # products are the bytes this process computes
+    code = (
+        "import sys; import numpy as np; from lactdiff.core import Image; "
+        "from lactdiff.tomography import back_project, forward_project, make_limited_geometry; "
+        "before = 'scipy.sparse' in sys.modules; "
+        "geom = make_limited_geometry(16, 24, 12, 60.0); "
+        "sino = forward_project(Image(16, 16, np.arange(256.0).reshape(16, 16) / 256.0), geom); "
+        "back = back_project(sino, geom); "
+        "print(before, 'scipy.sparse' in sys.modules, "
+        "sino.data.tobytes().hex(), back.data.tobytes().hex())"
+    )
+    before, after, sino_hex, back_hex = run_fresh(code).split()
+    assert (before, after) == ("False", "True")
+    geom = make_limited_geometry(16, 24, 12, 60.0)
+    sino = forward_project(Image(16, 16, np.arange(256.0).reshape(16, 16) / 256.0), geom)
+    assert sino_hex == sino.data.tobytes().hex()
+    assert back_hex == back_project(sino, geom).data.tobytes().hex()
+
+
+def test_manifests_record_versions(tmp_path, capsys):
+    phantom, sino = tmp_path / "p.ctr", tmp_path / "s.ctr"
+    commands = {
+        "p.manifest.txt": ["phantom", "--kind", "disks", "--size", "16", "--out", str(phantom)],
+        "s.manifest.txt": ["project", "--in", str(phantom), "--views", "8",
+                           "--noise-std", "0.01", "--out", str(sino)],
+        "r.manifest.txt": ["reconstruct", "--method", "fbp", "--in", str(sino),
+                           "--size", "16", "--out", str(tmp_path / "r.ctr")],
+        "run/manifest.txt": ["sample", "--in", str(sino), "--size", "16", "--K", "3",
+                             "--T", "60", "--samples", "1", "--out-dir", str(tmp_path / "run")],
+    }
+    for manifest, argv in commands.items():
+        assert run(capsys, *argv)[0] == 0
+        lines = (tmp_path / manifest).read_text().splitlines()
+        versions = dict(line.split(": ", 1) for line in lines if line.startswith("version."))
+        want = {"version.lactdiff": lactdiff.__version__, "version.numpy": np.__version__}
+        # scipy is recorded when loaded, as every plan build loads it
+        if argv[0] != "phantom" or "scipy" in sys.modules:
+            want["version.scipy"] = sys.modules["scipy"].__version__
+        assert versions == want
 
 
 class TestPhantomCommand:
@@ -149,6 +217,17 @@ class TestProjectCommand:
                            "--views", "12", "--noise-std", std, "--out", str(out))
         assert code == 2
         assert "noise std" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("std", ["1e39", "1e308"])
+    def test_noise_beyond_float32_is_usage_error(self, phantom_file, tmp_path, capsys, std):
+        # 1e39 overflows only the float32 cast, 1e308 already the float64 sum
+        out = tmp_path / "s.ctr"
+        code, _, err = run(capsys, "project", "--in", str(phantom_file),
+                           "--views", "12", "--noise-std", std, "--out", str(out))
+        assert code == 2
+        assert "--noise-std" in err
         assert not out.exists()
 
     def test_negative_detector_count_is_usage_error(
