@@ -47,7 +47,6 @@ from .diffusion import (
     cosine_schedule,
     default_linear_schedule,
     forward_sample,
-    interpolate_variance,
     linear_schedule,
     respace,
     reverse_step,

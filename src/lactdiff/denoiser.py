@@ -1,8 +1,7 @@
 """Noise-prediction interface and analytic stand-ins for a trained network.
 
 A denoiser maps a stack of chain states x_t, a timestep t and a condition to
-a noise estimate eps (and optionally a per-pixel variance-interpolation
-coefficient v in [0, 1]).  For Gaussian mixture priors the minimum-MSE
+a noise estimate eps.  For Gaussian mixture priors the minimum-MSE
 estimator E[x0 | x_t] is available in closed form, which yields an exact
 eps-predictor:
 
@@ -18,7 +17,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Protocol, Tuple
+from typing import Protocol
 
 import numpy as np
 
@@ -54,40 +53,32 @@ class Denoiser(Protocol):
     """A noise predictor for a stack of chain states.
 
     denoise(x, t, cond) takes an (n, rows, cols) float64 stack x at original
-    timestep t and returns (eps, v): the eps stack of x's shape, and v either
-    None (the reverse variance is the schedule's lower bound) or a stack of
-    x's shape with variance-interpolation coefficients in [0, 1].  Row i of
-    eps and v depends only on x[i], t and cond, never on the other rows or
-    on n, so a chain gets the same bits alone or in a batch.  A model must
-    accept cond.source == NONE.
+    timestep t and returns the eps stack, of x's shape.  Row i of eps
+    depends only on x[i], t and cond, never on the other rows or on n, so a
+    chain gets the same bits alone or in a batch.  A model must accept
+    cond.source == NONE.
     """
 
-    def denoise(
-        self, x: np.ndarray, t: int, cond: ConditionInput
-    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    def denoise(self, x: np.ndarray, t: int, cond: ConditionInput) -> np.ndarray:
         ...
 
 
-def denoise(model: Denoiser, x: np.ndarray, t: int, cond: ConditionInput):
-    """model.denoise(x, t, cond) with its inputs and outputs checked.
+def denoise(model: Denoiser, x: np.ndarray, t: int, cond: ConditionInput) -> np.ndarray:
+    """model.denoise(x, t, cond) with its inputs and output checked.
 
-    x must be an (n, rows, cols) stack matching the condition image, eps
-    must have x's shape, and v, when not None, x's shape and values in
-    [0, 1].
+    x must be an (n, rows, cols) stack matching the condition image, and
+    eps an array of x's shape.
     """
     if x.ndim != 3:
         raise DimensionError(f"expected an (n, rows, cols) stack, got shape {x.shape}")
     if cond.source is not ConditionSource.NONE and cond.image.shape != x.shape[1:]:
         raise DimensionError(f"condition {cond.image.shape} does not match sample {x.shape[1:]}")
-    eps, v = model.denoise(x, t, cond)
+    eps = model.denoise(x, t, cond)
+    if not isinstance(eps, np.ndarray):
+        raise DimensionError(f"denoiser returned a {type(eps).__name__}, not an eps array")
     if eps.shape != x.shape:
         raise DimensionError(f"denoiser returned eps of shape {eps.shape}")
-    if v is not None:
-        if v.shape != x.shape:
-            raise DimensionError("v head shape differs from eps shape")
-        if not (v.min() >= 0.0 and v.max() <= 1.0):
-            raise DataError("variance coefficient v must lie in [0, 1]")
-    return eps, v
+    return eps
 
 
 def guided_epsilon(eps_cond: np.ndarray, eps_uncond: np.ndarray, lam: float) -> np.ndarray:
@@ -257,12 +248,7 @@ def _eps_from_posterior_mean(x: np.ndarray, post_mean: np.ndarray, ab: float) ->
 
 
 class GmmDenoiser:
-    """Exact eps-predictor for a Gaussian-mixture data distribution.
-
-    Returns v = None, the lower-bound reverse variance; the exact
-    reverse variance of an analytic model is distribution dependent, and the
-    lower bound is the conservative fallback.
-    """
+    """Exact eps-predictor for a Gaussian-mixture data distribution."""
 
     def __init__(self, prior: GmmPrior, sched: NoiseSchedule):
         self.prior = prior
@@ -272,7 +258,7 @@ class GmmDenoiser:
         flat = x.reshape(x.shape[0], -1)
         post = _gmm_posterior_mean_rows(self.prior, flat, t, self.sched)
         eps = _eps_from_posterior_mean(flat, post, self.sched.alpha_bar_at(t))
-        return eps.reshape(x.shape), None
+        return eps.reshape(x.shape)
 
 
 def gmm_denoiser(prior: GmmPrior, sched: NoiseSchedule) -> GmmDenoiser:
@@ -426,7 +412,7 @@ class ConditionalGmmDenoiser:
         flat = x.reshape(x.shape[0], -1)
         post = self._posterior_mean_rows(flat, parts)
         eps = _eps_from_posterior_mean(flat, post, ab)
-        return eps.reshape(x.shape), None
+        return eps.reshape(x.shape)
 
 
 def conditional_gmm_denoiser(

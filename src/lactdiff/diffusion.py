@@ -161,44 +161,26 @@ def forward_sample(x0, t: int, eps, sched: NoiseSchedule):
     return math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * eps
 
 
-def interpolate_variance(v, t: int, sched: NoiseSchedule):
-    """Reverse variance exp(v*log beta_t + (1-v)*log beta_tilde_t), elementwise
-    over a float64 array of coefficients v.
-
-    At t = 1 the lower bound is exactly zero and the log-interpolation
-    degenerates, so the variance is forced to zero there.
-    """
-    t = _check_t(t, sched.T)
-    if t == 1:
-        return np.zeros_like(v)
-    log_beta = math.log(sched.beta_at(t))
-    log_bt = math.log(sched.beta_tilde_at(t))
-    return np.exp(v * log_beta + (1.0 - v) * log_bt)
-
-
 def reverse_step(x_t, eps_hat, sigma2, t: int, sched: NoiseSchedule, z):
     """One reverse transition from level t to t-1, on float64 arrays.
 
     (1/sqrt(alpha_t)) * (x_t - ((1 - alpha_t)/sqrt(1 - alpha_bar_t)) * eps_hat)
-    plus sqrt(sigma2) * z elementwise.  eps_hat has the shape of x_t; sigma2
-    and z are each a scalar or an array of that shape.  The sampler applies
-    it to the (n, rows*cols) stack of all its chains at once.
+    plus sqrt(sigma2) * z elementwise.  eps_hat has the shape of x_t, sigma2
+    is a float >= 0, and z a scalar or an array of x_t's shape.  The sampler
+    applies it to the (n, rows*cols) stack of all its chains at once.
     """
     # attribute reads and scalar comparisons only: this runs on every step
     if eps_hat.shape != x_t.shape:
         raise DimensionError(f"reverse_step: eps_hat has shape {eps_hat.shape}, x_t {x_t.shape}")
-    for name, operand in (("sigma2", sigma2), ("z", z)):
-        shape = getattr(operand, "shape", ())
-        if shape and shape != x_t.shape:
-            raise DimensionError(f"reverse_step: {name} has shape {shape}, x_t {x_t.shape}")
-    array = isinstance(sigma2, np.ndarray)
-    if np.any(sigma2 < 0.0) if array else sigma2 < 0.0:
+    shape = getattr(z, "shape", ())
+    if shape and shape != x_t.shape:
+        raise DimensionError(f"reverse_step: z has shape {shape}, x_t {x_t.shape}")
+    if sigma2 < 0.0:
         raise ParameterError("reverse variance must be non-negative")
     alpha = sched.alpha_at(t)
     ab = sched.alpha_bar_at(t)
     mean = (x_t - ((1.0 - alpha) / math.sqrt(1.0 - ab)) * eps_hat) / math.sqrt(alpha)
-    # both square roots are correctly rounded; math.sqrt skips numpy's scalar path
-    return mean + (np.sqrt(sigma2) if array else math.sqrt(sigma2)) * z
+    return mean + math.sqrt(sigma2) * z
 
 
 def respace(sched: NoiseSchedule, K: int) -> TimestepMap:
@@ -207,11 +189,14 @@ def respace(sched: NoiseSchedule, K: int) -> TimestepMap:
     K evenly spaced reals spanning [1, T] are rounded to the nearest integer
     and deduplicated ascending; the shortened schedule reuses the original
     alpha_bar values at those indices exactly and rederives alpha as their
-    ratios, then beta and beta_tilde from those.
+    ratios, then beta and beta_tilde from those.  K = T keeps every step and
+    returns sched itself.
     """
     K = int(K)
-    if not 1 <= K < sched.T:
-        raise ParameterError(f"K must satisfy 1 <= K < T={sched.T}, got {K}")
+    if not 1 <= K <= sched.T:
+        raise ParameterError(f"K must satisfy 1 <= K <= T={sched.T}, got {K}")
+    if K == sched.T:
+        return TimestepMap(np.arange(1, K + 1), sched)
     raw = np.linspace(1.0, float(sched.T), K)
     indices = np.unique(np.round(raw).astype(np.int64))
     ab = sched.alpha_bar[indices - 1].copy()

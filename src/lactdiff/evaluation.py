@@ -27,6 +27,8 @@ class PhantomSpec:
     def __post_init__(self):
         if self.size < 8:
             raise ParameterError(f"phantom size must be >= 8, got {self.size}")
+        if not 0 <= self.seed < (1 << 64):
+            raise ParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 
 
 # Classic head phantom: additive intensity, semi-axes, center, tilt (degrees)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import DimensionError, Image, NumericalError, ParameterError, SeededRng, Sinogram
 from .denoiser import ConditionInput, ConditionSource, Denoiser, denoise, guided_epsilon
-from .diffusion import NoiseSchedule, interpolate_variance, respace, reverse_step
+from .diffusion import NoiseSchedule, respace, reverse_step
 from .solvers import CgReport, ProxConfig, prox_consistency, rls_reconstruct
 from .tomography import FilterKind, Geometry, TomoOperator, fbp_reconstruct
 
@@ -156,15 +156,8 @@ def _run_chains(
             raise DimensionError(
                 f"measurements have dim {y.size}, operator expects {operator.shape[0]}"
             )
-    if cfg.steps > sched.T:
-        raise ParameterError(f"steps={cfg.steps} exceeds schedule length {sched.T}")
-    if cfg.steps == sched.T:
-        chain_sched = sched
-        indices = np.arange(1, sched.T + 1)
-    else:
-        tmap = respace(sched, cfg.steps)
-        chain_sched = tmap.schedule
-        indices = tmap.indices
+    tmap = respace(sched, cfg.steps)
+    chain_sched = tmap.schedule
     K = chain_sched.T
     rows, cols = shape
     n = len(seeds)
@@ -179,22 +172,17 @@ def _run_chains(
 
     for k in range(K, 0, -1):
         step_index = K - k  # 0 for the first (noisiest) step
-        t_orig = int(indices[k - 1])
+        t_orig = int(tmap.indices[k - 1])
         stack = x.reshape(n, rows, cols)
-        eps, v = denoise(model, stack, t_orig, cond)
+        eps = denoise(model, stack, t_orig, cond)
         if cfg.guidance != 1.0:
-            eps_u, _ = denoise(uncond_model, stack, t_orig, cond_none)
+            eps_u = denoise(uncond_model, stack, t_orig, cond_none)
             eps = guided_epsilon(eps, eps_u, cfg.guidance)
         eps = eps.reshape(n, -1)
         if k == 1:
             sigma2, z = 0.0, 0.0
         else:
-            sigma2 = (
-                chain_sched.beta_tilde_at(k)
-                if v is None
-                else interpolate_variance(v.reshape(n, -1), k, chain_sched)
-            )
-            z = next(noise)
+            sigma2, z = chain_sched.beta_tilde_at(k), next(noise)
         x = reverse_step(x, eps, sigma2, k, chain_sched, z)
         # the samples are float32 rasters, so a state they cannot hold is invalid;
         # the max is NaN when any entry is, so NaN fails too
@@ -237,9 +225,9 @@ def sample_posterior(
     """Run one reverse chain and return the reconstructed image.
 
     The chain draws its start from N(0, I), then for each shortened step:
-    noise prediction (guidance-blended when the weight is not 1), variance
-    from the v head or the schedule lower bound, the stochastic reverse
-    update (no noise on the final step), and the consistency prox when
+    noise prediction (guidance-blended when the weight is not 1), the
+    stochastic reverse update with the schedule's lower-bound variance
+    beta_tilde (no noise on the final step), and the consistency prox when
     enabled.  The denoiser receives original-schedule timestep indices.
     The chain draws from SeededRng(seed), so everything is a pure function
     of (seed, config, inputs); with seed chain_seeds(cfg.seed, n)[i] the

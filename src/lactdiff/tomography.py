@@ -124,7 +124,9 @@ class Geometry:
                 dtype=np.float64,
             ).tobytes()
         )
-        h.update(self.angles_deg.tobytes())
+        # the angles as a sinogram stores them, so that a geometry rebuilt
+        # from that sinogram has the digest of the one that projected it
+        h.update(self.angles_deg.astype(np.float32).tobytes())
         return h.hexdigest()[:16]
 
     @cached_property

@@ -178,7 +178,7 @@ def test_criterion_04_analytic_score():
                 t = int(t)
                 x = rng.standard_normal(dim)
                 ab = TRAIN_SCHED.alpha_bar_at(t)
-                eps, _ = model.denoise(x.reshape(1, 1, dim), t, cond)
+                eps = model.denoise(x.reshape(1, 1, dim), t, cond)
                 eps = eps.ravel()
                 h = 1e-4
                 grad = np.empty(dim)

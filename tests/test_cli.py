@@ -143,6 +143,27 @@ def test_manifests_record_versions(tmp_path, capsys):
         assert versions == want
 
 
+def test_one_acquisition_has_one_geometry_digest(tmp_path, capsys):
+    # 45 views over 60 degrees: steps of 4/3 degree, which float32 rounds
+    phantom, sino = tmp_path / "p.ctr", tmp_path / "s.ctr"
+    commands = {
+        "s.manifest.txt": ["project", "--in", str(phantom), "--views", "45",
+                           "--theta-max", "60", "--out", str(sino)],
+        "r.manifest.txt": ["reconstruct", "--method", "fbp", "--in", str(sino),
+                           "--size", "32", "--out", str(tmp_path / "r.ctr")],
+        "run/manifest.txt": ["sample", "--in", str(sino), "--size", "32", "--K", "3",
+                             "--T", "60", "--samples", "1", "--out-dir", str(tmp_path / "run")],
+    }
+    assert run(capsys, "phantom", "--kind", "shepp_logan", "--size", "32",
+               "--out", str(phantom))[0] == 0
+    digests = []
+    for manifest, argv in commands.items():
+        assert run(capsys, *argv)[0] == 0
+        lines = (tmp_path / manifest).read_text().splitlines()
+        digests += [line for line in lines if line.startswith("geometry.digest: ")]
+    assert len(digests) == 3 and len(set(digests)) == 1
+
+
 class TestPhantomCommand:
     def test_writes_valid_raster(self, tmp_path, capsys):
         out = tmp_path / "p.ctr"
@@ -165,6 +186,17 @@ class TestPhantomCommand:
         code, _, err = run(capsys, "phantom", "--kind", "disks", "--size", "4",
                            "--out", str(tmp_path / "p.ctr"))
         assert code == 2
+
+    @pytest.mark.parametrize("kind", ["shepp_logan", "disks", "ellipses"])
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_seed_outside_64_bits_is_usage_error(self, tmp_path, capsys, kind, seed):
+        # the seed is checked whether or not the kind draws from it
+        out = tmp_path / "p.ctr"
+        code, _, err = run(capsys, "phantom", "--kind", kind, "--size", "16",
+                           "--seed", seed, "--out", str(out))
+        assert code == 2
+        assert "seed" in err
+        assert not out.exists()
 
     def test_unknown_kind_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

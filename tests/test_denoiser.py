@@ -28,17 +28,17 @@ SCHED = default_linear_schedule(1000)
 
 class ZeroDenoiser:
     def denoise(self, x, t, cond):
-        return np.zeros_like(x), None
+        return np.zeros_like(x)
 
 
 class FixedOutput:
-    """Returns the given eps and v whatever its input."""
+    """Returns the given output whatever its input."""
 
-    def __init__(self, eps, v=None):
-        self.eps, self.v = eps, v
+    def __init__(self, out):
+        self.out = out
 
     def denoise(self, x, t, cond):
-        return self.eps, self.v
+        return self.out
 
 
 def none_cond(rows, cols):
@@ -48,15 +48,15 @@ def none_cond(rows, cols):
 class TestInterface:
     def test_zero_stub(self):
         x = np.ones((1, 2, 2))
-        eps, v = denoise(ZeroDenoiser(), x, 10, none_cond(2, 2))
-        assert np.all(eps == 0.0) and v is None
+        eps = denoise(ZeroDenoiser(), x, 10, none_cond(2, 2))
+        assert np.all(eps == 0.0)
 
     def test_purity(self):
         prior = GmmPrior(4, [1.0], np.zeros((1, 4)), [1.0])
         model = gmm_denoiser(prior, SCHED)
         x = np.array([[[0.1, -0.5], [2.0, 0.3]]])
-        a, _ = denoise(model, x, 500, none_cond(2, 2))
-        b, _ = denoise(model, x, 500, none_cond(2, 2))
+        a = denoise(model, x, 500, none_cond(2, 2))
+        b = denoise(model, x, 500, none_cond(2, 2))
         assert a.tobytes() == b.tobytes()
 
     def test_unconditional_input_accepted_everywhere(self):
@@ -69,15 +69,11 @@ class TestInterface:
             TableDenoiser([-1.0, 1.0], [-1.0, 1.0]),
             ZeroDenoiser(),
         ):
-            eps, _ = denoise(model, x, 100, cond)
+            eps = denoise(model, x, 100, cond)
             assert np.all(np.isfinite(eps))
 
     def test_stack_rows_equal_single_row_calls(self):
         # row i of a stack's answer is the answer for x[i] alone, bit for bit
-        class HalfVHead:
-            def denoise(self, x, t, cond):
-                return x, np.full(x.shape, 0.5)
-
         rng = np.random.default_rng(12)
         prior = GmmPrior(4, [0.4, 0.6], rng.standard_normal((2, 4)), [0.5, 1.2])
         stack = rng.standard_normal((3, 2, 2))
@@ -86,15 +82,12 @@ class TestInterface:
             gmm_denoiser(prior, SCHED),
             conditional_gmm_denoiser(prior, rng.standard_normal((2, 4)), np.zeros(2), 1.0, SCHED),
             TableDenoiser([-1.0, 1.0], [-2.0, 2.0]),
-            HalfVHead(),
         ):
-            eps, v = denoise(model, stack, 300, cond)
+            eps = denoise(model, stack, 300, cond)
             assert eps.shape == stack.shape
             for i in range(len(stack)):
-                alone, _ = denoise(model, stack[i : i + 1], 300, cond)
+                alone = denoise(model, stack[i : i + 1], 300, cond)
                 assert eps[i].tobytes() == alone[0].tobytes()
-            assert (v is None) == (not isinstance(model, HalfVHead))
-        assert np.all(v == 0.5)
 
     def test_condition_shape_checked(self):
         x = np.ones((1, 2, 2))
@@ -106,17 +99,6 @@ class TestInterface:
         with pytest.raises(DataError):
             ConditionInput(Image(1, 2, [[0.0, 1.5]]), ConditionSource.FBP)
 
-    def test_v_head_range_checked(self):
-        x = np.zeros((2, 1, 2))
-        eps = np.zeros_like(x)
-        for bad in (1.5, -1e-3, np.nan):
-            v = np.full(x.shape, 0.5)
-            v[1, 0, 1] = bad
-            with pytest.raises(DataError):
-                denoise(FixedOutput(eps, v), x, 10, none_cond(1, 2))
-        _, v = denoise(FixedOutput(eps, np.ones(x.shape)), x, 10, none_cond(1, 2))
-        assert np.all(v == 1.0)
-
     def test_shapes_checked(self):
         x = np.zeros((2, 1, 2))
         cond = none_cond(1, 2)
@@ -124,8 +106,10 @@ class TestInterface:
             denoise(ZeroDenoiser(), x[0], 10, cond)  # one image, not a stack
         with pytest.raises(DimensionError):
             denoise(FixedOutput(np.zeros((2, 2))), x, 10, cond)
-        with pytest.raises(DimensionError):
-            denoise(FixedOutput(np.zeros_like(x), np.zeros((1, 1, 2))), x, 10, cond)
+        # the contract is eps alone: a pair, or anything else not an array, is refused
+        for out in ((np.zeros_like(x), None), x.tolist(), None):
+            with pytest.raises(DimensionError):
+                denoise(FixedOutput(out), x, 10, cond)
 
 
 class TestPosteriorMean:
@@ -200,7 +184,7 @@ class TestScoreIdentity:
             for t in (3, 77, 512, 900):
                 x = rng.standard_normal(dim)
                 ab = SCHED.alpha_bar_at(t)
-                eps, _ = model.denoise(x.reshape(1, 1, dim), t, none_cond(1, dim))
+                eps = model.denoise(x.reshape(1, 1, dim), t, none_cond(1, dim))
                 eps = eps.ravel()
                 h = 1e-4
                 grad = np.empty(dim)
@@ -214,16 +198,17 @@ class TestScoreIdentity:
                     ) / (2.0 * h)
                 assert np.abs(eps + np.sqrt(1.0 - ab) * grad).max() <= 1e-4
 
-    def test_v_head_defaults_to_lower_bound(self):
-        # v None: the sampler uses the schedule's lower bound beta_tilde_t
+    def test_models_return_eps_only(self):
+        # the shipped models answer with the eps stack alone, a float64 array
         prior = GmmPrior(2, [1.0], np.zeros((1, 2)), [1.0])
         x = np.array([[[0.0, 1.0]]])
         for model in (
             gmm_denoiser(prior, SCHED),
             conditional_gmm_denoiser(prior, np.eye(2), np.zeros(2), 1.0, SCHED),
         ):
-            _, v = model.denoise(x, 100, none_cond(1, 2))
-            assert v is None
+            eps = model.denoise(x, 100, none_cond(1, 2))
+            assert isinstance(eps, np.ndarray)
+            assert eps.shape == x.shape and eps.dtype == np.float64
 
 
 class TestConditionalDenoiser:
@@ -233,8 +218,8 @@ class TestConditionalDenoiser:
         uncond = gmm_denoiser(prior, SCHED)
         cond = conditional_gmm_denoiser(prior, np.zeros((3, 4)), np.zeros(3), 1.0, SCHED)
         x = rng.standard_normal((1, 2, 2))
-        a, _ = uncond.denoise(x, 600, none_cond(2, 2))
-        b, _ = cond.denoise(x, 600, none_cond(2, 2))
+        a = uncond.denoise(x, 600, none_cond(2, 2))
+        b = cond.denoise(x, 600, none_cond(2, 2))
         assert np.allclose(a, b, atol=1e-12)
 
     def test_exact_observation_limit(self):
@@ -245,7 +230,7 @@ class TestConditionalDenoiser:
         t = 700
         ab = SCHED.alpha_bar_at(t)
         x = rng.standard_normal(3)
-        eps, _ = model.denoise(x.reshape(1, 1, 3), t, none_cond(1, 3))
+        eps = model.denoise(x.reshape(1, 1, 3), t, none_cond(1, 3))
         post_mean = (x - np.sqrt(1.0 - ab) * eps.ravel()) / np.sqrt(ab)
         assert np.allclose(post_mean, y, atol=1e-6)
         expected = (x - np.sqrt(ab) * y) / np.sqrt(1.0 - ab)
@@ -282,9 +267,9 @@ class TestConditionalDenoiser:
         x = stack.reshape(500, dim)
         cond = none_cond(4, 4)
         for t in (50, 500, 950):
-            alone = np.concatenate([denoise(model, row[None], t, cond)[0] for row in stack])
+            alone = np.concatenate([denoise(model, row[None], t, cond) for row in stack])
             for n in (1, 2, 7, 50, 500):
-                eps, _ = denoise(model, stack[:n], t, cond)
+                eps = denoise(model, stack[:n], t, cond)
                 assert eps.tobytes() == alone[:n].tobytes()
             # dense oracle: solve with each component's diffused covariance
             ab = SCHED.alpha_bar_at(t)
@@ -318,9 +303,9 @@ class TestConditionalDenoiser:
         steps = [1, 2, 300, 301, 999, 1000]
         for t in np.concatenate([rng.permutation(steps), rng.permutation(steps)]):
             stack = rng.standard_normal((7, 4, 4))
-            eps, _ = denoise(model, stack, int(t), cond)
+            eps = denoise(model, stack, int(t), cond)
             fresh = conditional_gmm_denoiser(prior, mat, y, 0.05, SCHED)
-            assert eps.tobytes() == denoise(fresh, stack, int(t), cond)[0].tobytes()
+            assert eps.tobytes() == denoise(fresh, stack, int(t), cond).tobytes()
         assert sorted(model._tables) == steps
 
     def test_step_tables_stop_at_their_byte_limit(self, monkeypatch):
@@ -334,7 +319,7 @@ class TestConditionalDenoiser:
         for t in (5, 9, 700, 5, 700, 9):
             x = rng.standard_normal((4, 1, 3))
             fresh = conditional_gmm_denoiser(prior, mat, y, 0.1, SCHED)
-            assert denoise(model, x, t, cond)[0].tobytes() == denoise(fresh, x, t, cond)[0].tobytes()
+            assert denoise(model, x, t, cond).tobytes() == denoise(fresh, x, t, cond).tobytes()
         assert sorted(model._tables) == [5, 9]
 
     def test_dimension_validation(self):
@@ -432,7 +417,7 @@ class TestTableDenoiser:
         path = tmp_path / "knots.txt"
         path.write_text("# knots\n-1.0 -0.5\n0.0 0.0\n2.0 1.0\n")
         model = TableDenoiser.from_file(path)
-        eps, _ = model.denoise(np.array([[[-1.0, 1.0, 3.0]]]), 5, none_cond(1, 3))
+        eps = model.denoise(np.array([[[-1.0, 1.0, 3.0]]]), 5, none_cond(1, 3))
         assert np.allclose(eps.ravel(), [-0.5, 0.5, 1.0], atol=1e-7)
 
     def test_knot_validation(self):

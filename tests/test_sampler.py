@@ -189,7 +189,7 @@ class TestChain:
                 self.value = value
 
             def denoise(self, x, t, cond):
-                return np.full(x.shape, self.value), None
+                return np.full(x.shape, self.value)
 
         cfg = SamplerConfig(steps=5, seed=0)
         for value in (-3e38, np.nan, np.inf):
@@ -214,7 +214,7 @@ class TestChain:
                     # reverse_step's mean (x - (1-alpha)/sqrt(1-ab) eps)/sqrt(alpha)
                     # lands at about `state`
                     eps[1, 0, 1] = -state * np.sqrt(alpha) * np.sqrt(1.0 - ab) / (1.0 - alpha)
-                return eps, None
+                return eps
 
         with pytest.raises(NumericalError, match=rf"at step {k} \(t={t_bad}\)"):
             draw_samples(Poisoned(), None, None, (2, 2), ConditionInput.none(2, 2), SCHED, cfg)
@@ -254,12 +254,12 @@ class TestChain:
         )
 
     def test_elementwise_model_chains_match_lone_runs(self):
-        class ShrinkWithVHead:
+        class Shrink:
             def denoise(self, x, t, cond):
-                return 0.8 * x, np.full(x.shape, 0.5)
+                return 0.8 * x
 
         cfg = SamplerConfig(steps=12, seed=2, n_samples=3)
-        for model in (TableDenoiser([-4.0, 0.0, 4.0], [-3.2, 0.0, 3.2]), ShrinkWithVHead()):
+        for model in (TableDenoiser([-4.0, 0.0, 4.0], [-3.2, 0.0, 3.2]), Shrink()):
             assert_chains_match_lone_runs(
                 model, None, None, (3, 3), ConditionInput.none(3, 3), cfg
             )
