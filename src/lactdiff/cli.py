@@ -155,8 +155,9 @@ def _write_manifest(path: Path, argv, fields: dict, traces=None, seeds=()) -> No
         f"version.lactdiff: {__version__}",
         f"version.numpy: {np.__version__}",
     ]
-    # scipy is recorded when the run loaded it (every stencil plan build does),
-    # and is not imported just to be recorded
+    # scipy is recorded when the run loaded it (every stencil plan build does,
+    # and a one-off projection builds none), and is not imported just to be
+    # recorded
     scipy = sys.modules.get("scipy")
     if scipy is not None:
         lines.append(f"version.scipy: {scipy.__version__}")
@@ -222,11 +223,12 @@ def _cmd_project(args, argv) -> int:
         raise ParameterError(f"noise std must be finite and >= 0, got {args.noise_std}")
     if args.detectors < 0:
         raise ParameterError(f"detector count must be >= 0, got {args.detectors}")
+    # checks the seed range whether or not any noise is drawn
+    rng = SeededRng(args.seed)
     detectors = args.detectors if args.detectors > 0 else default_detectors(image.rows)
     geom = make_limited_geometry(image.rows, detectors, args.views, args.theta_max)
     sino = forward_project(image, geom)
     if args.noise_std > 0.0:
-        rng = SeededRng(args.seed)
         noise = rng.standard_normal(sino.views * sino.detectors).reshape(sino.shape)
         # the sinogram is a float32 raster; a std near the float64 limit
         # overflows to inf here, which the range check rejects too

@@ -4,6 +4,13 @@ The forward projector is ray-driven with linear interpolation along the
 driving axis; the backprojector is the exact transpose of the same stencil,
 so the pair satisfies the adjoint identity <Ax, y> = <x, A^T y> to round-off.
 
+A product takes one of two paths, with the same bits.  TomoOperator, which
+iterative solvers call many times, builds the geometry's CSR stencil plan
+(and imports scipy.sparse) on first use and multiplies by it.  The one-off
+products (project_array, backproject_array and the functions built on them)
+use the plan when the geometry already holds one, and otherwise stream the
+stencil a view at a time with numpy alone.
+
 Coordinate conventions, frozen so sinograms are portable:
   pixel (row i, col j) center at ((j - (cols-1)/2), ((rows-1)/2 - i)) * pixel_size
   detector bin d at signed offset (d - (detectors-1)/2) * detector_spacing
@@ -12,7 +19,6 @@ Coordinate conventions, frozen so sinograms are portable:
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import hashlib
 import math
@@ -45,7 +51,9 @@ class Geometry:
     The detector array must span the image diagonal (no truncation of the
     object); construction fails otherwise.  A geometry owns its stencil plan
     and its ||A^T A||: each is computed on first use and lives as long as
-    the geometry does.
+    the geometry does.  Only TomoOperator products (so the solvers and the
+    norm estimate) build the plan; a one-off product on a geometry that
+    holds none streams the stencil instead (project_array, backproject_array).
     """
 
     image_rows: int
@@ -134,7 +142,7 @@ class Geometry:
         """The whole (V*D, R*C) CSR stencil plan, built on first use.
 
         None when its estimated entry count exceeds _PLAN_NNZ_LIMIT; products
-        then build it a chunk of views at a time (_plan_blocks).
+        then stream the stencil a view at a time.
         """
         if self.n_views * _view_nnz_bound(self) > _PLAN_NNZ_LIMIT:
             return None
@@ -224,7 +232,7 @@ def _view_coords(geom: Geometry, theta_deg: float, out=None):
 
 
 # A geometry keeps its whole plan when the estimated entry count is at most
-# this; above it, each product builds the plan a chunk of views at a time.
+# this; above it, each product streams the stencil a view at a time.
 _PLAN_NNZ_LIMIT = 40_000_000
 
 
@@ -234,7 +242,8 @@ def _view_nnz_bound(geom: Geometry) -> int:
 
 
 def _stencil_work(geom: Geometry):
-    """Work arrays for one view, shared by all the views of a plan build.
+    """Work arrays for one view, shared by all the views of a plan build or
+    of a streamed product.
 
     Fresh arrays for every view cost a new process more than the arithmetic
     on them: the allocator returns them to the system between views, and the
@@ -254,9 +263,10 @@ def _stencil_work(geom: Geometry):
 def _view_stencil(geom: Geometry, theta_deg: float, work):
     """One view's in-range stencil entries, detector row by detector row.
 
-    Returns (cols, weights): the int32 flat pixel index and the coefficient
-    of every j0 / j0+1 interpolation entry that falls inside the image, each
-    detector row in ascending column order.  work is from _stencil_work.
+    Returns (cols, weights, counts): the int32 flat pixel index and the
+    coefficient of every j0 / j0+1 interpolation entry that falls inside the
+    image, each detector row in ascending column order, and the number of
+    entries in each detector row.  work is from _stencil_work.
     """
     coord_buf, floor_buf, weight_buf, idx_buf, keep_buf = work
     drive_rows, coord, weight = _view_coords(geom, theta_deg, out=coord_buf)
@@ -284,10 +294,11 @@ def _view_stencil(geom: Geometry, theta_deg: float, work):
     weights = weights.reshape(det, 2 * n_drive)
     # a negative index wraps to a large unsigned one
     keep = np.less(idx.view(np.uint32), interp_n, out=keep_buf[: 2 * size].reshape(det, -1))
+    counts = np.count_nonzero(keep, axis=1)
     if drive_rows:
         # columns rise with the drive index, and j0 < j0+1 within one step
         idx += np.arange(0, n_drive * cols_n, cols_n, dtype=np.int32).repeat(2)
-        return idx[keep], weights[keep]
+        return idx[keep], weights[keep], counts
     idx *= cols_n
     idx += np.tile(np.arange(n_drive, dtype=np.int32), 2)
     # a row never holds one pixel twice, so sorting by column is unambiguous
@@ -295,7 +306,7 @@ def _view_stencil(geom: Geometry, theta_deg: float, work):
     order += np.arange(0, idx.size, 2 * n_drive)[:, None]
     order = order.ravel()
     order = order[keep.ravel()[order]]
-    return idx.ravel()[order], weights.ravel()[order]
+    return idx.ravel()[order], weights.ravel()[order], counts
 
 
 def _build_stencil_matrix(geom: Geometry) -> sp.csr_matrix:
@@ -328,7 +339,7 @@ def _build_stencil_matrix(geom: Geometry) -> sp.csr_matrix:
     data = np.empty(indptr[-1], dtype=np.float64)
     for v, theta_deg in enumerate(geom.angles_deg):
         span = slice(indptr[v * det], indptr[(v + 1) * det])
-        indices[span], data[span] = _view_stencil(geom, theta_deg, work)
+        indices[span], data[span], _ = _view_stencil(geom, theta_deg, work)
     return sp.csr_matrix(
         (data, indices, indptr),
         shape=(geom.n_views * det, geom.image_rows * geom.image_cols),
@@ -343,34 +354,58 @@ def _stencil_plan(geom: Geometry) -> Optional[sp.csr_matrix]:
     return geom.plan
 
 
-def _plan_blocks(geom: Geometry):
-    """(first row, block, block.T) triples whose CSR blocks stack to the plan.
+def _holds_plan(geom: Geometry) -> bool:
+    """Whether a product has built geom's plan; asking never builds it."""
+    return geom.__dict__.get("plan") is not None
 
-    One triple holds the geometry's whole plan when it fits under
-    _PLAN_NNZ_LIMIT.  Otherwise each block covers as many consecutive views
-    as fit, and is built when it is reached and dropped after its product.
+
+def _stream_forward(x: np.ndarray, geom: Geometry) -> np.ndarray:
+    """A x from the stencil, one view at a time, without a plan or scipy.
+
+    np.add.at applies its updates one at a time, in index order, starting
+    from zero: the order in which csr_matvec sums a row of the plan, so the
+    result has the bits of geom.plan @ x.
     """
-    if geom.plan is not None:
-        yield 0, geom.plan, geom.plan_t
-        return
-    step = max(1, _PLAN_NNZ_LIMIT // _view_nnz_bound(geom))
-    for v in range(0, geom.n_views, step):
-        block = _build_stencil_matrix(
-            dataclasses.replace(geom, angles_deg=geom.angles_deg[v : v + step])
-        )
-        yield v * geom.detectors, block, block.T
+    det = geom.detectors
+    out = np.zeros((geom.n_views, det))
+    rows = np.arange(det)
+    work = _stencil_work(geom)
+    for v, theta_deg in enumerate(geom.angles_deg):
+        cols, weights, counts = _view_stencil(geom, theta_deg, work)
+        weights *= x[cols]
+        np.add.at(out[v], rows.repeat(counts), weights)
+    return out.ravel()
+
+
+def _stream_adjoint(y: np.ndarray, geom: Geometry) -> np.ndarray:
+    """A^T y from the stencil, one view at a time, without a plan or scipy.
+
+    The updates reach each pixel in plan row order, as in csc_matvec on
+    geom.plan_t, so the result has the bits of geom.plan_t @ y.  Summing a
+    view on its own first (np.bincount, np.add.reduceat) would not.
+    """
+    det = geom.detectors
+    out = np.zeros(geom.image_rows * geom.image_cols)
+    work = _stencil_work(geom)
+    for v, theta_deg in enumerate(geom.angles_deg):
+        cols, weights, counts = _view_stencil(geom, theta_deg, work)
+        weights *= y[v * det : (v + 1) * det].repeat(counts)
+        np.add.at(out, cols, weights)
+    return out
 
 
 def project_array(image: np.ndarray, geom: Geometry) -> np.ndarray:
-    """Forward projection of a float64 (rows, cols) array to (views, detectors)."""
+    """Forward projection of a float64 (rows, cols) array to (views, detectors).
+
+    Uses the plan when geom holds one, and streams the stencil otherwise.
+    """
     if image.shape != (geom.image_rows, geom.image_cols):
         raise DimensionError(
             f"image {image.shape} does not match geometry "
             f"{(geom.image_rows, geom.image_cols)}"
         )
     x = np.asarray(image, dtype=np.float64).ravel()
-    parts = [block @ x for _, block, _ in _plan_blocks(geom)]
-    out = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    out = geom.plan @ x if _holds_plan(geom) else _stream_forward(x, geom)
     return out.reshape(geom.n_views, geom.detectors)
 
 
@@ -382,12 +417,7 @@ def backproject_array(sino: np.ndarray, geom: Geometry) -> np.ndarray:
             f"{(geom.n_views, geom.detectors)}"
         )
     y = np.asarray(sino, dtype=np.float64).ravel()
-    parts = (
-        block_t @ y[row : row + block.shape[0]] for row, block, block_t in _plan_blocks(geom)
-    )
-    out = next(parts)
-    for part in parts:
-        out += part
+    out = geom.plan_t @ y if _holds_plan(geom) else _stream_adjoint(y, geom)
     return out.reshape(geom.image_rows, geom.image_cols)
 
 
@@ -465,8 +495,8 @@ def fbp_reconstruct(
 class TomoOperator:
     """Flattened-vector view of the projection pair for iterative solvers.
 
-    Products go through project_array and backproject_array, and so use the
-    plan that the geometry owns.
+    Products use the plan that the geometry owns, and build it on first use:
+    an iterative solver makes many.  Above _PLAN_NNZ_LIMIT they stream.
     """
 
     geom: Geometry
@@ -484,7 +514,9 @@ class TomoOperator:
                 f"vector of size {x.size} does not match image "
                 f"{(g.image_rows, g.image_cols)}"
             )
-        return project_array(x.reshape(g.image_rows, g.image_cols), g).ravel()
+        plan = g.plan
+        x = x.ravel()
+        return _stream_forward(x, g) if plan is None else plan @ x
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         g = self.geom
@@ -494,4 +526,6 @@ class TomoOperator:
                 f"vector of size {y.size} does not match sinogram "
                 f"{(g.n_views, g.detectors)}"
             )
-        return backproject_array(y.reshape(g.n_views, g.detectors), g).ravel()
+        plan_t = g.plan_t
+        y = y.ravel()
+        return _stream_adjoint(y, g) if plan_t is None else plan_t @ y

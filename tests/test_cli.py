@@ -32,13 +32,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def refuse_plan_builds(monkeypatch):
-    """Fail any stencil-plan build from here on."""
+def refuse_projections(monkeypatch):
+    """Fail any projection from here on, streamed or through a plan.
 
-    def refuse(geom):
-        raise AssertionError("a stencil plan was built")
+    Both paths compute the stencil of each view with _view_stencil.
+    """
 
-    monkeypatch.setattr(tomography, "_build_stencil_matrix", refuse)
+    def refuse(geom, theta_deg, work):
+        raise AssertionError("a projection ran")
+
+    monkeypatch.setattr(tomography, "_view_stencil", refuse)
 
 
 def count_builds_and_estimates(monkeypatch):
@@ -74,7 +77,7 @@ def loaded_by_cli_import(name):
 
 
 def test_cli_import_leaves_out_scipy_sparse():
-    # scipy.sparse loads at a geometry's first plan build; every process pays the import
+    # scipy.sparse loads at a geometry's first plan build, which only TomoOperator products make
     assert not loaded_by_cli_import("scipy.sparse")
 
 
@@ -101,24 +104,47 @@ def test_phantom_command_leaves_out_scipy_sparse(tmp_path):
 
 
 def test_first_plan_build_loads_scipy_sparse():
-    # a fresh process imports scipy.sparse at its first projection, and its
-    # products are the bytes this process computes
+    # in a fresh process, one-off projections stream the stencil without
+    # scipy; the first TomoOperator product builds the plan and imports
+    # scipy.sparse.  The products are the bytes this process computes.
     code = (
         "import sys; import numpy as np; from lactdiff.core import Image; "
-        "from lactdiff.tomography import back_project, forward_project, make_limited_geometry; "
-        "before = 'scipy.sparse' in sys.modules; "
+        "from lactdiff.tomography import TomoOperator, back_project, forward_project, "
+        "make_limited_geometry; "
         "geom = make_limited_geometry(16, 24, 12, 60.0); "
         "sino = forward_project(Image(16, 16, np.arange(256.0).reshape(16, 16) / 256.0), geom); "
         "back = back_project(sino, geom); "
-        "print(before, 'scipy.sparse' in sys.modules, "
+        "streamed = 'scipy.sparse' in sys.modules; "
+        "TomoOperator(geom).forward(np.ones(256)); "
+        "print(streamed, 'scipy.sparse' in sys.modules, "
         "sino.data.tobytes().hex(), back.data.tobytes().hex())"
     )
-    before, after, sino_hex, back_hex = run_fresh(code).split()
-    assert (before, after) == ("False", "True")
+    streamed, after, sino_hex, back_hex = run_fresh(code).split()
+    assert (streamed, after) == ("False", "True")
     geom = make_limited_geometry(16, 24, 12, 60.0)
     sino = forward_project(Image(16, 16, np.arange(256.0).reshape(16, 16) / 256.0), geom)
     assert sino_hex == sino.data.tobytes().hex()
     assert back_hex == back_project(sino, geom).data.tobytes().hex()
+
+
+def test_project_and_fbp_commands_leave_out_scipy_sparse(tmp_path):
+    # each makes one product, which streams; neither builds a plan
+    phantom, sino, recon = tmp_path / "p.ctr", tmp_path / "s.ctr", tmp_path / "r.ctr"
+    write_raster(phantom, Image(16, 16, np.arange(256.0).reshape(16, 16) / 256.0))
+    commands = [
+        ["project", "--in", str(phantom), "--views", "12", "--noise-std", "0.01",
+         "--out", str(sino)],
+        ["reconstruct", "--method", "fbp", "--in", str(sino), "--size", "16",
+         "--out", str(recon)],
+    ]
+    for argv in commands:
+        code = (
+            "import sys; from lactdiff.cli import main; "
+            f"code = main({argv!r}); print(code, 'scipy.sparse' in sys.modules)"
+        )
+        assert run_fresh(code) == "0 False\n"
+    for out in (sino, recon):
+        assert "version.scipy" not in out.with_suffix(".manifest.txt").read_text()
 
 
 def test_manifests_record_versions(tmp_path, capsys):
@@ -137,8 +163,9 @@ def test_manifests_record_versions(tmp_path, capsys):
         lines = (tmp_path / manifest).read_text().splitlines()
         versions = dict(line.split(": ", 1) for line in lines if line.startswith("version."))
         want = {"version.lactdiff": lactdiff.__version__, "version.numpy": np.__version__}
-        # scipy is recorded when loaded, as every plan build loads it
-        if argv[0] != "phantom" or "scipy" in sys.modules:
+        # scipy is recorded when loaded: a plan build loads it, and this
+        # process may have loaded it before
+        if "scipy" in sys.modules:
             want["version.scipy"] = sys.modules["scipy"].__version__
         assert versions == want
 
@@ -240,7 +267,7 @@ class TestProjectCommand:
     def test_negative_noise_fails_before_the_plan(
         self, phantom_file, tmp_path, capsys, monkeypatch
     ):
-        refuse_plan_builds(monkeypatch)
+        refuse_projections(monkeypatch)
         code, _, err = run(capsys, "project", "--in", str(phantom_file),
                            "--views", "12", "--noise-std", "-0.1",
                            "--out", str(tmp_path / "s.ctr"))
@@ -251,7 +278,7 @@ class TestProjectCommand:
     def test_non_finite_noise_is_usage_error(
         self, phantom_file, tmp_path, capsys, monkeypatch, std
     ):
-        refuse_plan_builds(monkeypatch)
+        refuse_projections(monkeypatch)
         out = tmp_path / "s.ctr"
         code, _, err = run(capsys, "project", "--in", str(phantom_file),
                            "--views", "12", "--noise-std", std, "--out", str(out))
@@ -274,12 +301,26 @@ class TestProjectCommand:
         self, phantom_file, tmp_path, capsys, monkeypatch
     ):
         # 0 asks for the default; a negative count is a mistake, not the default
-        refuse_plan_builds(monkeypatch)
+        refuse_projections(monkeypatch)
         out = tmp_path / "s.ctr"
         code, _, err = run(capsys, "project", "--in", str(phantom_file),
                            "--views", "12", "--detectors", "-5", "--out", str(out))
         assert code == 2
         assert "detector count" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("std", ["0", "0.01"])
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    def test_seed_outside_64_bits_is_usage_error(
+        self, phantom_file, tmp_path, capsys, monkeypatch, std, seed
+    ):
+        # the seed is checked whether or not noise is drawn, before projecting
+        refuse_projections(monkeypatch)
+        out = tmp_path / "s.ctr"
+        code, _, err = run(capsys, "project", "--in", str(phantom_file), "--views", "12",
+                           "--noise-std", std, "--seed", seed, "--out", str(out))
+        assert code == 2
+        assert "seed" in err
         assert not out.exists()
 
     def test_missing_input_is_io_error(self, tmp_path, capsys):
@@ -421,7 +462,7 @@ class TestReconstructAndMetrics:
     def test_rls_zero_iterations_is_usage_error(self, pipeline, tmp_path, capsys, monkeypatch):
         # as --method tv --iters 0 is
         _, sino = pipeline
-        refuse_plan_builds(monkeypatch)
+        refuse_projections(monkeypatch)
         out = tmp_path / "r.ctr"
         code, _, _ = run(capsys, "reconstruct", "--method", "rls", "--in", str(sino),
                          "--size", "32", "--iters", "0", "--out", str(out))
@@ -533,7 +574,7 @@ class TestSampleCommand:
     def test_bad_config_fails_before_the_condition(
         self, sino64, tmp_path, capsys, monkeypatch, steps, samples
     ):
-        refuse_plan_builds(monkeypatch)
+        refuse_projections(monkeypatch)
         code, _, _ = run(capsys, "sample", "--in", str(sino64), "--size", "24",
                          "--T", "60", "--K", steps, "--samples", samples,
                          "--out-dir", str(tmp_path / "bad"))
@@ -555,7 +596,7 @@ class TestSampleCommand:
     def test_bad_prior_std_fails_before_the_condition(
         self, sino64, tmp_path, capsys, monkeypatch, std
     ):
-        refuse_plan_builds(monkeypatch)
+        refuse_projections(monkeypatch)
         code, _, err = run(capsys, "sample", "--in", str(sino64), "--size", "24",
                            "--T", "60", "--K", "4", "--samples", "1", "--prior-std", std,
                            "--out-dir", str(tmp_path / "bad"))
@@ -567,7 +608,7 @@ class TestSampleCommand:
     def test_missing_prior_file_fails_before_the_condition(
         self, sino64, tmp_path, capsys, monkeypatch, flag
     ):
-        refuse_plan_builds(monkeypatch)
+        refuse_projections(monkeypatch)
         missing = tmp_path / "missing.txt"
         code, _, err = run(capsys, "sample", "--in", str(sino64), "--size", "24",
                            "--T", "60", "--K", "4", "--samples", "1", flag, str(missing),
@@ -580,7 +621,7 @@ class TestSampleCommand:
     def test_seed_outside_64_bits_is_usage_error(
         self, sino64, tmp_path, capsys, monkeypatch, seed
     ):
-        refuse_plan_builds(monkeypatch)
+        refuse_projections(monkeypatch)
         code, _, err = run(capsys, "sample", "--in", str(sino64), "--size", "24",
                            "--T", "60", "--K", "4", "--samples", "2", "--seed", seed,
                            "--out-dir", str(tmp_path / "bad"))

@@ -1,5 +1,5 @@
-"""Property tests: adjointness and the norm estimate over random small
-geometries, the TV difference pair, CTR1 files that were cut or altered, the
+"""Property tests: adjointness, the norm estimate and streamed products over
+random small geometries, the TV difference pair, CTR1 files that were cut or altered, the
 schedules for every length, the respaced schedule for every chain length, and
 the phantom rasterizer against a whole-grid reference."""
 
@@ -13,6 +13,7 @@ from lactdiff.core import DataError, FormatError, Image, Sinogram, read_raster, 
 from lactdiff.diffusion import cosine_schedule, default_linear_schedule, respace
 from lactdiff.evaluation import _HEAD_ELLIPSES, _SUBSAMPLE, _rasterize
 from lactdiff.solvers import _div2d, _grad2d, operator_norm_sq
+from lactdiff import tomography
 from lactdiff.tomography import Geometry, TomoOperator
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -55,6 +56,33 @@ def test_norm_estimate_matches_dense_eigenvalue(geom):
     mat = dense_tomo_matrix(geom)
     expected = np.linalg.eigvalsh(mat.T @ mat)[-1]
     assert operator_norm_sq(TomoOperator(geom)) == pytest.approx(expected, rel=1e-12)
+
+
+@st.composite
+def streamed_geometries(draw):
+    """Non-square images (both driving axes), 1-40 views anywhere in [0, 180),
+    detector counts from the fewest that cover the diagonal up."""
+    rows = draw(st.integers(1, 24))
+    cols = draw(st.integers(1, 24))
+    spacing = draw(st.floats(0.5, 2.0))
+    cover = math.ceil(math.hypot(rows, cols) / spacing)
+    detectors = cover + draw(st.integers(0, 8))
+    angles = draw(
+        st.lists(st.floats(0.0, 180.0, exclude_max=True), min_size=1, max_size=40, unique=True)
+    )
+    return Geometry(rows, cols, detectors, np.sort(angles), 1.0, spacing)
+
+
+@hypothesis.given(streamed_geometries(), st.integers(0, 2**32 - 1))
+# views at, below and above 45 and 135 degrees, where the driving axis changes
+@hypothesis.example(Geometry(9, 17, 20, [0.0, 44.9, 45.0, 45.1, 90.0, 134.9, 135.0, 135.1]), 0)
+def test_streamed_products_are_bit_equal_to_the_plan(geom, seed):
+    plan = tomography._build_stencil_matrix(geom)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(plan.shape[1])
+    y = rng.standard_normal(plan.shape[0])
+    assert np.array_equal(tomography._stream_forward(x, geom), plan @ x)
+    assert np.array_equal(tomography._stream_adjoint(y, geom), plan.T @ y)
 
 
 @hypothesis.given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 2**32 - 1))

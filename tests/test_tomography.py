@@ -224,68 +224,90 @@ class TestAdjoint:
             back_project(other, geom)
 
 
-def fresh_chunk_geometry() -> Geometry:
+def fresh_geometry() -> Geometry:
     # both driving axes on a non-square image; each test takes a new geometry,
     # because a geometry keeps the plan it builds on first use
     return Geometry(13, 21, 40, np.linspace(0.0, 179.0, 33))
 
 
 class TestPlanBlocks:
-    """Above _PLAN_NNZ_LIMIT, each product builds the plan a chunk of views at a time."""
+    """Each view's stencil is a block of plan rows.  Above _PLAN_NNZ_LIMIT the
+    geometry keeps no plan, and products stream those blocks one view at a
+    time, with the bits of the whole plan's products."""
 
     @staticmethod
-    def limit_views_per_block(monkeypatch, geom, views):
-        # the plan's estimate is views * _view_nnz_bound, so this makes a block
-        # hold `views` views, and the whole plan fit from 33 views up
+    def limit_views(monkeypatch, geom, views):
+        # the plan's estimate is views * _view_nnz_bound, so this keeps the
+        # whole plan from `views` = 33 (the geometry's view count) up
         limit = views * tomography._view_nnz_bound(geom)
         monkeypatch.setattr(tomography, "_PLAN_NNZ_LIMIT", limit)
 
     @pytest.mark.parametrize("views", [1, 7, 32, 33, 50])
     def test_blocks_stack_to_the_plan(self, monkeypatch, views):
-        geom = fresh_chunk_geometry()
+        geom = fresh_geometry()
         whole = tomography._build_stencil_matrix(geom)
-        self.limit_views_per_block(monkeypatch, geom, views)
-        blocks = list(tomography._plan_blocks(geom))
+        self.limit_views(monkeypatch, geom, views)
         if views >= geom.n_views:
             assert tomography._stencil_plan(geom) is not None
-            assert len(blocks) == 1 and blocks[0][1] is geom.plan
         else:
             assert tomography._stencil_plan(geom) is None
-            assert len(blocks) == -(-geom.n_views // views)
-        rows = [row for row, _, _ in blocks]
-        assert rows == [v * geom.detectors for v in range(0, geom.n_views, views)]
-        offsets = np.cumsum([0] + [block.nnz for _, block, _ in blocks])
-        indptr = np.concatenate(
-            [[0]] + [block.indptr[1:] + off for (_, block, _), off in zip(blocks, offsets)]
-        )
+        work = tomography._stencil_work(geom)
+        blocks = [tomography._view_stencil(geom, t, work) for t in geom.angles_deg]
+        indptr = np.cumsum([0] + [n for _, _, counts in blocks for n in counts])
         assert np.array_equal(indptr, whole.indptr)
-        for name in ("indices", "data"):
-            stacked = np.concatenate([getattr(block, name) for _, block, _ in blocks])
+        for i, name in enumerate(("indices", "data")):
+            stacked = np.concatenate([block[i] for block in blocks])
             assert stacked.dtype == getattr(whole, name).dtype, name
             assert np.array_equal(stacked, getattr(whole, name)), name
 
     @pytest.mark.parametrize("views", [1, 7])
     def test_products_match_the_whole_plan(self, monkeypatch, views):
-        geom = fresh_chunk_geometry()
+        geom = fresh_geometry()
         whole = tomography._build_stencil_matrix(geom)
         rng = np.random.default_rng(11)
         x = rng.standard_normal((13, 21))
         y = rng.standard_normal((33, 40))
         want_ax, want_aty = whole @ x.ravel(), whole.T @ y.ravel()
-        self.limit_views_per_block(monkeypatch, geom, views)
+        self.limit_views(monkeypatch, geom, views)
         op = TomoOperator(geom)
-        ax = project_array(x, geom)
-        assert np.array_equal(ax.ravel(), want_ax)
-        assert np.array_equal(op.forward(x.ravel()), want_ax)
-        aty = backproject_array(y, geom)
-        for got in (aty.ravel(), op.adjoint(y.ravel())):
-            np.testing.assert_allclose(
-                got, want_aty, rtol=1e-12, atol=1e-12 * np.abs(want_aty).max()
-            )
-        lhs = float((ax * y).sum())
-        rhs = float((x * aty).sum())
-        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(ax) * np.linalg.norm(y)
+        for got in (project_array(x, geom).ravel(), op.forward(x.ravel())):
+            assert np.array_equal(got, want_ax)
+        for got in (backproject_array(y, geom).ravel(), op.adjoint(y.ravel())):
+            assert np.array_equal(got, want_aty)
         assert geom.plan is None
+
+
+class TestOneOffProducts:
+    """forward_project, back_project and fbp_reconstruct build no plan; they
+    stream unless the geometry already holds one."""
+
+    @staticmethod
+    def refuse(name, monkeypatch):
+        def refuse(*args):
+            raise AssertionError(f"{name} ran")
+
+        monkeypatch.setattr(tomography, name, refuse)
+
+    def test_stream_without_a_plan(self, monkeypatch):
+        self.refuse("_build_stencil_matrix", monkeypatch)
+        geom = fresh_geometry()
+        image = Image(13, 21, np.random.default_rng(13).standard_normal((13, 21)))
+        sino = forward_project(image, geom)
+        back_project(sino, geom)
+        fbp_reconstruct(sino, geom)
+        assert "plan" not in geom.__dict__
+
+    def test_use_the_plan_a_geometry_holds(self, monkeypatch):
+        geom = fresh_geometry()
+        image = Image(13, 21, np.random.default_rng(13).standard_normal((13, 21)))
+        streamed = forward_project(image, geom)
+        streamed_back = back_project(streamed, geom)
+        TomoOperator(geom).forward(np.zeros(13 * 21))
+        self.refuse("_stream_forward", monkeypatch)
+        self.refuse("_stream_adjoint", monkeypatch)
+        sino = forward_project(image, geom)
+        assert np.array_equal(sino.data, streamed.data)
+        assert np.array_equal(back_project(sino, geom).data, streamed_back.data)
 
 
 class TestTomoOperator:
@@ -308,7 +330,7 @@ class TestTomoOperator:
             return original(geom)
 
         monkeypatch.setattr(tomography, "_build_stencil_matrix", counted)
-        geom = fresh_chunk_geometry()
+        geom = fresh_geometry()
         x = np.ones(13 * 21)
         for op in (TomoOperator(geom), TomoOperator(geom)):
             for _ in range(5):
