@@ -8,8 +8,10 @@ A product takes one of two paths, with the same bits.  TomoOperator, which
 iterative solvers call many times, builds the geometry's CSR stencil plan
 (and imports scipy.sparse) on first use and multiplies by it.  The one-off
 products (project_array, backproject_array and the functions built on them)
-use the plan when the geometry already holds one, and otherwise stream the
-stencil a view at a time with numpy alone.
+always stream the stencil a view at a time with numpy alone.  A streamed
+product costs about one plan build, or 15 to 40 plan products, so from the
+second product on one geometry TomoOperator is the cheaper path (from
+about the third to the eighth while scipy.sparse is still to import).
 
 Coordinate conventions, frozen so sinograms are portable:
   pixel (row i, col j) center at ((j - (cols-1)/2), ((rows-1)/2 - i)) * pixel_size
@@ -52,8 +54,8 @@ class Geometry:
     object); construction fails otherwise.  A geometry owns its stencil plan
     and its ||A^T A||: each is computed on first use and lives as long as
     the geometry does.  Only TomoOperator products (so the solvers and the
-    norm estimate) build the plan; a one-off product on a geometry that
-    holds none streams the stencil instead (project_array, backproject_array).
+    norm estimate) build and use the plan; one-off products (project_array,
+    backproject_array) stream the stencil instead.
     """
 
     image_rows: int
@@ -263,10 +265,10 @@ def _stencil_work(geom: Geometry):
 def _view_stencil(geom: Geometry, theta_deg: float, work):
     """One view's in-range stencil entries, detector row by detector row.
 
-    Returns (cols, weights, counts): the int32 flat pixel index and the
-    coefficient of every j0 / j0+1 interpolation entry that falls inside the
-    image, each detector row in ascending column order, and the number of
-    entries in each detector row.  work is from _stencil_work.
+    Returns (cols, weights): the int32 flat pixel index and the coefficient
+    of every j0 / j0+1 interpolation entry that falls inside the image, each
+    detector row in ascending column order; _view_row_counts gives the
+    number of entries in each row.  work is from _stencil_work.
     """
     coord_buf, floor_buf, weight_buf, idx_buf, keep_buf = work
     drive_rows, coord, weight = _view_coords(geom, theta_deg, out=coord_buf)
@@ -294,11 +296,10 @@ def _view_stencil(geom: Geometry, theta_deg: float, work):
     weights = weights.reshape(det, 2 * n_drive)
     # a negative index wraps to a large unsigned one
     keep = np.less(idx.view(np.uint32), interp_n, out=keep_buf[: 2 * size].reshape(det, -1))
-    counts = np.count_nonzero(keep, axis=1)
     if drive_rows:
         # columns rise with the drive index, and j0 < j0+1 within one step
         idx += np.arange(0, n_drive * cols_n, cols_n, dtype=np.int32).repeat(2)
-        return idx[keep], weights[keep], counts
+        return idx[keep], weights[keep]
     idx *= cols_n
     idx += np.tile(np.arange(n_drive, dtype=np.int32), 2)
     # a row never holds one pixel twice, so sorting by column is unambiguous
@@ -306,7 +307,22 @@ def _view_stencil(geom: Geometry, theta_deg: float, work):
     order += np.arange(0, idx.size, 2 * n_drive)[:, None]
     order = order.ravel()
     order = order[keep.ravel()[order]]
-    return idx.ravel()[order], weights.ravel()[order], counts
+    return idx.ravel()[order], weights.ravel()[order]
+
+
+def _view_row_counts(geom: Geometry, theta_deg: float, work) -> np.ndarray:
+    """The number of _view_stencil entries in each detector row of one view.
+
+    A driving step's j0 entry is inside the image when 0 <= j0 < n, and its
+    j0+1 entry when -1 <= j0 < n-1, for n the interpolated axis's length.
+    """
+    coord_buf, floor_buf = work[:2]
+    drive_rows, coord, _ = _view_coords(geom, theta_deg, out=coord_buf)
+    interp_n = geom.image_cols if drive_rows else geom.image_rows
+    j0 = np.floor(coord, out=floor_buf[: coord.size].reshape(coord.shape))
+    return ((j0 >= 0) & (j0 < interp_n)).sum(axis=0) + (
+        (j0 >= -1) & (j0 < interp_n - 1)
+    ).sum(axis=0)
 
 
 def _build_stencil_matrix(geom: Geometry) -> sp.csr_matrix:
@@ -324,22 +340,15 @@ def _build_stencil_matrix(geom: Geometry) -> sp.csr_matrix:
 
     det = geom.detectors
     work = _stencil_work(geom)
-    coord_buf, floor_buf = work[:2]
     counts = np.zeros(geom.n_views * det + 1, dtype=np.int64)
     for v, theta_deg in enumerate(geom.angles_deg):
-        # per detector row: the j0 and the j0+1 entries inside the image
-        drive_rows, coord, _ = _view_coords(geom, theta_deg, out=coord_buf)
-        interp_n = geom.image_cols if drive_rows else geom.image_rows
-        j0 = np.floor(coord, out=floor_buf[: coord.size].reshape(coord.shape))
-        counts[1 + v * det : 1 + (v + 1) * det] = (
-            (j0 >= 0) & (j0 < interp_n)
-        ).sum(axis=0) + ((j0 >= -1) & (j0 < interp_n - 1)).sum(axis=0)
+        counts[1 + v * det : 1 + (v + 1) * det] = _view_row_counts(geom, theta_deg, work)
     indptr = np.cumsum(counts).astype(np.int32)
     indices = np.empty(indptr[-1], dtype=np.int32)
     data = np.empty(indptr[-1], dtype=np.float64)
     for v, theta_deg in enumerate(geom.angles_deg):
         span = slice(indptr[v * det], indptr[(v + 1) * det])
-        indices[span], data[span], _ = _view_stencil(geom, theta_deg, work)
+        indices[span], data[span] = _view_stencil(geom, theta_deg, work)
     return sp.csr_matrix(
         (data, indices, indptr),
         shape=(geom.n_views * det, geom.image_rows * geom.image_cols),
@@ -354,11 +363,6 @@ def _stencil_plan(geom: Geometry) -> Optional[sp.csr_matrix]:
     return geom.plan
 
 
-def _holds_plan(geom: Geometry) -> bool:
-    """Whether a product has built geom's plan; asking never builds it."""
-    return geom.__dict__.get("plan") is not None
-
-
 def _stream_forward(x: np.ndarray, geom: Geometry) -> np.ndarray:
     """A x from the stencil, one view at a time, without a plan or scipy.
 
@@ -371,7 +375,8 @@ def _stream_forward(x: np.ndarray, geom: Geometry) -> np.ndarray:
     rows = np.arange(det)
     work = _stencil_work(geom)
     for v, theta_deg in enumerate(geom.angles_deg):
-        cols, weights, counts = _view_stencil(geom, theta_deg, work)
+        counts = _view_row_counts(geom, theta_deg, work)
+        cols, weights = _view_stencil(geom, theta_deg, work)
         weights *= x[cols]
         np.add.at(out[v], rows.repeat(counts), weights)
     return out.ravel()
@@ -388,7 +393,8 @@ def _stream_adjoint(y: np.ndarray, geom: Geometry) -> np.ndarray:
     out = np.zeros(geom.image_rows * geom.image_cols)
     work = _stencil_work(geom)
     for v, theta_deg in enumerate(geom.angles_deg):
-        cols, weights, counts = _view_stencil(geom, theta_deg, work)
+        counts = _view_row_counts(geom, theta_deg, work)
+        cols, weights = _view_stencil(geom, theta_deg, work)
         weights *= y[v * det : (v + 1) * det].repeat(counts)
         np.add.at(out, cols, weights)
     return out
@@ -397,7 +403,9 @@ def _stream_adjoint(y: np.ndarray, geom: Geometry) -> np.ndarray:
 def project_array(image: np.ndarray, geom: Geometry) -> np.ndarray:
     """Forward projection of a float64 (rows, cols) array to (views, detectors).
 
-    Uses the plan when geom holds one, and streams the stencil otherwise.
+    Streams the stencil, building no plan: one call costs about one plan
+    build, or 15 to 40 products with the plan.  Callers that make two or
+    more products on one geometry should use TomoOperator.
     """
     if image.shape != (geom.image_rows, geom.image_cols):
         raise DimensionError(
@@ -405,31 +413,39 @@ def project_array(image: np.ndarray, geom: Geometry) -> np.ndarray:
             f"{(geom.image_rows, geom.image_cols)}"
         )
     x = np.asarray(image, dtype=np.float64).ravel()
-    out = geom.plan @ x if _holds_plan(geom) else _stream_forward(x, geom)
-    return out.reshape(geom.n_views, geom.detectors)
+    return _stream_forward(x, geom).reshape(geom.n_views, geom.detectors)
 
 
 def backproject_array(sino: np.ndarray, geom: Geometry) -> np.ndarray:
-    """Exact transpose of project_array, (views, detectors) -> (rows, cols)."""
+    """Exact transpose of project_array, (views, detectors) -> (rows, cols).
+
+    Streams the stencil, at the cost that project_array describes.
+    """
     if sino.shape != (geom.n_views, geom.detectors):
         raise DimensionError(
             f"sinogram {sino.shape} does not match geometry "
             f"{(geom.n_views, geom.detectors)}"
         )
     y = np.asarray(sino, dtype=np.float64).ravel()
-    out = geom.plan_t @ y if _holds_plan(geom) else _stream_adjoint(y, geom)
-    return out.reshape(geom.image_rows, geom.image_cols)
+    return _stream_adjoint(y, geom).reshape(geom.image_rows, geom.image_cols)
 
 
 def forward_project(image: Image, geom: Geometry) -> Sinogram:
-    """Line integrals of `image` along every (angle, detector offset) ray."""
+    """Line integrals of `image` along every (angle, detector offset) ray.
+
+    Each call streams the stencil (see project_array); for repeated products
+    on one geometry, TomoOperator reuses the geometry's plan.
+    """
     geom.matches_image(image)
     data = project_array(image.as_f64(), geom)
     return Sinogram(geom.n_views, geom.detectors, geom.angles_deg, data)
 
 
 def back_project(sino: Sinogram, geom: Geometry) -> Image:
-    """Adjoint of forward_project (unfiltered smearing of the sinogram)."""
+    """Adjoint of forward_project (unfiltered smearing of the sinogram).
+
+    Each call streams the stencil, as forward_project does.
+    """
     geom.matches_sinogram(sino)
     data = backproject_array(sino.as_f64(), geom)
     return Image(geom.image_rows, geom.image_cols, data)
@@ -481,6 +497,7 @@ def fbp_reconstruct(
 
     On full-angle data this approximates the original image; restricted
     angular coverage loses the edges oriented along the missing directions.
+    The back-projection streams the stencil, as back_project does.
     """
     geom.matches_sinogram(sino)
     if not isinstance(kind, FilterKind):
