@@ -178,9 +178,12 @@ def _write_manifest(path: Path, argv, fields: dict, traces=None, seeds=()) -> No
 
 
 def _read_manifest_argv(path: str):
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.startswith("argv: "):
-            return shlex.split(line[len("argv: ") :])
+    try:
+        for line in Path(path).read_text(encoding="utf-8").splitlines():
+            if line.startswith("argv: "):
+                return shlex.split(line[len("argv: ") :])
+    except ValueError as exc:  # text that is not UTF-8, or an unclosed quote
+        raise FormatError(f"manifest {path} is unreadable: {exc}") from exc
     raise FormatError(f"manifest {path} has no argv line")
 
 
@@ -452,6 +455,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.manifest_in:
+            if args.command is not None:
+                raise ParameterError(
+                    f"--manifest-in replays the recorded command; drop {args.command!r}"
+                )
             replay = _read_manifest_argv(args.manifest_in)
             if "--manifest-in" in replay:
                 raise ParameterError("manifest replay cannot nest --manifest-in")

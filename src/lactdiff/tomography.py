@@ -4,14 +4,17 @@ The forward projector is ray-driven with linear interpolation along the
 driving axis; the backprojector is the exact transpose of the same stencil,
 so the pair satisfies the adjoint identity <Ax, y> = <x, A^T y> to round-off.
 
-A product takes one of two paths, with the same bits.  TomoOperator, which
-iterative solvers call many times, builds the geometry's CSR stencil plan
-(and imports scipy.sparse) on first use and multiplies by it.  The one-off
+Every view's stencil comes from one walk, _view_stencil, which yields the
+row counts and the entries together.  A product takes one of two paths,
+with the same bits.  TomoOperator, which iterative solvers call many times,
+builds the geometry's CSR stencil plan (and imports scipy.sparse) on first
+use, in one walk over the views, and multiplies by it.  The one-off
 products (project_array, backproject_array and the functions built on them)
-always stream the stencil a view at a time with numpy alone.  A streamed
-product costs about one plan build, or 15 to 40 plan products, so from the
-second product on one geometry TomoOperator is the cheaper path (from
-about the third to the eighth while scipy.sparse is still to import).
+always walk the stencil a view at a time with numpy alone.  A streamed
+product costs about one plan build, or 15 to 70 plan products (fewer at
+128^2 than at 64^2), so from the second product on one geometry
+TomoOperator is the cheaper path (from about the third to the eighth while
+scipy.sparse is still to import).
 
 Coordinate conventions, frozen so sinograms are portable:
   pixel (row i, col j) center at ((j - (cols-1)/2), ((rows-1)/2 - i)) * pixel_size
@@ -265,10 +268,11 @@ def _stencil_work(geom: Geometry):
 def _view_stencil(geom: Geometry, theta_deg: float, work):
     """One view's in-range stencil entries, detector row by detector row.
 
-    Returns (cols, weights): the int32 flat pixel index and the coefficient
-    of every j0 / j0+1 interpolation entry that falls inside the image, each
-    detector row in ascending column order; _view_row_counts gives the
-    number of entries in each row.  work is from _stencil_work.
+    Returns (counts, cols, weights): the number of entries in each detector
+    row, then the int32 flat pixel index and the coefficient of every j0 /
+    j0+1 interpolation entry that falls inside the image, each row in
+    ascending column order.  It is the one walk of a view that both the
+    plan build and the streamed products make.  work is from _stencil_work.
     """
     coord_buf, floor_buf, weight_buf, idx_buf, keep_buf = work
     drive_rows, coord, weight = _view_coords(geom, theta_deg, out=coord_buf)
@@ -296,10 +300,11 @@ def _view_stencil(geom: Geometry, theta_deg: float, work):
     weights = weights.reshape(det, 2 * n_drive)
     # a negative index wraps to a large unsigned one
     keep = np.less(idx.view(np.uint32), interp_n, out=keep_buf[: 2 * size].reshape(det, -1))
+    counts = np.count_nonzero(keep, axis=1)
     if drive_rows:
         # columns rise with the drive index, and j0 < j0+1 within one step
         idx += np.arange(0, n_drive * cols_n, cols_n, dtype=np.int32).repeat(2)
-        return idx[keep], weights[keep]
+        return counts, idx[keep], weights[keep]
     idx *= cols_n
     idx += np.tile(np.arange(n_drive, dtype=np.int32), 2)
     # a row never holds one pixel twice, so sorting by column is unambiguous
@@ -307,22 +312,7 @@ def _view_stencil(geom: Geometry, theta_deg: float, work):
     order += np.arange(0, idx.size, 2 * n_drive)[:, None]
     order = order.ravel()
     order = order[keep.ravel()[order]]
-    return idx.ravel()[order], weights.ravel()[order]
-
-
-def _view_row_counts(geom: Geometry, theta_deg: float, work) -> np.ndarray:
-    """The number of _view_stencil entries in each detector row of one view.
-
-    A driving step's j0 entry is inside the image when 0 <= j0 < n, and its
-    j0+1 entry when -1 <= j0 < n-1, for n the interpolated axis's length.
-    """
-    coord_buf, floor_buf = work[:2]
-    drive_rows, coord, _ = _view_coords(geom, theta_deg, out=coord_buf)
-    interp_n = geom.image_cols if drive_rows else geom.image_rows
-    j0 = np.floor(coord, out=floor_buf[: coord.size].reshape(coord.shape))
-    return ((j0 >= 0) & (j0 < interp_n)).sum(axis=0) + (
-        (j0 >= -1) & (j0 < interp_n - 1)
-    ).sum(axis=0)
+    return counts, idx.ravel()[order], weights.ravel()[order]
 
 
 def _build_stencil_matrix(geom: Geometry) -> sp.csr_matrix:
@@ -330,25 +320,33 @@ def _build_stencil_matrix(geom: Geometry) -> sp.csr_matrix:
 
     Entries are the linear interpolation coefficients of every ray's samples
     along its driving axis; using one matrix for both directions makes the
-    adjoint the literal transpose.  The arrays are written in place, one
-    view at a time, with sorted int32 indices and the explicit zeros of
-    integer crossings kept, so the peak memory is about one copy of the plan.
+    adjoint the literal transpose.  One walk over the views fills arrays
+    sized at the n_views * _view_nnz_bound estimate with sorted int32
+    indices, keeping the explicit zeros of integer crossings, and then
+    shrinks them in place to the entry count.  Nothing is copied, and the
+    unwritten tail is never touched, so none of it becomes resident past the
+    page that holds the last entry (a 2 MB page where numpy asks for huge
+    pages, so the peak can exceed the plan by up to 4 MB).
     """
     # imported here: scipy.sparse costs about 0.2 s and 18 MB at start-up,
     # which processes that never build a plan need not pay
     import scipy.sparse as sp
 
     det = geom.detectors
+    bound = geom.n_views * _view_nnz_bound(geom)
+    indptr = np.zeros(geom.n_views * det + 1, dtype=np.int32)
+    indices = np.empty(bound, dtype=np.int32)
+    data = np.empty(bound, dtype=np.float64)
+    nnz = 0
     work = _stencil_work(geom)
-    counts = np.zeros(geom.n_views * det + 1, dtype=np.int64)
     for v, theta_deg in enumerate(geom.angles_deg):
-        counts[1 + v * det : 1 + (v + 1) * det] = _view_row_counts(geom, theta_deg, work)
-    indptr = np.cumsum(counts).astype(np.int32)
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1], dtype=np.float64)
-    for v, theta_deg in enumerate(geom.angles_deg):
-        span = slice(indptr[v * det], indptr[(v + 1) * det])
-        indices[span], data[span] = _view_stencil(geom, theta_deg, work)
+        counts, cols, weights = _view_stencil(geom, theta_deg, work)
+        indptr[1 + v * det : 1 + (v + 1) * det] = nnz + np.cumsum(counts)
+        indices[nnz : nnz + cols.size] = cols
+        data[nnz : nnz + cols.size] = weights
+        nnz += cols.size
+    indices.resize(nnz, refcheck=False)
+    data.resize(nnz, refcheck=False)
     return sp.csr_matrix(
         (data, indices, indptr),
         shape=(geom.n_views * det, geom.image_rows * geom.image_cols),
@@ -363,71 +361,50 @@ def _stencil_plan(geom: Geometry) -> Optional[sp.csr_matrix]:
     return geom.plan
 
 
-def _stream_forward(x: np.ndarray, geom: Geometry) -> np.ndarray:
-    """A x from the stencil, one view at a time, without a plan or scipy.
+def project_array(image: np.ndarray, geom: Geometry) -> np.ndarray:
+    """Forward projection of a float64 (rows, cols) array to (views, detectors).
 
-    np.add.at applies its updates one at a time, in index order, starting
-    from zero: the order in which csr_matvec sums a row of the plan, so the
-    result has the bits of geom.plan @ x.
+    Streams the stencil without a plan or scipy, one _view_stencil walk per
+    view: one call costs about one plan build, or 15 to 70 products with the
+    plan, so callers that make two or more products on one geometry should
+    use TomoOperator.  np.add.at applies its updates one at a time, in index
+    order, starting from zero: the order in which csr_matvec sums a row of
+    the plan, so the result has the bits of geom.plan @ x.
     """
+    geom.matches_image(image)
+    x = np.asarray(image, dtype=np.float64).ravel()
     det = geom.detectors
     out = np.zeros((geom.n_views, det))
     rows = np.arange(det)
     work = _stencil_work(geom)
     for v, theta_deg in enumerate(geom.angles_deg):
-        counts = _view_row_counts(geom, theta_deg, work)
-        cols, weights = _view_stencil(geom, theta_deg, work)
+        counts, cols, weights = _view_stencil(geom, theta_deg, work)
         weights *= x[cols]
         np.add.at(out[v], rows.repeat(counts), weights)
-    return out.ravel()
-
-
-def _stream_adjoint(y: np.ndarray, geom: Geometry) -> np.ndarray:
-    """A^T y from the stencil, one view at a time, without a plan or scipy.
-
-    The updates reach each pixel in plan row order, as in csc_matvec on
-    geom.plan_t, so the result has the bits of geom.plan_t @ y.  Summing a
-    view on its own first (np.bincount, np.add.reduceat) would not.
-    """
-    det = geom.detectors
-    out = np.zeros(geom.image_rows * geom.image_cols)
-    work = _stencil_work(geom)
-    for v, theta_deg in enumerate(geom.angles_deg):
-        counts = _view_row_counts(geom, theta_deg, work)
-        cols, weights = _view_stencil(geom, theta_deg, work)
-        weights *= y[v * det : (v + 1) * det].repeat(counts)
-        np.add.at(out, cols, weights)
     return out
-
-
-def project_array(image: np.ndarray, geom: Geometry) -> np.ndarray:
-    """Forward projection of a float64 (rows, cols) array to (views, detectors).
-
-    Streams the stencil, building no plan: one call costs about one plan
-    build, or 15 to 40 products with the plan.  Callers that make two or
-    more products on one geometry should use TomoOperator.
-    """
-    if image.shape != (geom.image_rows, geom.image_cols):
-        raise DimensionError(
-            f"image {image.shape} does not match geometry "
-            f"{(geom.image_rows, geom.image_cols)}"
-        )
-    x = np.asarray(image, dtype=np.float64).ravel()
-    return _stream_forward(x, geom).reshape(geom.n_views, geom.detectors)
 
 
 def backproject_array(sino: np.ndarray, geom: Geometry) -> np.ndarray:
     """Exact transpose of project_array, (views, detectors) -> (rows, cols).
 
-    Streams the stencil, at the cost that project_array describes.
+    Streams the stencil, at the cost that project_array describes.  The
+    updates reach each pixel in plan row order, as in csc_matvec on
+    geom.plan_t, so the result has the bits of geom.plan_t @ y.  Summing a
+    view on its own first (np.bincount, np.add.reduceat) would not.
     """
     if sino.shape != (geom.n_views, geom.detectors):
         raise DimensionError(
             f"sinogram {sino.shape} does not match geometry "
             f"{(geom.n_views, geom.detectors)}"
         )
-    y = np.asarray(sino, dtype=np.float64).ravel()
-    return _stream_adjoint(y, geom).reshape(geom.image_rows, geom.image_cols)
+    y = np.asarray(sino, dtype=np.float64)
+    out = np.zeros(geom.image_rows * geom.image_cols)
+    work = _stencil_work(geom)
+    for v, theta_deg in enumerate(geom.angles_deg):
+        counts, cols, weights = _view_stencil(geom, theta_deg, work)
+        weights *= y[v].repeat(counts)
+        np.add.at(out, cols, weights)
+    return out.reshape(geom.image_rows, geom.image_cols)
 
 
 def forward_project(image: Image, geom: Geometry) -> Sinogram:
@@ -436,7 +413,6 @@ def forward_project(image: Image, geom: Geometry) -> Sinogram:
     Each call streams the stencil (see project_array); for repeated products
     on one geometry, TomoOperator reuses the geometry's plan.
     """
-    geom.matches_image(image)
     data = project_array(image.as_f64(), geom)
     return Sinogram(geom.n_views, geom.detectors, geom.angles_deg, data)
 
@@ -532,8 +508,9 @@ class TomoOperator:
                 f"{(g.image_rows, g.image_cols)}"
             )
         plan = g.plan
-        x = x.ravel()
-        return _stream_forward(x, g) if plan is None else plan @ x
+        if plan is None:
+            return project_array(x.reshape(g.image_rows, g.image_cols), g).ravel()
+        return plan @ x.ravel()
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         g = self.geom
@@ -544,5 +521,6 @@ class TomoOperator:
                 f"{(g.n_views, g.detectors)}"
             )
         plan_t = g.plan_t
-        y = y.ravel()
-        return _stream_adjoint(y, g) if plan_t is None else plan_t @ y
+        if plan_t is None:
+            return backproject_array(y.reshape(g.n_views, g.detectors), g).ravel()
+        return plan_t @ y.ravel()

@@ -741,6 +741,34 @@ class TestManifestReplay:
         code, _, _ = run(capsys, "--manifest-in", str(tmp_path / "none.txt"))
         assert code == 3
 
+    def test_command_next_to_replay_is_usage_error(self, tmp_path, capsys):
+        first, second = tmp_path / "a.ctr", tmp_path / "b.ctr"
+        assert run(capsys, "phantom", "--kind", "shepp_logan", "--size", "16",
+                   "--out", str(first))[0] == 0
+        original = first.read_bytes()
+        first.unlink()
+        code, _, err = run(capsys, "--manifest-in", str(tmp_path / "a.manifest.txt"),
+                           "phantom", "--kind", "shepp_logan", "--size", "32",
+                           "--out", str(second))
+        assert code == 2, err
+        assert "--manifest-in" in err
+        assert not first.exists() and not second.exists()
+        assert run(capsys, "--manifest-in", str(tmp_path / "a.manifest.txt"))[0] == 0
+        assert first.read_bytes() == original
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"run_manifest v2\nargv: phantom --kind \xff\xfe\n",
+         b"run_manifest v2\nargv: phantom --out 'unclosed\n"],
+        ids=["not-utf8", "unclosed-quote"],
+    )
+    def test_unreadable_manifest_is_format_error(self, tmp_path, capsys, content):
+        manifest = tmp_path / "bad.manifest.txt"
+        manifest.write_bytes(content)
+        code, _, err = run(capsys, "--manifest-in", str(manifest))
+        assert code == 3, err
+        assert "error:" in err
+
     def test_project_and_sample_replay(self, tmp_path, capsys):
         phantom = tmp_path / "p.ctr"
         sino = tmp_path / "s.ctr"

@@ -79,10 +79,10 @@ def streamed_geometries(draw):
 def test_streamed_products_are_bit_equal_to_the_plan(geom, seed):
     plan = tomography._build_stencil_matrix(geom)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(plan.shape[1])
-    y = rng.standard_normal(plan.shape[0])
-    assert np.array_equal(tomography._stream_forward(x, geom), plan @ x)
-    assert np.array_equal(tomography._stream_adjoint(y, geom), plan.T @ y)
+    x = rng.standard_normal((geom.image_rows, geom.image_cols))
+    y = rng.standard_normal((geom.n_views, geom.detectors))
+    assert np.array_equal(tomography.project_array(x, geom).ravel(), plan @ x.ravel())
+    assert np.array_equal(tomography.backproject_array(y, geom).ravel(), plan.T @ y.ravel())
 
 
 @hypothesis.given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 2**32 - 1))

@@ -73,9 +73,12 @@ class TestStencilPlan:
             Geometry(13, 21, 40, np.linspace(0.0, 179.0, 33)),
             Geometry(24, 9, 30, [0.0, 45.0, 90.0, 135.0, 170.5]),
             make_limited_geometry(30, 20, 77, 180.0),
+            # 36,787 entries against a 512,000-entry bound: the build's
+            # buffers are 14 times the plan before they shrink in place
+            make_limited_geometry(32, 400, 20, 180.0),
         ],
         ids=["60deg", "180deg", "odd-size", "one-view-0deg", "one-view-90deg",
-             "non-square", "non-square-tall", "widened-spacing"],
+             "non-square", "non-square-tall", "widened-spacing", "wide-detector"],
     )
     def test_matches_coo_reference(self, geom):
         plan = tomography._build_stencil_matrix(geom)
@@ -253,12 +256,30 @@ class TestPlanBlocks:
             assert tomography._stencil_plan(geom) is None
         work = tomography._stencil_work(geom)
         blocks = [tomography._view_stencil(geom, t, work) for t in geom.angles_deg]
-        counts = [tomography._view_row_counts(geom, t, work) for t in geom.angles_deg]
-        assert np.array_equal(np.cumsum([0, *np.concatenate(counts)]), whole.indptr)
-        for i, name in enumerate(("indices", "data")):
+        counts = np.concatenate([block[0] for block in blocks])
+        assert np.array_equal(np.cumsum([0, *counts]), whole.indptr)
+        for i, name in enumerate(("indices", "data"), start=1):
             stacked = np.concatenate([block[i] for block in blocks])
             assert stacked.dtype == getattr(whole, name).dtype, name
             assert np.array_equal(stacked, getattr(whole, name)), name
+
+    def test_one_coordinate_walk_per_view(self, monkeypatch):
+        calls = []
+        original = tomography._view_coords
+
+        def counted(geom, theta_deg, out=None):
+            calls.append(theta_deg)
+            return original(geom, theta_deg, out=out)
+
+        monkeypatch.setattr(tomography, "_view_coords", counted)
+        geom = fresh_geometry()
+        x, y = np.ones((13, 21)), np.ones((33, 40))
+        for product in (lambda: tomography._build_stencil_matrix(geom),
+                        lambda: project_array(x, geom),
+                        lambda: backproject_array(y, geom)):
+            calls.clear()
+            product()
+            assert calls == list(geom.angles_deg)
 
     @pytest.mark.parametrize("views", [1, 7])
     def test_products_match_the_whole_plan(self, monkeypatch, views):
