@@ -33,7 +33,7 @@ from .core import (
     write_pgm,
     write_raster,
 )
-from .denoiser import GmmPrior, gmm_denoiser, load_gmm_prior
+from .denoiser import GmmDenoiser, GmmPrior, load_gmm_prior
 from .diffusion import cosine_schedule, default_linear_schedule
 from .evaluation import (
     METRICS_CSV_HEADER,
@@ -343,11 +343,11 @@ def _cmd_sample(args, argv) -> int:
         uncond_prior = _load_prior_file(args.uncond_prior, dim)
         if uncond_prior is None:
             uncond_prior = _builtin_prior(dim, np.zeros(dim), max(args.prior_std, 1.0))
-        uncond_model = gmm_denoiser(uncond_prior, sched)
+        uncond_model = GmmDenoiser(uncond_prior, sched)
     cond = build_condition(sino, geom, args.condition)
     if prior is None:
         prior = _builtin_prior(dim, cond.image.as_f64().ravel(), args.prior_std)
-    model = gmm_denoiser(prior, sched)
+    model = GmmDenoiser(prior, sched)
 
     traces: list[ChainTrace] = []
     sample_set = draw_samples(
@@ -434,7 +434,7 @@ def _cmd_metrics(args, argv) -> int:
     else:
         psnr_txt = "inf" if math.isinf(psnr_db) else f"{psnr_db:.4f}"
         ssim_txt = f"{ssim_val:.6g}"
-        if "." not in ssim_txt and "e" not in ssim_txt:
+        if ssim_txt.lstrip("-").isdigit():
             ssim_txt += ".0"
         print(f"{psnr_txt},{ssim_txt}")
     return 0

@@ -1,9 +1,12 @@
 """Noise schedules and the elementary diffusion steps.
 
-A schedule of length T holds the per-step noise variances beta_t, the
-complements alpha_t = 1 - beta_t, the running products alpha_bar_t, and the
-reverse-variance lower bounds beta_tilde_t = beta_t * (1 - alpha_bar_{t-1})
-/ (1 - alpha_bar_t) with alpha_bar_0 = 1.  Timesteps are 1-based in the API.
+A schedule of length T is its table of running products alpha_bar_t, which
+falls strictly from below 1 and stays positive.  With alpha_bar_0 = 1 it
+defines alpha_t = alpha_bar_t / alpha_bar_{t-1}, beta_t = 1 - alpha_t and the
+reverse-variance lower bounds beta_tilde_t = beta_t * (1 - alpha_bar_{t-1}) /
+(1 - alpha_bar_t), with beta_tilde_1 = 0; a chain shortened by `respace`
+applies the same rule to the alpha_bar values it keeps.  Timesteps are
+1-based in the API.
 """
 
 from __future__ import annotations
@@ -25,53 +28,35 @@ def _check_t(t: int, T: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class NoiseSchedule:
-    beta: np.ndarray
-    alpha: np.ndarray
     alpha_bar: np.ndarray
-    beta_tilde: np.ndarray
 
     def __post_init__(self):
-        for name in ("beta", "alpha", "alpha_bar", "beta_tilde"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64).ravel().copy()
+        ab = np.asarray(self.alpha_bar, dtype=np.float64).ravel().copy()
+        if ab.size < 1:
+            raise ParameterError("schedule must have at least one step")
+        prev = np.concatenate(([1.0], ab[:-1]))
+        # negated comparisons, so that NaN fails them
+        if not np.all(ab < prev):
+            raise ParameterError("alpha_bar must fall strictly from below 1")
+        if not np.all(ab > 0.0):
+            raise ParameterError("alpha_bar must stay positive")
+        # alpha as the ratio: 1 - (1 - ratio) would lose a small ratio's precision
+        alpha = ab / prev
+        beta = 1.0 - alpha
+        beta_tilde = beta * (1.0 - prev) / (1.0 - ab)
+        beta_tilde[0] = 0.0
+        for name, arr in (("alpha_bar", ab), ("alpha", alpha), ("beta", beta),
+                          ("beta_tilde", beta_tilde)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        T = self.beta.size
-        if T < 1:
-            raise ParameterError("schedule must have at least one step")
-        if any(getattr(self, n).size != T for n in ("alpha", "alpha_bar", "beta_tilde")):
-            raise ParameterError("schedule tables must all have length T")
-        if np.any(self.beta <= 0.0) or np.any(self.beta >= 1.0):
-            raise ParameterError("beta values must lie strictly in (0, 1)")
-        if not np.allclose(self.alpha, 1.0 - self.beta, rtol=0.0, atol=1e-12):
-            raise ParameterError("alpha must equal 1 - beta")
-        prev = np.concatenate(([1.0], self.alpha_bar[:-1]))
-        if np.any(self.alpha_bar >= prev):
-            raise ParameterError("alpha_bar must be strictly decreasing")
-        if np.any(self.alpha_bar <= 0.0):
-            raise ParameterError("alpha_bar must stay positive")
-        if not np.allclose(self.alpha_bar, prev * self.alpha, rtol=1e-9, atol=0.0):
-            raise ParameterError("alpha_bar must be the running product of alpha")
-        expected_bt = self.beta * (1.0 - prev) / (1.0 - self.alpha_bar)
-        if not np.allclose(self.beta_tilde, expected_bt, rtol=1e-9, atol=1e-15):
-            raise ParameterError("beta_tilde is inconsistent with beta and alpha_bar")
-        if self.beta_tilde[0] != 0.0:
-            raise ParameterError("beta_tilde must start at exactly 0")
-        if np.any(self.beta_tilde < 0.0) or np.any(self.beta_tilde > self.beta + 1e-15):
-            raise ParameterError("beta_tilde must lie within [0, beta]")
 
     @classmethod
     def from_betas(cls, betas) -> "NoiseSchedule":
-        beta = np.asarray(betas, dtype=np.float64).ravel()
-        alpha = 1.0 - beta
-        alpha_bar = np.cumprod(alpha)
-        prev = np.concatenate(([1.0], alpha_bar[:-1]))
-        beta_tilde = beta * (1.0 - prev) / (1.0 - alpha_bar)
-        beta_tilde[0] = 0.0
-        return cls(beta, alpha, alpha_bar, beta_tilde)
+        return cls(np.cumprod(1.0 - np.asarray(betas, dtype=np.float64).ravel()))
 
     @property
     def T(self) -> int:
-        return self.beta.size
+        return self.alpha_bar.size
 
     def beta_at(self, t: int) -> float:
         return float(self.beta[_check_t(t, self.T) - 1])
@@ -96,15 +81,6 @@ class TimestepMap:
 
     indices: np.ndarray
     schedule: NoiseSchedule
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64).ravel().copy()
-        if idx.size != self.schedule.T:
-            raise ParameterError("index count must match the respaced schedule length")
-        if idx.size > 1 and np.any(np.diff(idx) <= 0):
-            raise ParameterError("indices must be strictly increasing")
-        idx.setflags(write=False)
-        object.__setattr__(self, "indices", idx)
 
 
 def linear_schedule(T: int, beta_start: float, beta_end: float) -> NoiseSchedule:
@@ -133,7 +109,7 @@ def cosine_schedule(T: int) -> NoiseSchedule:
     """Squared-cosine alpha_bar profile with offset s = 0.008.
 
     alpha_bar(t/T) = f(t/T) / f(0) with f(u) = cos((u + s)/(1 + s) * pi/2)^2;
-    betas are the successive ratios, clipped to at most 0.999.
+    betas are one minus the successive ratios, clipped to at most 0.999.
     """
     if T < 1:
         raise ParameterError(f"T must be >= 1, got {T}")
@@ -187,25 +163,18 @@ def respace(sched: NoiseSchedule, K: int) -> TimestepMap:
     """Shorten a T-step chain to K steps on a rounded even lattice.
 
     K evenly spaced reals spanning [1, T] are rounded to the nearest integer
-    and deduplicated ascending; the shortened schedule reuses the original
-    alpha_bar values at those indices exactly and rederives alpha as their
-    ratios, then beta and beta_tilde from those.  K = T keeps every step and
-    returns sched itself.
+    and deduplicated ascending; the shortened schedule is the original
+    alpha_bar at those indices, copied exactly, with alpha, beta and
+    beta_tilde derived from it by the schedule's one rule.  K = T keeps every
+    step and returns sched itself.
     """
     K = int(K)
     if not 1 <= K <= sched.T:
         raise ParameterError(f"K must satisfy 1 <= K <= T={sched.T}, got {K}")
     if K == sched.T:
-        return TimestepMap(np.arange(1, K + 1), sched)
-    raw = np.linspace(1.0, float(sched.T), K)
-    indices = np.unique(np.round(raw).astype(np.int64))
-    ab = sched.alpha_bar[indices - 1].copy()
-    prev = np.concatenate(([1.0], ab[:-1]))
-    # alpha as the ratio itself: 1 - (1 - ratio) loses the relative precision
-    # of a small ratio that the running-product check needs
-    alpha = ab / prev
-    beta = 1.0 - alpha
-    beta_tilde = beta * (1.0 - prev) / (1.0 - ab)
-    beta_tilde[0] = 0.0
-    respaced = NoiseSchedule(beta, alpha, ab, beta_tilde)
-    return TimestepMap(indices, respaced)
+        indices, short = np.arange(1, K + 1), sched
+    else:
+        indices = np.unique(np.round(np.linspace(1.0, float(sched.T), K)).astype(np.int64))
+        short = NoiseSchedule(sched.alpha_bar[indices - 1])
+    indices.setflags(write=False)
+    return TimestepMap(indices, short)

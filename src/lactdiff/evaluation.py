@@ -165,7 +165,9 @@ def ssim(x: Image, reference: Image) -> float:
     """Mean local structural similarity (11x11 Gaussian window, sigma 1.5).
 
     Stabilizers are C1 = (0.01 L)^2 and C2 = (0.03 L)^2 with L the dynamic
-    range of the reference.
+    range of the reference.  A constant reference has L = 0, which leaves
+    0/0; as in psnr, it is only accepted when x equals it exactly, and then
+    gives 1.0.
     """
     if x.shape != reference.shape:
         raise DimensionError(f"shapes {x.shape} and {reference.shape} differ")
@@ -174,6 +176,10 @@ def ssim(x: Image, reference: Image) -> float:
     a = x.as_f64()
     b = reference.as_f64()
     peak = float(b.max() - b.min())
+    if peak <= 0.0:
+        if np.array_equal(a, b):
+            return 1.0
+        raise ParameterError("reference image is constant; ssim is undefined")
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
     win = _gaussian_window()

@@ -226,9 +226,10 @@ def sample_posterior(
 
     The chain draws its start from N(0, I), then for each shortened step:
     noise prediction (guidance-blended when the weight is not 1), the
-    stochastic reverse update with the schedule's lower-bound variance
-    beta_tilde (no noise on the final step), and the consistency prox when
-    enabled.  The denoiser receives original-schedule timestep indices.
+    stochastic reverse update with the shortened schedule's lower-bound
+    variance beta_tilde (no noise on the final step), and the consistency
+    prox when enabled.  The denoiser receives original-schedule timestep
+    indices.
     The chain draws from SeededRng(seed), so everything is a pure function
     of (seed, config, inputs); with seed chain_seeds(cfg.seed, n)[i] the
     result equals chain i of draw_samples.  seed None means

@@ -476,6 +476,13 @@ class TestReconstructAndMetrics:
         assert code == 0
         assert text.strip() == "inf,1.0"
 
+    def test_metrics_identical_constant_files(self, tmp_path, capsys):
+        # a constant reference zeroes ssim's stabilizers, so psnr's rule applies
+        z = tmp_path / "z.ctr"
+        write_raster(z, Image(16, 16, np.full((16, 16), 0.5)))
+        code, text, err = run(capsys, "metrics", "--recon", str(z), "--reference", str(z))
+        assert (code, text.strip(), err) == (0, "inf,1.0", "")
+
     def test_metrics_offset_pair(self, tmp_path, capsys):
         ref = Image(16, 16, np.linspace(0.0, 1.0, 256).reshape(16, 16))
         shifted = Image(16, 16, ref.as_f64() + 0.1)

@@ -61,6 +61,28 @@ class TestSchedules:
         assert sched.alpha_bar_at(1000) < sched.alpha_bar_at(1)
         assert np.all(sched.beta <= 0.999)
 
+    def test_from_betas_is_the_running_product(self):
+        betas = np.linspace(1e-4, 0.02, 1000)
+        sched = NoiseSchedule.from_betas(betas)
+        assert sched.alpha_bar.tobytes() == np.cumprod(1.0 - betas).tobytes()
+
+    @pytest.mark.parametrize(
+        "alpha_bar",
+        [[], [np.nan], [0.9, np.nan, 0.5], [0.9, 0.9], [0.5, 0.7], [0.9, 0.0],
+         [0.9, -0.1], [1.0, 0.5], [1.5]],
+        ids=["empty", "nan", "nan-inside", "flat", "rising", "zero", "negative",
+             "starts-at-1", "starts-above-1"],
+    )
+    def test_bad_alpha_bar_rejected(self, alpha_bar):
+        with pytest.raises(ParameterError):
+            NoiseSchedule(alpha_bar)
+
+    def test_tables_are_read_only(self):
+        sched = tiny_schedule()
+        for name in ("alpha_bar", "alpha", "beta", "beta_tilde"):
+            with pytest.raises(ValueError):
+                getattr(sched, name)[0] = 0.5
+
     def test_timestep_bounds(self):
         sched = tiny_schedule()
         with pytest.raises(ParameterError):
@@ -187,6 +209,15 @@ class TestRespace:
         for K in (0, 11):
             with pytest.raises(ParameterError):
                 respace(sched, K)
+
+    @pytest.mark.parametrize("K", [1, 2, 50, 999])
+    @pytest.mark.parametrize("make", [default_linear_schedule, cosine_schedule])
+    def test_shortened_schedule_is_its_alpha_bar(self, make, K):
+        sched = make(1000)
+        tmap = respace(sched, K)
+        direct = NoiseSchedule(sched.alpha_bar[tmap.indices - 1])
+        for name in ("alpha_bar", "alpha", "beta", "beta_tilde"):
+            assert np.array_equal(getattr(tmap.schedule, name), getattr(direct, name))
 
     def test_paper_operating_point(self):
         sched = default_linear_schedule(2000)

@@ -114,6 +114,13 @@ class TestSsim:
         with pytest.raises(DimensionError):
             ssim(Image(8, 8, np.zeros((8, 8))), Image(8, 8, np.zeros((8, 8))))
 
+    def test_constant_reference(self):
+        # as in psnr: only an exact copy of a constant reference is accepted
+        ref = Image(16, 16, np.full((16, 16), 0.5))
+        assert ssim(ref, ref) == 1.0
+        with pytest.raises(ParameterError):
+            ssim(Image(16, 16, np.full((16, 16), 0.25)), ref)
+
     def test_deterministic(self):
         a = make_phantom(PhantomSpec(PhantomKind.DISKS, 32, seed=1))
         b = make_phantom(PhantomSpec(PhantomKind.DISKS, 32, seed=2))

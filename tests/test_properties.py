@@ -10,7 +10,7 @@ import pytest
 
 from conftest import dense_tomo_matrix
 from lactdiff.core import DataError, FormatError, Image, Sinogram, read_raster, write_raster
-from lactdiff.diffusion import cosine_schedule, default_linear_schedule, respace
+from lactdiff.diffusion import NoiseSchedule, cosine_schedule, default_linear_schedule, respace
 from lactdiff.evaluation import _HEAD_ELLIPSES, _SUBSAMPLE, _rasterize
 from lactdiff.solvers import _div2d, _grad2d, operator_norm_sq
 from lactdiff import tomography
@@ -150,6 +150,15 @@ def test_schedule_invariants(sched):
     assert np.all(np.diff(ab) < 0.0)
     assert sched.beta_tilde[0] == 0.0
     assert np.all(sched.beta_tilde <= sched.beta)
+
+
+@hypothesis.given(schedules())
+@hypothesis.example(cosine_schedule(1))
+@hypothesis.example(default_linear_schedule(1000))
+def test_schedule_is_its_alpha_bar(sched):
+    rebuilt = NoiseSchedule(sched.alpha_bar)
+    for name in ("alpha_bar", "alpha", "beta", "beta_tilde"):
+        assert getattr(rebuilt, name).tobytes() == getattr(sched, name).tobytes()
 
 
 @st.composite
