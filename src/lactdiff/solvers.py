@@ -2,7 +2,9 @@
 reconstruction, and the measurement-consistency proximal map.
 
 All solvers run in float64 on flattened vectors and accept any operator
-exposing forward/adjoint/shape over flat arrays.
+exposing forward (A x), adjoint (A^T y), normal ((A x, A^T A x)) and shape
+over flat arrays.  Every A^T A they apply is one normal call, which
+TomoOperator makes in one pass over its plan.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ class ProxConfig:
 
 @dataclass(frozen=True, eq=False)
 class DenseOperator:
-    """Dense matrix as a forward/adjoint pair."""
+    """Dense matrix with the forward, adjoint and normal products of TomoOperator."""
 
     matrix: np.ndarray
 
@@ -67,6 +69,11 @@ class DenseOperator:
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         return self.matrix.T @ np.asarray(y, dtype=np.float64).ravel()
 
+    def normal(self, x: np.ndarray):
+        """(A x, A^T A x), with the bits of forward(x) and adjoint(forward(x))."""
+        ax = self.forward(x)
+        return ax, self.matrix.T @ ax
+
 
 def conjugate_gradient(
     apply_op: Callable[[np.ndarray], np.ndarray],
@@ -79,10 +86,10 @@ def conjugate_gradient(
 ):
     """Solve apply_op(x) = rhs for a symmetric positive semi-definite operator.
 
-    Stops when ||apply_op(x) - rhs|| <= tol * ||rhs||, otherwise reports
-    converged=False after max_iter steps.  Returns (x, CgReport).  A caller
-    that already holds apply_op(x0) passes it as applied_x0; a zero start
-    (x0 None) needs no product.
+    Stops when ||apply_op(x) - rhs|| <= tol * ||rhs|| (tol >= 0), otherwise
+    reports converged=False after max_iter steps.  Returns (x, CgReport).  A
+    caller that already holds apply_op(x0) passes it as applied_x0; a zero
+    start (x0 None) needs no product.
     """
     rhs = np.asarray(rhs, dtype=np.float64).ravel()
     if x0 is None:
@@ -93,6 +100,9 @@ def conjugate_gradient(
             raise DimensionError(f"x0 has size {x.size}, rhs has size {rhs.size}")
     if max_iter < 0:
         raise ParameterError("max_iter must be >= 0")
+    # written negated, so that NaN fails too
+    if not tol >= 0.0:
+        raise ParameterError(f"tol must be >= 0, got {tol}")
 
     def checked(out):
         out = np.asarray(out, dtype=np.float64).ravel()
@@ -143,16 +153,18 @@ def conjugate_gradient(
 def operator_norm_sq(op, iters: int = 50, seed: int = 0) -> float:
     """Largest eigenvalue of A^T A, by Lanczos from a seeded random start.
 
-    Each step applies A^T A once and extends the tridiagonal of the plain
-    three-term recurrence (no reorthogonalisation); the estimate is the top
-    eigenvalue of that tridiagonal.  It stops once the estimate has changed
-    by at most 1e-14 relative on three steps in a row, when the Krylov space
-    becomes invariant (beta <= 1e-12 * estimate, as for low-rank geometries),
-    or after iters steps.  One still step is not enough: after a small beta
-    the estimate can rest for a step or two on the lower eigenvalue of a
-    close pair before the top one enters.  See Kuczynski & Wozniakowski,
+    Each step makes one op.normal product and extends the tridiagonal of the
+    plain three-term recurrence (no reorthogonalisation); the estimate is the
+    top eigenvalue of that tridiagonal.  It stops once the estimate has
+    changed by at most 1e-14 relative on three steps in a row, when the
+    Krylov space becomes invariant (beta <= 1e-12 * estimate, as for low-rank
+    geometries), or after iters steps (iters >= 1).  One still step is not
+    enough: after a small beta the estimate can rest for a step or two on the
+    lower eigenvalue of a close pair before the top one enters.  See Kuczynski & Wozniakowski,
     SIAM J. Matrix Anal. Appl. 13(4), 1992.
     """
+    if iters < 1:
+        raise ParameterError(f"iters must be >= 1, got {iters}")
     n = op.shape[1]
     v = SeededRng(seed).standard_normal(n)
     v /= np.linalg.norm(v)
@@ -161,7 +173,7 @@ def operator_norm_sq(op, iters: int = 50, seed: int = 0) -> float:
     beta = theta = 0.0
     still = 0  # steps in a row on which the estimate held still
     for _ in range(iters):
-        w = op.adjoint(op.forward(v)) - beta * v_prev
+        w = op.normal(v)[1] - beta * v_prev
         alpha = float(v @ w)
         w -= alpha * v
         alphas.append(alpha)
@@ -202,7 +214,7 @@ def rls_reconstruct(
     rhs = op.adjoint(y)
 
     def normal_apply(v):
-        return op.adjoint(op.forward(v)) + tau * v
+        return op.normal(v)[1] + tau * v
 
     x, _ = conjugate_gradient(normal_apply, rhs, None, tol, max_iter)
     return Image(geom.image_rows, geom.image_cols, x.reshape(geom.image_rows, geom.image_cols))
@@ -295,10 +307,11 @@ def tv_reconstruct(
     only when it does not increase the composite objective, so the objective
     is non-increasing across outer iterations even with the fixed inner prox
     budget.  The gradient step is 1/L with L = 1.05 * ||A^T A|| from the
-    Lanczos estimate the geometry keeps (Geometry.norm_sq).  The projections
-    of the iterate and the candidate are kept, and the momentum point's
-    projection is formed from them, so each outer iteration costs one A and
-    one A^T product.
+    Lanczos estimate the geometry keeps (Geometry.norm_sq).  The gradient at
+    the momentum point z is A^T A z - A^T y.  A^T y is formed once, A^T A is
+    kept for the iterate and the candidate, and A^T A z is formed from them,
+    since z is their combination; so each outer iteration costs one normal
+    product (A and A^T A of the candidate, one pass over the plan).
     """
     geom.matches_sinogram(sino)
     if lam < 0.0 or not np.isfinite(lam):
@@ -320,30 +333,31 @@ def tv_reconstruct(
             val += lam * total_variation(x_flat.reshape(rows, cols))
         return val
 
-    # A applied to the zero start is zero
-    x, ax = np.zeros(rows * cols), np.zeros(y.size)
-    z_momentum, az = x, ax
-    f_x = objective(x, ax)
+    aty = op.adjoint(y)
+    # A and A^T A applied to the zero start are zero
+    x, nx = np.zeros(rows * cols), np.zeros(rows * cols)
+    z_momentum, nz = x, nx
+    f_x = objective(x, np.zeros(y.size))
     t_k = 1.0
     for _ in range(outer_iters):
-        grad = op.adjoint(az - y)
+        grad = nz - aty
         if not np.all(np.isfinite(grad)):
             raise NumericalError("TV solver produced non-finite gradient")
         cand = z_momentum - step * grad
         if lam > 0.0:
             cand = tv_prox(cand.reshape(rows, cols), lam * step, prox_iters).ravel()
-        acand = op.forward(cand)
+        acand, ncand = op.normal(cand)
         f_cand = objective(cand, acand)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k**2))
         if f_cand <= f_x:
-            x_next, ax_next, f_next = cand, acand, f_cand
+            x_next, nx_next, f_next = cand, ncand, f_cand
         else:
-            x_next, ax_next, f_next = x, ax, f_x
-        # z and A z share the coefficients, since A is linear
+            x_next, nx_next, f_next = x, nx, f_x
+        # z and A^T A z share the coefficients, since A^T A is linear
         c_cand, c_prev = t_k / t_next, (t_k - 1.0) / t_next
         z_momentum = x_next + c_cand * (cand - x_next) + c_prev * (x_next - x)
-        az = ax_next + c_cand * (acand - ax_next) + c_prev * (ax_next - ax)
-        x, ax, f_x = x_next, ax_next, f_next
+        nz = nx_next + c_cand * (ncand - nx_next) + c_prev * (nx_next - nx)
+        x, nx, f_x = x_next, nx_next, f_next
         t_k = t_next
     return Image(rows, cols, x.reshape(rows, cols))
 
@@ -375,7 +389,7 @@ def prox_consistency(
     gamma = cfg.gamma
 
     def apply(v):
-        return v + gamma * op.adjoint(op.forward(v))
+        return v + gamma * op.normal(v)[1]
 
     rhs = x_tilde + gamma * (op.adjoint(y) if aty is None else aty)
     applied = None if ax_tilde is None else x_tilde + gamma * op.adjoint(ax_tilde)

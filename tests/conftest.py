@@ -31,7 +31,8 @@ def dense_tomo_matrix(geom: Geometry) -> np.ndarray:
 
 @pytest.fixture()
 def count_products(monkeypatch):
-    """Counter of the TomoOperator products made from here on, by "forward" and "adjoint"."""
+    """Counter of the TomoOperator products made from here on, by "forward",
+    "adjoint" and "normal"."""
     counts = Counter()
 
     def counted(name):
@@ -45,6 +46,7 @@ def count_products(monkeypatch):
 
     counted("forward")
     counted("adjoint")
+    counted("normal")
     return counts
 
 

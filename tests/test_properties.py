@@ -1,9 +1,11 @@
-"""Property tests: adjointness, the norm estimate and streamed products over
-random small geometries, the TV difference pair, CTR1 files that were cut or altered, the
-schedules for every length, the respaced schedule for every chain length, and
-the phantom rasterizer against a whole-grid reference."""
+"""Property tests: adjointness, the norm estimate, streamed products and the
+operators' three products over random small geometries, the TV difference
+pair, CTR1 files that were cut or altered, the schedules for every length, the
+respaced schedule for every chain length, and the phantom rasterizer against a
+whole-grid reference."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,9 +14,9 @@ from conftest import dense_tomo_matrix
 from lactdiff.core import DataError, FormatError, Image, Sinogram, read_raster, write_raster
 from lactdiff.diffusion import NoiseSchedule, cosine_schedule, default_linear_schedule, respace
 from lactdiff.evaluation import _HEAD_ELLIPSES, _SUBSAMPLE, _rasterize
-from lactdiff.solvers import _div2d, _grad2d, operator_norm_sq
+from lactdiff.solvers import DenseOperator, _div2d, _grad2d, operator_norm_sq
 from lactdiff import tomography
-from lactdiff.tomography import Geometry, TomoOperator
+from lactdiff.tomography import Geometry, TomoOperator, default_detectors, make_limited_geometry
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -83,6 +85,49 @@ def test_streamed_products_are_bit_equal_to_the_plan(geom, seed):
     y = rng.standard_normal((geom.n_views, geom.detectors))
     assert np.array_equal(tomography.project_array(x, geom).ravel(), plan @ x.ravel())
     assert np.array_equal(tomography.backproject_array(y, geom).ravel(), plan.T @ y.ravel())
+
+
+@hypothesis.given(
+    streamed_geometries(), st.integers(0, 2**32 - 1), st.booleans(), st.integers(12, 2**16)
+)
+# square limited-angle and 180-degree geometries, each on both paths; a
+# 12-byte block holds one entry, so most blocks are empty
+@hypothesis.example(make_limited_geometry(16, default_detectors(16), 24, 60.0), 1, False, 12)
+@hypothesis.example(make_limited_geometry(16, default_detectors(16), 24, 60.0), 1, True, 12)
+@hypothesis.example(make_limited_geometry(12, default_detectors(12), 30, 180.0), 2, False, 600)
+@hypothesis.example(make_limited_geometry(12, default_detectors(12), 30, 180.0), 2, True, 600)
+@hypothesis.example(Geometry(9, 17, 20, [0.0, 44.9, 45.0, 45.1, 90.0, 134.9, 135.0, 135.1]), 3, False, 2**16)
+def test_operator_products_are_bit_equal_to_the_plan(geom, seed, streamed, block_bytes):
+    """forward, adjoint and normal call scipy's private sparse kernels on the
+    plan's arrays, or stream; either way they keep the bits of scipy's own
+    products, whatever the block size of normal."""
+    plan = tomography._build_stencil_matrix(geom)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(plan.shape[1])
+    y = rng.standard_normal(plan.shape[0])
+    op = TomoOperator(geom)
+    limit = 0 if streamed else tomography._PLAN_NNZ_LIMIT
+    with mock.patch.object(tomography, "_PLAN_NNZ_LIMIT", limit), \
+            mock.patch.object(tomography, "_NORMAL_BLOCK_BYTES", block_bytes):
+        ax, atax = op.normal(x)
+        assert (geom.plan is None) == streamed
+        assert np.array_equal(op.forward(x), plan @ x)
+        assert np.array_equal(op.adjoint(y), plan.T @ y)
+    assert np.array_equal(ax, plan @ x)
+    assert np.array_equal(atax, plan.T @ (plan @ x))
+
+
+@hypothesis.given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_dense_operator_products_are_its_matrix_products(rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    mat = rng.standard_normal((rows, cols))
+    x, y = rng.standard_normal(cols), rng.standard_normal(rows)
+    op = DenseOperator(mat)
+    ax, atax = op.normal(x)
+    assert np.array_equal(op.forward(x), mat @ x)
+    assert np.array_equal(op.adjoint(y), mat.T @ y)
+    assert np.array_equal(ax, mat @ x)
+    assert np.array_equal(atax, mat.T @ (mat @ x))
 
 
 @hypothesis.given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 2**32 - 1))

@@ -304,17 +304,20 @@ class TestChain:
         args = (model, sino.as_f64().ravel(), TomoOperator(geom), (n, n),
                 ConditionInput.none(n, n), SCHED, cfg)
         draw_samples(*args)
-        # untraced: A^T y once per draw, then CG's own products
-        assert count_products["adjoint"] - count_products["forward"] == 1
+        untraced = dict(count_products)
         count_products.clear()
         traces = []
         draw_samples(*args, traces=traces)
         iters = [r.iterations for t in traces for r in t.prox_reports]
         assert len(iters) == cfg.steps * cfg.n_samples
-        # per step: A x~ (the "before" residual and CG's first product), CG's
-        # first A^T, two per iteration, and the "after" residual's A z
+        # untraced (the same solves, to the bit): A^T y once per draw, then per
+        # step CG's first product and one per iteration, each a normal product
+        assert untraced == {"adjoint": 1, "normal": sum(i + 1 for i in iters)}
+        # traced, per step: A x~ (the "before" residual and CG's first
+        # product), CG's first A^T, one normal per iteration, and the "after"
+        # residual's A z
         assert count_products == {
-            "forward": sum(i + 2 for i in iters), "adjoint": 1 + sum(i + 1 for i in iters)
+            "forward": 2 * len(iters), "adjoint": 1 + len(iters), "normal": sum(iters)
         }
 
     def test_ct_wrapper_smoke(self):

@@ -73,6 +73,12 @@ class TestConjugateGradient:
             norms.append(report.final_residual_norm)
         assert np.all(np.diff(norms) <= 1e-12)
 
+    @pytest.mark.parametrize("tol", [-1e-8, np.nan])
+    def test_negative_or_nan_tol_rejected(self, tol):
+        # either would run to max_iter and report "not converged"
+        with pytest.raises(ParameterError, match="tol"):
+            conjugate_gradient(lambda v: 2.0 * v, np.ones(3), tol=tol)
+
     def test_non_spd_detected(self):
         with pytest.raises(NumericalError):
             conjugate_gradient(lambda v: -v, np.ones(3), tol=1e-12)
@@ -318,7 +324,8 @@ class TestTvProx:
 
 
 class TestProductCounts:
-    """A and A^T products per solve, with the geometry's ||A^T A|| estimated first."""
+    """A, A^T and normal products per solve, with the geometry's ||A^T A||
+    estimated first."""
 
     def test_tv_makes_one_of_each_per_outer_iteration(self, count_products):
         geom, sino = small_case()
@@ -326,7 +333,8 @@ class TestProductCounts:
         for k in (1, 6):
             count_products.clear()
             tv_reconstruct(sino, geom, lam=0.3, outer_iters=k)
-            assert count_products == {"forward": k, "adjoint": k}
+            # A^T y, then one normal product of the candidate per iteration
+            assert count_products == {"normal": k, "adjoint": 1}
 
     def test_rls_zero_start_makes_no_product(self, count_products):
         geom, sino = small_case()
@@ -334,8 +342,16 @@ class TestProductCounts:
         count_products.clear()
         k = 5
         rls_reconstruct(sino, geom, tol=0.0, max_iter=k)
-        # A^T y, then one A^T A per iteration
-        assert count_products == {"forward": k, "adjoint": k + 1}
+        # A^T y, then one normal product per iteration
+        assert count_products == {"normal": k, "adjoint": 1}
+
+    def test_norm_estimate_makes_one_normal_per_lanczos_step(self, count_products):
+        # 16 steps do not reach the stopping rules on this geometry
+        op = TomoOperator(make_limited_geometry(16, default_detectors(16), 8, 30.0))
+        for k in (1, 16):
+            count_products.clear()
+            operator_norm_sq(op, iters=k)
+            assert count_products == {"normal": k}
 
 
 class TestProx:
@@ -442,6 +458,12 @@ class TestOperatorNormSq:
 
     def test_zero_operator_gives_zero(self):
         assert operator_norm_sq(DenseOperator(np.zeros((3, 4)))) == 0.0
+
+    @pytest.mark.parametrize("iters", [0, -1])
+    def test_no_step_rejected(self, iters):
+        # with no Lanczos step the estimate would read 0.0
+        with pytest.raises(ParameterError, match="iters"):
+            operator_norm_sq(DenseOperator(np.eye(3)), iters=iters)
 
 
 class TestGeometryOwnsPlanAndNorm:
