@@ -269,7 +269,8 @@ def _cmd_reconstruct(args, argv) -> int:
         kind = FilterKind.RAM_LAK if args.filter == "ramlak" else FilterKind.HANN
         recon = fbp_reconstruct(sino, geom, kind)
     elif args.method == "rls":
-        recon = rls_reconstruct(sino, geom, tau=args.tau, max_iter=args.iters)
+        reports = []
+        recon = rls_reconstruct(sino, geom, tau=args.tau, max_iter=args.iters, reports=reports)
     else:
         recon = tv_reconstruct(sino, geom, lam=args.lam, outer_iters=args.iters)
     write_raster(args.out, recon)
@@ -290,6 +291,9 @@ def _cmd_reconstruct(args, argv) -> int:
         fields["operator.norm_sq"] = geom.norm_sq if used_norm else "n/a"
     if args.method == "rls":
         fields["resolved.tau"] = default_rls_tau(geom) if args.tau is None else args.tau
+        # false when CG stopped at --iters short of its tolerance
+        fields["rls.cg_iterations"] = reports[0].iterations
+        fields["rls.converged"] = str(reports[0].converged).lower()
     fields["out"] = args.out
     fields["duration_s"] = f"{time.perf_counter() - started:.3f}"
     _write_manifest(Path(args.out).with_suffix(".manifest.txt"), argv, fields)

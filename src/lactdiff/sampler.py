@@ -193,10 +193,10 @@ def _run_chains(
             )
         if cfg.prox is not None and step_index >= cfg.prox_skip:
             for i in range(n):
-                # A x~ behind the "before" residual is also CG's first product
-                ax = operator.forward(x[i]) if traces is not None else None
+                # A x~ gives the "before" residual, A^T A x~ CG's first product
+                ax, ata_x = operator.normal(x[i]) if traces is not None else (None, None)
                 x[i], report = prox_consistency(
-                    x[i], y, operator, cfg.prox, aty=aty, ax_tilde=ax
+                    x[i], y, operator, cfg.prox, aty=aty, normal_x_tilde=ata_x
                 )
                 if traces is not None:
                     before = float(np.linalg.norm(ax - y))

@@ -10,11 +10,11 @@ TomoOperator makes in one pass over its plan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 import numpy as np
 
-from .core import DimensionError, Image, NumericalError, ParameterError, SeededRng, Sinogram
+from .core import DimensionError, Image, NumericalError, ParameterError, Sinogram
 from .tomography import Geometry, TomoOperator
 
 
@@ -150,39 +150,57 @@ def conjugate_gradient(
     return x, CgReport(iterations, res_norm, converged)
 
 
-def operator_norm_sq(op, iters: int = 50, seed: int = 0) -> float:
-    """Largest eigenvalue of A^T A, by Lanczos from a seeded random start.
+def operator_norm_sq(op, iters: int = 50) -> float:
+    """Largest eigenvalue of A^T A, by Lanczos from the normalised all-ones image.
 
     Each step makes one op.normal product and extends the tridiagonal of the
     plain three-term recurrence (no reorthogonalisation); the estimate is the
-    top eigenvalue of that tridiagonal.  It stops once the estimate has
-    changed by at most 1e-14 relative on three steps in a row, when the
-    Krylov space becomes invariant (beta <= 1e-12 * estimate, as for low-rank
-    geometries), or after iters steps (iters >= 1).  One still step is not
-    enough: after a small beta the estimate can rest for a step or two on the
-    lower eigenvalue of a close pair before the top one enters.  See Kuczynski & Wozniakowski,
-    SIAM J. Matrix Anal. Appl. 13(4), 1992.
+    top eigenvalue theta of that tridiagonal.  From the second step on it
+    stops once the top Ritz pair's a-posteriori bound
+    (beta_k * |s_k|)^2 <= 1e-14 * theta * (theta - theta_2) holds, on a step
+    that moved theta by at most 1e-14 relative.  Here s_k is the last entry
+    of theta's eigenvector of the tridiagonal and theta_2 the second Ritz
+    value; theta then lies within residual^2 / gap of an eigenvalue, the
+    residual being beta_k * |s_k| (Parlett, The Symmetric Eigenvalue
+    Problem, SIAM 1998, ch. 11).  The still step is needed because
+    theta - theta_2 only estimates the gap: while a cluster at the top is
+    not yet resolved, theta sits inside it with a small residual and theta_2
+    far below, and the next step moves theta (a 6 x 1 image seen at 90
+    degrees with detector spacing 0.99999 stops 5e-10 low on the bound
+    alone).  It also stops when the Krylov space becomes invariant
+    (beta <= 1e-12 * theta, as for low-rank geometries), or after iters
+    steps (iters >= 1).
+
+    The start makes theta the top eigenvalue for every operator with
+    entries >= 0, as a stencil plan's interpolation weights are: A^T A is
+    then entrywise non-negative, so by Perron-Frobenius it has a
+    non-negative top eigenvector, which the all-ones start always overlaps
+    (unlike a random start, which puts almost no weight on that smooth
+    vector; Kuczynski & Wozniakowski, SIAM J. Matrix Anal. Appl. 13(4),
+    1992).  A signed operator whose top eigenvector is orthogonal to the
+    all-ones image is outside this guarantee: the estimate is then a lower
+    eigenvalue.
     """
     if iters < 1:
         raise ParameterError(f"iters must be >= 1, got {iters}")
     n = op.shape[1]
-    v = SeededRng(seed).standard_normal(n)
-    v /= np.linalg.norm(v)
+    v = np.full(n, 1.0 / np.sqrt(n))
     v_prev = np.zeros(n)
     alphas, betas = [], []
     beta = theta = 0.0
-    still = 0  # steps in a row on which the estimate held still
-    for _ in range(iters):
+    for k in range(1, iters + 1):
         w = op.normal(v)[1] - beta * v_prev
         alpha = float(v @ w)
         w -= alpha * v
         alphas.append(alpha)
         tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        theta_prev = theta
-        theta = float(np.linalg.eigvalsh(tri)[-1])
+        ritz, vecs = np.linalg.eigh(tri)
+        theta_prev, theta = theta, float(ritz[-1])
         beta = float(np.linalg.norm(w))
-        still = still + 1 if abs(theta - theta_prev) <= 1e-14 * abs(theta) else 0
-        if still == 3 or beta <= 1e-12 * theta:
+        if beta <= 1e-12 * theta:
+            break
+        still = k >= 2 and abs(theta - theta_prev) <= 1e-14 * theta
+        if still and (beta * vecs[-1, -1]) ** 2 <= 1e-14 * theta * (theta - ritz[-2]):
             break
         betas.append(beta)
         v_prev, v = v, w / beta
@@ -200,8 +218,14 @@ def rls_reconstruct(
     tau: Optional[float] = None,
     tol: float = 1e-8,
     max_iter: int = 200,
+    *,
+    reports: Optional[List[CgReport]] = None,
 ) -> Image:
-    """Minimize ||Ax - y||^2 + tau * ||x||^2 via CG on the normal equations."""
+    """Minimize ||Ax - y||^2 + tau * ||x||^2 via CG on the normal equations.
+
+    When reports is a list, the solve's CgReport is appended to it, so a
+    caller can tell a solve that stopped at max_iter short of tol.
+    """
     geom.matches_sinogram(sino)
     if max_iter < 1:
         raise ParameterError("max_iter must be >= 1")
@@ -216,7 +240,9 @@ def rls_reconstruct(
     def normal_apply(v):
         return op.normal(v)[1] + tau * v
 
-    x, _ = conjugate_gradient(normal_apply, rhs, None, tol, max_iter)
+    x, report = conjugate_gradient(normal_apply, rhs, None, tol, max_iter)
+    if reports is not None:
+        reports.append(report)
     return Image(geom.image_rows, geom.image_cols, x.reshape(geom.image_rows, geom.image_cols))
 
 
@@ -369,7 +395,7 @@ def prox_consistency(
     cfg: ProxConfig,
     *,
     aty: Optional[np.ndarray] = None,
-    ax_tilde: Optional[np.ndarray] = None,
+    normal_x_tilde: Optional[np.ndarray] = None,
 ):
     """argmin_z ||z - x_tilde||^2 + gamma * ||op(z) - y||^2 on flat arrays.
 
@@ -377,8 +403,8 @@ def prox_consistency(
     at x_tilde.  Every CG iterate keeps the prox objective at or below its
     value at x_tilde, so the measurement residual never increases even when
     the iteration budget runs out (reported via converged=False).  Callers
-    that already hold A^T y or A x_tilde pass them as aty and ax_tilde, and
-    the products are not repeated.
+    that already hold A^T y or A^T A x_tilde pass them as aty and
+    normal_x_tilde, and the products are not repeated.
     """
     x_tilde = np.asarray(x_tilde, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -392,7 +418,7 @@ def prox_consistency(
         return v + gamma * op.normal(v)[1]
 
     rhs = x_tilde + gamma * (op.adjoint(y) if aty is None else aty)
-    applied = None if ax_tilde is None else x_tilde + gamma * op.adjoint(ax_tilde)
+    applied = None if normal_x_tilde is None else x_tilde + gamma * normal_x_tilde
     return conjugate_gradient(
         apply, rhs, x_tilde, cfg.cg_tol, cfg.cg_max_iter, applied_x0=applied
     )

@@ -11,6 +11,8 @@ builds the geometry's CSR stencil plan (and imports scipy.sparse) on first
 use, in one walk over the views, and runs its three products, A, A^T and
 A^T A, on the plan's arrays with scipy's csr_matvec and csc_matvec kernels.
 A^T A takes one pass over the plan, a cache-sized block of rows at a time.
+Every plan entry is an interpolation weight, so >= 0; Geometry.norm_sq
+relies on that to start its Lanczos estimate from the all-ones image.
 The one-off products (project_array, backproject_array and the functions
 built on them) always walk the stencil a view at a time with numpy alone.
 A streamed product costs about one plan build, or 15 to 70 plan products
@@ -157,7 +159,15 @@ class Geometry:
 
     @cached_property
     def norm_sq(self) -> float:
-        """||A^T A||_2 by the Lanczos estimate, computed on first use."""
+        """||A^T A||_2 by the Lanczos estimate, computed on first use.
+
+        This is the only production caller of solvers.operator_norm_sq.  Its
+        all-ones start is safe here because every plan entry is an
+        interpolation weight, (1 - f) * c or f * c for a fraction f in [0, 1)
+        and a path length c > 0, so >= 0: A^T A is then entrywise
+        non-negative, and by Perron-Frobenius its top eigenvector is
+        non-negative too, which the all-ones image always overlaps.
+        """
         from . import solvers  # solvers imports this module
 
         return solvers.operator_norm_sq(TomoOperator(self))

@@ -443,6 +443,32 @@ class TestReconstructAndMetrics:
         assert run(capsys, "--manifest-in", str(tmp_path / "rls.manifest.txt"))[0] == 0
         assert (tmp_path / "rls.ctr").read_bytes() == original_bytes
 
+    def test_manifest_records_whether_rls_converged(self, pipeline, tmp_path, capsys):
+        _, sino = pipeline
+        raster = read_raster(sino)
+        geom = square_geometry(32, raster.detectors, raster.angles_deg)
+        # the CLI's default budget is --iters 100
+        reports = []
+        solvers.rls_reconstruct(raster, geom, max_iter=100, reports=reports)
+        assert reports[0].converged and reports[0].iterations > 5
+        cases = {
+            "capped": (["--iters", "5"], "5", "false"),
+            "default": ([], str(reports[0].iterations), "true"),
+        }
+        for name, (extra, want_iters, want_converged) in cases.items():
+            out = tmp_path / f"{name}.ctr"
+            assert run(capsys, "reconstruct", "--method", "rls", "--in", str(sino),
+                       "--size", "32", "--out", str(out), *extra)[0] == 0
+            lines = (tmp_path / f"{name}.manifest.txt").read_text().splitlines()
+            fields = dict(line.split(": ", 1) for line in lines[1:])
+            assert fields["rls.cg_iterations"] == want_iters
+            assert fields["rls.converged"] == want_converged
+        for method in ("fbp", "tv"):
+            out = tmp_path / f"{method}.ctr"
+            assert run(capsys, "reconstruct", "--method", method, "--in", str(sino),
+                       "--size", "32", "--iters", "5", "--out", str(out))[0] == 0
+            assert "rls." not in (tmp_path / f"{method}.manifest.txt").read_text()
+
     @pytest.mark.parametrize("method", ["rls", "tv"])
     def test_one_build_and_one_estimate(self, method, pipeline, tmp_path, capsys, monkeypatch):
         _, sino = pipeline

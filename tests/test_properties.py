@@ -1,8 +1,8 @@
 """Property tests: adjointness, the norm estimate, streamed products and the
-operators' three products over random small geometries, the TV difference
-pair, CTR1 files that were cut or altered, the schedules for every length, the
-respaced schedule for every chain length, and the phantom rasterizer against a
-whole-grid reference."""
+operators' three products over random small geometries, the norm estimate on
+non-negative matrices, the TV difference pair, CTR1 files that were cut or
+altered, the schedules for every length, the respaced schedule for every chain
+length, and the phantom rasterizer against a whole-grid reference."""
 
 import math
 from unittest import mock
@@ -54,10 +54,34 @@ def test_adjoint_identity(geom, seed):
 # eigenvalue for one step (first case) or two steps (second) after a small beta
 @hypothesis.example(Geometry(1, 7, 4, [0.0], 0.5, 0.99999))
 @hypothesis.example(Geometry(1, 7, 4, [0.0, 54.0], 0.5, 0.99999))
+# a top cluster of three: the Ritz bound alone holds at step 2, 5e-10 low
+@hypothesis.example(Geometry(6, 1, 5, [90.0], 0.5, 0.99999))
 def test_norm_estimate_matches_dense_eigenvalue(geom):
     mat = dense_tomo_matrix(geom)
     expected = np.linalg.eigvalsh(mat.T @ mat)[-1]
     assert operator_norm_sq(TomoOperator(geom)) == pytest.approx(expected, rel=1e-12)
+
+
+@st.composite
+def non_negative_matrices(draw):
+    """Non-negative matrices with zero rows and columns, some made of block-diagonal
+    copies of one block, so that the top singular value repeats exactly."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    block = np.array(draw(st.lists(entry, min_size=rows * cols, max_size=rows * cols)))
+    block = block.reshape(rows, cols)
+    block[draw(st.lists(st.integers(0, rows - 1), max_size=rows))] = 0.0
+    block[:, draw(st.lists(st.integers(0, cols - 1), max_size=cols))] = 0.0
+    return np.kron(np.eye(draw(st.integers(1, 3))), block)
+
+
+@hypothesis.given(non_negative_matrices())
+def test_norm_estimate_is_exact_on_non_negative_operators(mat):
+    # A^T A >= 0 entrywise has a non-negative top eigenvector (Perron-Frobenius),
+    # which the estimate's all-ones start always overlaps
+    expected = np.linalg.eigvalsh(mat.T @ mat)[-1]
+    assert operator_norm_sq(DenseOperator(mat)) == pytest.approx(expected, rel=1e-12)
 
 
 @st.composite

@@ -313,11 +313,11 @@ class TestChain:
         # untraced (the same solves, to the bit): A^T y once per draw, then per
         # step CG's first product and one per iteration, each a normal product
         assert untraced == {"adjoint": 1, "normal": sum(i + 1 for i in iters)}
-        # traced, per step: A x~ (the "before" residual and CG's first
-        # product), CG's first A^T, one normal per iteration, and the "after"
-        # residual's A z
+        # traced: A^T y once per draw, then per step one normal of x~ (A x~ for
+        # the "before" residual, A^T A x~ for CG's first product), one normal
+        # per iteration, and the "after" residual's A z
         assert count_products == {
-            "forward": 2 * len(iters), "adjoint": 1 + len(iters), "normal": sum(iters)
+            "forward": len(iters), "adjoint": 1, "normal": sum(i + 1 for i in iters)
         }
 
     def test_ct_wrapper_smoke(self):

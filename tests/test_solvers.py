@@ -156,6 +156,19 @@ class TestRls:
         xb, _ = conjugate_gradient(normal_apply, rhs, start, 1e-10, 500)
         assert np.linalg.norm(xa - xb) <= 1e-4 * np.linalg.norm(xa)
 
+    def test_reports_whether_the_solve_converged(self):
+        geom, sino = small_case(n=16, views=8, theta=60.0, seed=3)
+        reports = []
+        capped = rls_reconstruct(sino, geom, tau=0.1, max_iter=2, reports=reports)
+        full = rls_reconstruct(sino, geom, tau=0.1, reports=reports)
+        assert reports[0].iterations == 2 and not reports[0].converged
+        assert 2 < reports[1].iterations < 200 and reports[1].converged
+        # collecting the report does not change the reconstruction
+        assert np.array_equal(full.as_f64(), rls_reconstruct(sino, geom, tau=0.1).as_f64())
+        assert np.array_equal(
+            capped.as_f64(), rls_reconstruct(sino, geom, tau=0.1, max_iter=2).as_f64()
+        )
+
 
 class TestTv:
     def test_zero_weight_agrees_with_least_squares(self):
@@ -346,12 +359,19 @@ class TestProductCounts:
         assert count_products == {"normal": k, "adjoint": 1}
 
     def test_norm_estimate_makes_one_normal_per_lanczos_step(self, count_products):
-        # 16 steps do not reach the stopping rules on this geometry
+        # the estimate stops after 11 steps on this geometry, so 1 and 10 steps
+        # stop at the budget
         op = TomoOperator(make_limited_geometry(16, default_detectors(16), 8, 30.0))
-        for k in (1, 16):
+        for k in (1, 10):
             count_products.clear()
             operator_norm_sq(op, iters=k)
             assert count_products == {"normal": k}
+
+    def test_norm_estimate_stops_within_ten_normals(self, count_products):
+        op = TomoOperator(make_limited_geometry(64, default_detectors(64), 120, 60.0))
+        operator_norm_sq(op)
+        assert count_products["normal"] <= 10
+        assert set(count_products) == {"normal"}
 
 
 class TestProx:
