@@ -19,7 +19,7 @@ import numpy as np
 from .core import DimensionError, Image, NumericalError, ParameterError, SeededRng, Sinogram
 from .denoiser import ConditionInput, ConditionSource, Denoiser, denoise, guided_epsilon
 from .diffusion import NoiseSchedule, respace, reverse_step
-from .solvers import CgReport, ProxConfig, prox_consistency, rls_reconstruct
+from .solvers import CgReport, ProxConfig, _dot, prox_consistency, rls_reconstruct
 from .tomography import FilterKind, Geometry, TomoOperator, fbp_reconstruct
 
 
@@ -167,8 +167,9 @@ def _run_chains(
     cond_none = ConditionInput.none(rows, cols)
     aty = operator.adjoint(y) if cfg.prox is not None else None
 
-    def residual(row: np.ndarray) -> float:
-        return float(np.linalg.norm(operator.forward(row) - y))
+    def residual(ax: np.ndarray) -> float:
+        res = ax - y
+        return _dot(res, res) ** 0.5
 
     for k in range(K, 0, -1):
         step_index = K - k  # 0 for the first (noisiest) step
@@ -199,14 +200,14 @@ def _run_chains(
                     x[i], y, operator, cfg.prox, aty=aty, normal_x_tilde=ata_x
                 )
                 if traces is not None:
-                    before = float(np.linalg.norm(ax - y))
-                    after = residual(x[i])
+                    before = residual(ax)
+                    after = residual(operator.forward(x[i]))
                     traces[i].prox_residuals.append((before, after))
                     traces[i].prox_reports.append(report)
                     traces[i].residuals.append(after)
         elif traces is not None:
             for row, trace in zip(x, traces):
-                trace.residuals.append(residual(row))
+                trace.residuals.append(residual(operator.forward(row)))
     return x
 
 

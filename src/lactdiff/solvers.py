@@ -18,6 +18,15 @@ from .core import DimensionError, Image, NumericalError, ParameterError, Sinogra
 from .tomography import Geometry, TomoOperator
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """<a, b> of 1-D float64 arrays, with bits that BLAS threads cannot change.
+
+    BLAS (`@`, np.linalg.norm) sums in an order set by its thread count;
+    np.einsum without optimize sums in numpy's own loop.
+    """
+    return float(np.einsum("i,i->", a, b))
+
+
 @dataclass
 class CgReport:
     iterations: int
@@ -114,23 +123,23 @@ def conjugate_gradient(
             raise NumericalError("operator produced non-finite values")
         return out
 
-    target = tol * float(np.linalg.norm(rhs))
+    target = tol * _dot(rhs, rhs) ** 0.5
     if x0 is None:
         r = rhs.copy()
     else:
         r = rhs - checked(apply_op(x) if applied_x0 is None else applied_x0)
-    res_norm = float(np.linalg.norm(r))
+    rs = _dot(r, r)
+    res_norm = rs**0.5
     if res_norm <= target:
         return x, CgReport(0, res_norm, True)
 
     p = r.copy()
-    rs = res_norm**2
     iterations = 0
     converged = False
     for _ in range(max_iter):
         iterations += 1
         ap = checked(apply_op(p))
-        p_ap = float(p @ ap)
+        p_ap = _dot(p, ap)
         if not np.isfinite(p_ap) or p_ap <= 0.0:
             raise NumericalError(
                 f"conjugate gradient breakdown (p^T A p = {p_ap:g}); operator is not SPD"
@@ -138,7 +147,7 @@ def conjugate_gradient(
         alpha = rs / p_ap
         x += alpha * p
         r -= alpha * ap
-        rs_new = float(r @ r)
+        rs_new = _dot(r, r)
         if not np.isfinite(rs_new):
             raise NumericalError("conjugate gradient residual became non-finite")
         res_norm = rs_new**0.5
@@ -190,13 +199,13 @@ def operator_norm_sq(op, iters: int = 50) -> float:
     beta = theta = 0.0
     for k in range(1, iters + 1):
         w = op.normal(v)[1] - beta * v_prev
-        alpha = float(v @ w)
+        alpha = _dot(v, w)
         w -= alpha * v
         alphas.append(alpha)
         tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
         ritz, vecs = np.linalg.eigh(tri)
         theta_prev, theta = theta, float(ritz[-1])
-        beta = float(np.linalg.norm(w))
+        beta = _dot(w, w) ** 0.5
         if beta <= 1e-12 * theta:
             break
         still = k >= 2 and abs(theta - theta_prev) <= 1e-14 * theta
@@ -354,7 +363,7 @@ def tv_reconstruct(
 
     def objective(x_flat, ax):
         res = ax - y
-        val = 0.5 * float(res @ res)
+        val = 0.5 * _dot(res, res)
         if lam > 0.0:
             val += lam * total_variation(x_flat.reshape(rows, cols))
         return val

@@ -15,9 +15,9 @@ Every plan entry is an interpolation weight, so >= 0; Geometry.norm_sq
 relies on that to start its Lanczos estimate from the all-ones image.
 The one-off products (project_array, backproject_array and the functions
 built on them) always walk the stencil a view at a time with numpy alone.
-A streamed product costs about one plan build, or 15 to 70 plan products
+A streamed product costs about one plan build, or 10 to 45 plan products
 (fewer at 128^2 than at 64^2), so from the second product on one geometry
-TomoOperator is the cheaper path (from about the third to the eighth while
+TomoOperator is the cheaper path (from about the third to the ninth while
 scipy.sparse is still to import).
 
 Coordinate conventions, frozen so sinograms are portable:
@@ -279,49 +279,37 @@ def _view_stencil(geom: Geometry, theta_deg: float, work):
 
     Returns (counts, cols, weights): the number of entries in each detector
     row, then the int32 flat pixel index and the coefficient of every j0 /
-    j0+1 interpolation entry that falls inside the image, each row in
-    ascending column order.  It is the one walk of a view that both the
-    plan build and the streamed products make.  work is from _stencil_work.
+    j0+1 interpolation entry that falls inside the image, each row in walk
+    order: the driving index rises, and j0 comes before j0+1 within a step.
+    It is the one walk of a view that both the plan build and the streamed
+    products make.  work is from _stencil_work.
     """
     coord_buf, floor_buf, weight_buf, idx_buf, keep_buf = work
     drive_rows, coord, weight = _view_coords(geom, theta_deg, out=coord_buf)
     n_drive, det = coord.shape
     size = n_drive * det
     interp_n = geom.image_cols if drive_rows else geom.image_rows
-    cols_n = geom.image_cols
-    # Each detector row holds the j0 and the j0+1 entry of every step: side
-    # by side when the row is in column order as built, else in two halves,
-    # which leaves the stable sort below two ascending runs to merge when j0
-    # rises with the drive index.
-    shape, pair_axis = ((det, n_drive, 2), 2) if drive_rows else ((det, 2, n_drive), 1)
+    # a row holds each step's j0 and j0+1 entries side by side
     j0 = np.floor(coord.T, out=floor_buf[:size].reshape(det, n_drive))
-    weights = weight_buf[: 2 * size].reshape(shape)
-    w0, w1 = np.moveaxis(weights, pair_axis, 0)
-    np.subtract(coord.T, j0, out=w1)
-    np.subtract(1.0, w1, out=w0)
+    weights = weight_buf[: 2 * size].reshape(det, 2 * n_drive)
+    np.subtract(coord.T, j0, out=weights[:, 1::2])
+    np.subtract(1.0, weights[:, 1::2], out=weights[:, ::2])
     weights *= weight
-    idx = idx_buf[: 2 * size].reshape(shape)
-    i0, i1 = np.moveaxis(idx, pair_axis, 0)
+    idx = idx_buf[: 2 * size].reshape(det, 2 * n_drive)
     # entries outside the image are dropped, so clipping them keeps int32 exact
-    np.clip(j0, -2, interp_n, out=i0, casting="unsafe")
-    np.add(i0, 1, out=i1)
-    idx = idx.reshape(det, 2 * n_drive)
-    weights = weights.reshape(det, 2 * n_drive)
+    np.clip(j0, -2, interp_n, out=idx[:, ::2], casting="unsafe")
+    np.add(idx[:, ::2], 1, out=idx[:, 1::2])
     # a negative index wraps to a large unsigned one
     keep = np.less(idx.view(np.uint32), interp_n, out=keep_buf[: 2 * size].reshape(det, -1))
     counts = np.count_nonzero(keep, axis=1)
+    # flat index: drive * cols + j on a row-driven view, j * cols + drive otherwise
+    drive = np.arange(n_drive, dtype=np.int32).repeat(2)
     if drive_rows:
-        # columns rise with the drive index, and j0 < j0+1 within one step
-        idx += np.arange(0, n_drive * cols_n, cols_n, dtype=np.int32).repeat(2)
-        return counts, idx[keep], weights[keep]
-    idx *= cols_n
-    idx += np.tile(np.arange(n_drive, dtype=np.int32), 2)
-    # a row never holds one pixel twice, so sorting by column is unambiguous
-    order = np.argsort(idx, axis=1, kind="stable")
-    order += np.arange(0, idx.size, 2 * n_drive)[:, None]
-    order = order.ravel()
-    order = order[keep.ravel()[order]]
-    return counts, idx.ravel()[order], weights.ravel()[order]
+        idx += drive * geom.image_cols
+    else:
+        idx *= geom.image_cols
+        idx += drive
+    return counts, idx[keep], weights[keep]
 
 
 def _build_stencil_matrix(geom: Geometry) -> sp.csr_matrix:
@@ -330,9 +318,9 @@ def _build_stencil_matrix(geom: Geometry) -> sp.csr_matrix:
     Entries are the linear interpolation coefficients of every ray's samples
     along its driving axis; using one matrix for both directions makes the
     adjoint the literal transpose.  One walk over the views fills arrays
-    sized at the n_views * _view_nnz_bound estimate with sorted int32
-    indices, keeping the explicit zeros of integer crossings, and then
-    shrinks them in place to the entry count.  Nothing is copied, and the
+    sized at the n_views * _view_nnz_bound estimate with int32 indices, each
+    row in walk order, keeping the explicit zeros of integer crossings, and
+    then shrinks them in place to the entry count.  Nothing is copied, and the
     unwritten tail is never touched, so none of it becomes resident past the
     page that holds the last entry (a 2 MB page where numpy asks for huge
     pages, so the peak can exceed the plan by up to 4 MB).
@@ -374,7 +362,7 @@ def project_array(image: np.ndarray, geom: Geometry) -> np.ndarray:
     """Forward projection of a float64 (rows, cols) array to (views, detectors).
 
     Streams the stencil without a plan or scipy, one _view_stencil walk per
-    view: one call costs about one plan build, or 15 to 70 products with the
+    view: one call costs about one plan build, or 10 to 45 products with the
     plan, so callers that make two or more products on one geometry should
     use TomoOperator.  np.add.at applies its updates one at a time, in index
     order, starting from zero: the order in which csr_matvec sums a row of

@@ -749,6 +749,33 @@ class TestManifestReplay:
         assert code == 0
         assert out.read_bytes() == original
 
+    def test_rls_output_does_not_depend_on_blas_threads(self, tmp_path, capsys):
+        # a BLAS dot product sums in an order set by its thread count once
+        # the vectors are long enough: at 128^2 (16384 pixels) one and two
+        # OpenBLAS threads gave other bits, at 64^2 the same
+        phantom, sino = tmp_path / "p.ctr", tmp_path / "s.ctr"
+        assert run(capsys, "phantom", "--kind", "shepp_logan", "--size", "128",
+                   "--out", str(phantom))[0] == 0
+        assert run(capsys, "project", "--in", str(phantom), "--views", "60",
+                   "--theta-max", "60", "--noise-std", "0.01", "--seed", "7",
+                   "--out", str(sino))[0] == 0
+        rasters, norms = [], []
+        for threads in ("1", "2"):
+            out = tmp_path / f"rls{threads}.ctr"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=str(Path(lactdiff.__file__).parents[1]))
+            subprocess.run(
+                [sys.executable, "-m", "lactdiff.cli", "reconstruct", "--method", "rls",
+                 "--in", str(sino), "--size", "128", "--iters", "40", "--out", str(out)],
+                env=env, check=True, timeout=120, capture_output=True,
+            )
+            rasters.append(out.read_bytes())
+            manifest = out.with_suffix(".manifest.txt").read_text().splitlines()
+            norms.append([line for line in manifest if line.startswith("operator.norm_sq: ")])
+        assert len(norms[0]) == 1
+        assert norms[0] == norms[1]
+        assert rasters[0] == rasters[1]
+
     def test_v1_manifest_still_replays(self, tmp_path, capsys):
         # replay reads only the argv line, whose format v2 left unchanged
         out = tmp_path / "p.ctr"

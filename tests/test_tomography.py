@@ -81,14 +81,15 @@ class TestStencilPlan:
              "non-square", "non-square-tall", "widened-spacing", "wide-detector"],
     )
     def test_matches_coo_reference(self, geom):
-        plan = tomography._build_stencil_matrix(geom)
+        # the plan keeps each row in walk order, the reference in column
+        # order, so the entries are compared once both rows are sorted
+        plan = tomography._build_stencil_matrix(geom).sorted_indices()
         ref = coo_stencil_matrix(geom)
         assert plan.shape == ref.shape
         for name in ("indptr", "indices", "data"):
             got, want = getattr(plan, name), getattr(ref, name)
             assert got.dtype == want.dtype, name
             assert np.array_equal(got, want), name
-        assert plan.has_sorted_indices
 
     def test_keeps_explicit_zeros(self):
         # a ray through integer crossings puts zero weight on one neighbour;
@@ -96,6 +97,29 @@ class TestStencilPlan:
         geom = Geometry(24, 9, 30, [0.0, 45.0, 90.0, 135.0, 170.5])
         plan = tomography._build_stencil_matrix(geom)
         assert np.count_nonzero(plan.data == 0.0) > 0
+
+    @pytest.mark.parametrize(
+        "geom",
+        [
+            Geometry(13, 21, 40, np.linspace(0.0, 179.0, 33)),
+            square_geometry(16, 23, [44.9, 45.0, 45.1, 134.9, 135.0, 135.1]),
+            Geometry(24, 9, 30, [44.9, 45.0, 45.1, 134.9, 135.0, 135.1]),
+        ],
+        ids=["non-square", "diagonals-square", "diagonals-non-square"],
+    )
+    def test_rows_in_walk_order(self, geom):
+        # within a detector row the driving index never falls, and a step's
+        # j0 entry comes right before its j0+1 entry
+        work = tomography._stencil_work(geom)
+        for theta_deg in geom.angles_deg:
+            drive_rows = tomography._view_coords(geom, theta_deg)[0]
+            counts, cols, _ = tomography._view_stencil(geom, theta_deg, work)
+            pixel_row, pixel_col = np.divmod(cols, geom.image_cols)
+            drive, interp = (pixel_row, pixel_col) if drive_rows else (pixel_col, pixel_row)
+            for row in np.split(np.arange(cols.size), np.cumsum(counts)[:-1]):
+                step = np.diff(drive[row])
+                assert np.all(step >= 0), theta_deg
+                assert np.all(np.diff(interp[row])[step == 0] == 1), theta_deg
 
 
 class TestGeometry:
