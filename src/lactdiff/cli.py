@@ -177,14 +177,49 @@ def _write_manifest(path: Path, argv, fields: dict, traces=None, seeds=()) -> No
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _read_manifest_argv(path: str):
+def _read_manifest(path: str):
+    """A stored manifest's argv, and the versions it recorded by package."""
     try:
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if line.startswith("argv: "):
-                return shlex.split(line[len("argv: ") :])
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        argv = next(
+            (shlex.split(line[len("argv: ") :]) for line in lines if line.startswith("argv: ")),
+            None,
+        )
     except ValueError as exc:  # text that is not UTF-8, or an unclosed quote
         raise FormatError(f"manifest {path} is unreadable: {exc}") from exc
-    raise FormatError(f"manifest {path} has no argv line")
+    if argv is None:
+        raise FormatError(f"manifest {path} has no argv line")
+    versions = dict(
+        line.removeprefix("version.").partition(": ")[::2]
+        for line in lines
+        if line.startswith("version.")
+    )
+    return argv, versions
+
+
+def _note_version_change(recorded: dict) -> None:
+    """One line on stderr when the replay runs other versions than recorded.
+
+    Outputs are bit-for-bit only under the recorded versions (sample's
+    follow the last bits of numpy's einsum loop), but the replay runs on.
+    scipy is compared when recorded: that run loaded it, so the replay will.
+    """
+    running = {"lactdiff": __version__, "numpy": np.__version__}
+    if "scipy" in recorded:
+        import scipy
+
+        running["scipy"] = scipy.__version__
+    changed = [
+        f"{package} {recorded[package]} -> {version}"
+        for package, version in running.items()
+        if recorded.get(package, version) != version
+    ]
+    if changed:
+        print(
+            f"note: the manifest ran with other versions ({', '.join(changed)}); "
+            "outputs may differ from the recorded ones in their last bits",
+            file=sys.stderr,
+        )
 
 
 def _read_expected(path, kind):
@@ -291,13 +326,22 @@ def _cmd_reconstruct(args, argv) -> int:
         fields["operator.norm_sq"] = geom.norm_sq if used_norm else "n/a"
     if args.method == "rls":
         fields["resolved.tau"] = default_rls_tau(geom) if args.tau is None else args.tau
-        # false when CG stopped at --iters short of its tolerance
-        fields["rls.cg_iterations"] = reports[0].iterations
-        fields["rls.converged"] = str(reports[0].converged).lower()
+        fields.update(_cg_fields("rls.", reports))
     fields["out"] = args.out
     fields["duration_s"] = f"{time.perf_counter() - started:.3f}"
     _write_manifest(Path(args.out).with_suffix(".manifest.txt"), argv, fields)
     return 0
+
+
+def _cg_fields(prefix: str, reports) -> dict:
+    """Manifest fields of the CG solve in reports, if any; converged is
+    false when CG stopped at its iteration budget short of its tolerance."""
+    if not reports:
+        return {}
+    return {
+        f"{prefix}cg_iterations": reports[0].iterations,
+        f"{prefix}converged": str(reports[0].converged).lower(),
+    }
 
 
 def _builtin_prior(dim: int, center: np.ndarray, std: float) -> GmmPrior:
@@ -348,7 +392,8 @@ def _cmd_sample(args, argv) -> int:
         if uncond_prior is None:
             uncond_prior = _builtin_prior(dim, np.zeros(dim), max(args.prior_std, 1.0))
         uncond_model = GmmDenoiser(uncond_prior, sched)
-    cond = build_condition(sino, geom, args.condition)
+    condition_reports = []
+    cond = build_condition(sino, geom, args.condition, reports=condition_reports)
     if prior is None:
         prior = _builtin_prior(dim, cond.image.as_f64().ravel(), args.prior_std)
     model = GmmDenoiser(prior, sched)
@@ -402,6 +447,7 @@ def _cmd_sample(args, argv) -> int:
             "param.samples": args.samples,
             "seed": args.seed,
             "geometry.digest": geom.digest(),
+            **_cg_fields("condition.rls_", condition_reports),
             "mean_final_residual": (
                 f"{float(np.mean(final_residuals)):.9g}" if final_residuals else "n/a"
             ),
@@ -463,9 +509,10 @@ def main(argv=None) -> int:
                 raise ParameterError(
                     f"--manifest-in replays the recorded command; drop {args.command!r}"
                 )
-            replay = _read_manifest_argv(args.manifest_in)
+            replay, versions = _read_manifest(args.manifest_in)
             if "--manifest-in" in replay:
                 raise ParameterError("manifest replay cannot nest --manifest-in")
+            _note_version_change(versions)
             return main(replay)
         if args.command is None:
             parser.print_usage(sys.stderr)

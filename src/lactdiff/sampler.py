@@ -83,16 +83,23 @@ class SampleSet:
         object.__setattr__(self, "samples", samples)
 
 
-def build_condition(sino: Sinogram, geom: Geometry, method: str) -> ConditionInput:
+def build_condition(
+    sino: Sinogram,
+    geom: Geometry,
+    method: str,
+    *,
+    reports: Optional[List[CgReport]] = None,
+) -> ConditionInput:
     """Low-fidelity reconstruction rescaled to [0, 1] for conditioning.
 
-    Constant reconstructions map to all-zeros.
+    Constant reconstructions map to all-zeros.  When reports is a list, an
+    "rls" solve appends its CgReport to it, as rls_reconstruct does.
     """
     if method == "fbp":
         recon = fbp_reconstruct(sino, geom, FilterKind.RAM_LAK)
         source = ConditionSource.FBP
     elif method == "rls":
-        recon = rls_reconstruct(sino, geom)
+        recon = rls_reconstruct(sino, geom, reports=reports)
         source = ConditionSource.RLS
     else:
         raise ParameterError(f"condition method must be 'fbp' or 'rls', got {method!r}")

@@ -7,18 +7,19 @@ so the pair satisfies the adjoint identity <Ax, y> = <x, A^T y> to round-off.
 Every view's stencil comes from one walk, _view_stencil, which yields the
 row counts and the entries together.  A product takes one of two paths,
 with the same bits.  TomoOperator, which iterative solvers call many times,
-builds the geometry's CSR stencil plan (and imports scipy.sparse) on first
-use, in one walk over the views, and runs its three products, A, A^T and
-A^T A, on the plan's arrays with scipy's csr_matvec and csc_matvec kernels.
+builds the geometry's CSR stencil plan (a StencilPlan) on first use, in one
+walk over the views, and runs its three products, A, A^T and A^T A, on the
+plan's arrays with scipy's compiled csr_matvec and csc_matvec kernels,
+loaded on their own without the scipy.sparse package (_sparse_kernels).
 A^T A takes one pass over the plan, a cache-sized block of rows at a time.
 Every plan entry is an interpolation weight, so >= 0; Geometry.norm_sq
 relies on that to start its Lanczos estimate from the all-ones image.
 The one-off products (project_array, backproject_array and the functions
 built on them) always walk the stencil a view at a time with numpy alone.
-A streamed product costs about one plan build, or 10 to 45 plan products
-(fewer at 128^2 than at 64^2), so from the second product on one geometry
-TomoOperator is the cheaper path (from about the third to the ninth while
-scipy.sparse is still to import).
+A streamed product costs about one plan build, or 10 to 35 plan products
+(fewer at 128^2 than at 64^2), and loading the kernels costs a process
+about 10 ms, so from the second product on one geometry TomoOperator is
+the cheaper path.
 
 Coordinate conventions, frozen so sinograms are portable:
   pixel (row i, col j) center at ((j - (cols-1)/2), ((rows-1)/2 - i)) * pixel_size
@@ -30,17 +31,18 @@ from __future__ import annotations
 
 import enum
 import hashlib
+import importlib.machinery
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Optional
+from pathlib import Path
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .core import DimensionError, Image, ParameterError, Sinogram
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 
 class FilterKind(enum.Enum):
@@ -147,7 +149,7 @@ class Geometry:
         return h.hexdigest()[:16]
 
     @cached_property
-    def plan(self) -> Optional[sp.csr_matrix]:
+    def plan(self) -> Optional[StencilPlan]:
         """The whole (V*D, R*C) CSR stencil plan, built on first use.
 
         None when its estimated entry count exceeds _PLAN_NNZ_LIMIT; products
@@ -312,8 +314,66 @@ def _view_stencil(geom: Geometry, theta_deg: float, work):
     return counts, idx[keep], weights[keep]
 
 
-def _build_stencil_matrix(geom: Geometry) -> sp.csr_matrix:
-    """Assemble the projection stencil as a (V*D, R*C) CSR matrix.
+@dataclass(frozen=True, eq=False)
+class StencilPlan:
+    """The projection stencil as the arrays of a (V*D, R*C) CSR matrix.
+
+    indptr and indices are int32, data float64; each row is in walk order
+    and keeps its explicit zeros.  block_ends are the row ends of
+    TomoOperator.normal's blocks of about _NORMAL_BLOCK_BYTES of entries,
+    the last one shape[0].
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: Tuple[int, int]
+    block_ends: Tuple[int, ...]
+
+    format = "csr"  # scipy's name for the layout
+
+    @property
+    def nnz(self) -> int:
+        return self.data.size
+
+
+# the module of scipy's compiled sparse kernels, and its file in the scipy package
+_KERNELS = "scipy.sparse._sparsetools"
+_KERNELS_FILE = Path("sparse", "_sparsetools" + importlib.machinery.EXTENSION_SUFFIXES[0])
+
+
+def _sparse_kernels():
+    """scipy's compiled _sparsetools module, without the scipy.sparse package.
+
+    The plan's products use only its csr_matvec and csc_matvec, and
+    importing scipy.sparse to reach them costs a process about 0.2 s and
+    22 MB, nearly all of it in modules that scipy.sparse imports and the
+    kernels do not need.  So the extension is loaded from its file inside
+    the scipy package (after `import scipy`, which manifests record), and
+    kept in sys.modules under its own name, where a later `import
+    scipy.sparse` finds it and loads no second copy.  Loaded so, the
+    kernels cost about 10 ms and 1 MB.  Where the file is not there, they
+    come from scipy.sparse after all.
+    """
+    kernels = sys.modules.get(_KERNELS)
+    if kernels is not None:
+        return kernels
+    import scipy
+
+    path = Path(scipy.__file__).parent / _KERNELS_FILE
+    if not path.is_file():
+        from scipy.sparse import _sparsetools
+
+        return _sparsetools
+    spec = importlib.util.spec_from_file_location(_KERNELS, path)
+    kernels = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(kernels)
+    sys.modules[_KERNELS] = kernels
+    return kernels
+
+
+def _build_stencil_matrix(geom: Geometry) -> StencilPlan:
+    """Assemble the projection stencil as a (V*D, R*C) CSR plan.
 
     Entries are the linear interpolation coefficients of every ray's samples
     along its driving axis; using one matrix for both directions makes the
@@ -325,10 +385,6 @@ def _build_stencil_matrix(geom: Geometry) -> sp.csr_matrix:
     page that holds the last entry (a 2 MB page where numpy asks for huge
     pages, so the peak can exceed the plan by up to 4 MB).
     """
-    # imported here: scipy.sparse costs about 0.2 s and 18 MB at start-up,
-    # which processes that never build a plan need not pay
-    import scipy.sparse as sp
-
     det = geom.detectors
     bound = geom.n_views * _view_nnz_bound(geom)
     indptr = np.zeros(geom.n_views * det + 1, dtype=np.int32)
@@ -344,13 +400,16 @@ def _build_stencil_matrix(geom: Geometry) -> sp.csr_matrix:
         nnz += cols.size
     indices.resize(nnz, refcheck=False)
     data.resize(nnz, refcheck=False)
-    return sp.csr_matrix(
-        (data, indices, indptr),
-        shape=(geom.n_views * det, geom.image_rows * geom.image_cols),
+    m = geom.n_views * det
+    # block ends: the first row boundary at or past every step entries
+    step = _NORMAL_BLOCK_BYTES // (indices.itemsize + data.itemsize)
+    ends = np.searchsorted(indptr, np.arange(step, nnz, step)).tolist()
+    return StencilPlan(
+        indptr, indices, data, (m, geom.image_rows * geom.image_cols), (*ends, m)
     )
 
 
-def _stencil_plan(geom: Geometry) -> Optional[sp.csr_matrix]:
+def _stencil_plan(geom: Geometry) -> Optional[StencilPlan]:
     """geom's whole CSR plan (Geometry.plan), or None above _PLAN_NNZ_LIMIT.
 
     The benchmark harness reads the plan's size through this name.
@@ -362,11 +421,11 @@ def project_array(image: np.ndarray, geom: Geometry) -> np.ndarray:
     """Forward projection of a float64 (rows, cols) array to (views, detectors).
 
     Streams the stencil without a plan or scipy, one _view_stencil walk per
-    view: one call costs about one plan build, or 10 to 45 products with the
+    view: one call costs about one plan build, or 10 to 35 products with the
     plan, so callers that make two or more products on one geometry should
     use TomoOperator.  np.add.at applies its updates one at a time, in index
     order, starting from zero: the order in which csr_matvec sums a row of
-    the plan, so the result has the bits of geom.plan @ x.
+    the plan, so the result has the bits of TomoOperator.forward.
     """
     geom.matches_image(image)
     x = np.asarray(image, dtype=np.float64).ravel()
@@ -385,9 +444,9 @@ def backproject_array(sino: np.ndarray, geom: Geometry) -> np.ndarray:
     """Exact transpose of project_array, (views, detectors) -> (rows, cols).
 
     Streams the stencil, at the cost that project_array describes.  The
-    updates reach each pixel in plan row order, as in csc_matvec on
-    geom.plan.T, so the result has the bits of geom.plan.T @ y.  Summing a
-    view on its own first (np.bincount, np.add.reduceat) would not.
+    updates reach each pixel in plan row order, as in csc_matvec on the
+    plan's arrays, so the result has the bits of TomoOperator.adjoint.
+    Summing a view on its own first (np.bincount, np.add.reduceat) would not.
     """
     if sino.shape != (geom.n_views, geom.detectors):
         raise DimensionError(
@@ -488,14 +547,16 @@ class TomoOperator:
     Three products: forward (A x), adjoint (A^T y) and normal, which returns
     (A x, A^T A x) from one pass over the plan the geometry owns (built on
     first use: an iterative solver makes many products).  Each calls scipy's
-    private _sparsetools kernels on the plan's CSR arrays: csr_matvec for A,
-    and csc_matvec, which reads the same arrays as plan.T, for A^T, so no
-    transpose is kept.  The public product cannot do what normal does: for
-    each block of _NORMAL_BLOCK_BYTES of entries, A fills the block's rows
-    of A x, and A^T adds their share into A^T A x while the block is still
-    in cache.  The kernels keep the plan's summation order, so the results
-    have the bits of plan @ x, plan.T @ y and plan.T @ (plan @ x).  Above
-    _PLAN_NNZ_LIMIT, normal is the streamed A followed by the streamed A^T.
+    compiled kernels (_sparse_kernels) on the plan's CSR arrays: csr_matvec
+    for A, and csc_matvec, which reads the same arrays as the CSC matrix of
+    A^T, for A^T, so no transpose is kept.  scipy's public product cannot do
+    what normal does: for each block of rows the plan's block_ends give, A
+    fills the block's rows of A x, and A^T adds their share into A^T A x
+    while the block is still in cache.  These are the kernels of scipy's own
+    csr_matrix products, in the plan's summation order, so with M the plan
+    as a csr_matrix the results have the bits of M @ x, M.T @ y and
+    M.T @ (M @ x).  Above _PLAN_NNZ_LIMIT, normal is the streamed A
+    followed by the streamed A^T.
     """
 
     geom: Geometry
@@ -521,11 +582,9 @@ class TomoOperator:
         plan = g.plan
         if plan is None:
             return project_array(x.reshape(g.image_rows, g.image_cols), g).ravel()
-        from scipy.sparse import _sparsetools
-
         m, n = plan.shape
         out = np.zeros(m)
-        _sparsetools.csr_matvec(m, n, plan.indptr, plan.indices, plan.data, x, out)
+        _sparse_kernels().csr_matvec(m, n, plan.indptr, plan.indices, plan.data, x, out)
         return out
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
@@ -539,11 +598,9 @@ class TomoOperator:
         plan = g.plan
         if plan is None:
             return backproject_array(y.reshape(g.n_views, g.detectors), g).ravel()
-        from scipy.sparse import _sparsetools
-
         m, n = plan.shape
         out = np.zeros(n)
-        _sparsetools.csc_matvec(n, m, plan.indptr, plan.indices, plan.data, y.ravel(), out)
+        _sparse_kernels().csc_matvec(n, m, plan.indptr, plan.indices, plan.data, y.ravel(), out)
         return out
 
     def normal(self, x: np.ndarray):
@@ -554,20 +611,16 @@ class TomoOperator:
         if plan is None:
             ax = project_array(x.reshape(g.image_rows, g.image_cols), g)
             return ax.ravel(), backproject_array(ax, g).ravel()
-        from scipy.sparse import _sparsetools
-
+        kernels = _sparse_kernels()
         m, n = plan.shape
         indptr, indices, data = plan.indptr, plan.indices, plan.data
-        step = _NORMAL_BLOCK_BYTES // (indices.itemsize + data.itemsize)
-        # block ends: the first row boundary at or past every step entries
-        ends = np.searchsorted(indptr, np.arange(step, plan.nnz, step)).tolist()
         ax, out = np.zeros(m), np.zeros(n)
         start = 0
-        for end in ends + [m]:
+        for end in plan.block_ends:
             # indptr[start:end + 1] holds offsets into the whole indices and
             # data, so a block needs no copy
             rows, ax_block = indptr[start : end + 1], ax[start:end]
-            _sparsetools.csr_matvec(end - start, n, rows, indices, data, x, ax_block)
-            _sparsetools.csc_matvec(n, end - start, rows, indices, data, ax_block, out)
+            kernels.csr_matvec(end - start, n, rows, indices, data, x, ax_block)
+            kernels.csc_matvec(n, end - start, rows, indices, data, ax_block, out)
             start = end
         return ax, out

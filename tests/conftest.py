@@ -29,6 +29,14 @@ def dense_tomo_matrix(geom: Geometry) -> np.ndarray:
     return mat
 
 
+def plan_matrix(plan):
+    """A stencil plan as scipy's csr_matrix on the same arrays, so that scipy's
+    own products and conversions can serve as the oracle."""
+    import scipy.sparse as sp
+
+    return sp.csr_matrix((plan.data, plan.indices, plan.indptr), shape=plan.shape)
+
+
 @pytest.fixture()
 def count_products(monkeypatch):
     """Counter of the TomoOperator products made from here on, by "forward",

@@ -77,7 +77,7 @@ def loaded_by_cli_import(name):
 
 
 def test_cli_import_leaves_out_scipy_sparse():
-    # scipy.sparse loads at a geometry's first plan build, which only TomoOperator products make
+    # plan products load scipy's sparse kernels on their own, without scipy.sparse
     assert not loaded_by_cli_import("scipy.sparse")
 
 
@@ -103,10 +103,11 @@ def test_phantom_command_leaves_out_scipy_sparse(tmp_path):
     assert "version.scipy" not in (tmp_path / "p.manifest.txt").read_text()
 
 
-def test_first_plan_build_loads_scipy_sparse():
+def test_first_plan_build_leaves_out_scipy_sparse():
     # in a fresh process, one-off projections stream the stencil without
-    # scipy; the first TomoOperator product builds the plan and imports
-    # scipy.sparse.  The products are the bytes this process computes.
+    # scipy; the first TomoOperator product builds the plan and loads the
+    # sparse kernels, but not scipy.sparse.  The products are the bytes
+    # this process computes.
     code = (
         "import sys; import numpy as np; from lactdiff.core import Image; "
         "from lactdiff.tomography import TomoOperator, back_project, forward_project, "
@@ -120,11 +121,54 @@ def test_first_plan_build_loads_scipy_sparse():
         "sino.data.tobytes().hex(), back.data.tobytes().hex())"
     )
     streamed, after, sino_hex, back_hex = run_fresh(code).split()
-    assert (streamed, after) == ("False", "True")
+    assert (streamed, after) == ("False", "False")
     geom = make_limited_geometry(16, 24, 12, 60.0)
     sino = forward_project(Image(16, 16, np.arange(256.0).reshape(16, 16) / 256.0), geom)
     assert sino_hex == sino.data.tobytes().hex()
     assert back_hex == back_project(sino, geom).data.tobytes().hex()
+
+
+def test_scipy_sparse_imported_after_a_plan_product_shares_its_kernels():
+    # the kernels a plan product loaded are the ones scipy.sparse then uses,
+    # and scipy's own csr_matrix products have the operator's bits
+    code = (
+        "import sys; import numpy as np; from lactdiff import tomography; "
+        "geom = tomography.make_limited_geometry(16, 24, 12, 60.0); "
+        "op = tomography.TomoOperator(geom); rng = np.random.default_rng(5); "
+        "x, y = rng.standard_normal(256), rng.standard_normal(12 * 24); "
+        "ax, aty = op.forward(x), op.adjoint(y); kernels = tomography._sparse_kernels(); "
+        "import scipy.sparse as sp; from scipy.sparse import _sparsetools; "
+        "plan = geom.plan; "
+        "m = sp.csr_matrix((plan.data, plan.indices, plan.indptr), shape=plan.shape); "
+        "print(_sparsetools is kernels, sys.modules['scipy.sparse._sparsetools'] is kernels, "
+        "(m @ x).tobytes() == ax.tobytes(), (m.T @ y).tobytes() == aty.tobytes())"
+    )
+    assert run_fresh(code) == "True True True True\n"
+
+
+@pytest.mark.parametrize("method", ["rls", "tv", "sample"])
+def test_plan_commands_leave_out_scipy_sparse(tmp_path, method):
+    # their plan products load scipy and its sparse kernels, not
+    # scipy.sparse, and the manifest records scipy's version
+    import scipy
+
+    phantom, sino = tmp_path / "p.ctr", tmp_path / "s.ctr"
+    write_raster(phantom, Image(16, 16, np.arange(256.0).reshape(16, 16) / 256.0))
+    assert main(["project", "--in", str(phantom), "--views", "12", "--out", str(sino)]) == 0
+    if method == "sample":
+        argv = ["sample", "--in", str(sino), "--size", "16", "--K", "3", "--T", "60",
+                "--samples", "1", "--out-dir", str(tmp_path / "run")]
+        manifest = tmp_path / "run" / "manifest.txt"
+    else:
+        argv = ["reconstruct", "--method", method, "--in", str(sino), "--size", "16",
+                "--iters", "5", "--out", str(tmp_path / "r.ctr")]
+        manifest = tmp_path / "r.manifest.txt"
+    code = (
+        "import sys; from lactdiff.cli import main; "
+        f"code = main({argv!r}); print(code, 'scipy.sparse' in sys.modules)"
+    )
+    assert run_fresh(code) == "0 False\n"
+    assert f"version.scipy: {scipy.__version__}" in manifest.read_text().splitlines()
 
 
 def test_project_and_fbp_commands_leave_out_scipy_sparse(tmp_path):
@@ -684,6 +728,35 @@ class TestSampleCommand:
                                     cond, sched, cfg, seed=seed)
             assert read_raster(out_dir / f"sample_{i:03d}.ctr") == lone
 
+    def test_manifest_records_the_condition_solve(self, sino64, tmp_path, capsys):
+        sino = read_raster(sino64)
+        geom = square_geometry(24, sino.detectors, sino.angles_deg)
+        reports = []
+        build_condition(sino, geom, "rls", reports=reports)
+        assert len(reports) == 1
+        out_dir = tmp_path / "run"
+        argv = ["sample", "--in", str(sino64), "--size", "24", "--K", "4", "--T", "60",
+                "--samples", "1", "--out-dir", str(out_dir)]
+        assert run(capsys, *argv)[0] == 0
+        manifest = (out_dir / "manifest.txt").read_text().splitlines()
+        fields = dict(line.split(": ", 1) for line in manifest[1:])
+        assert fields["condition.rls_cg_iterations"] == str(reports[0].iterations)
+        assert fields["condition.rls_converged"] == str(reports[0].converged).lower()
+        # a replay writes the same sample and the same condition lines
+        sample = (out_dir / "sample_000.ctr").read_bytes()
+        (out_dir / "sample_000.ctr").unlink()
+        assert run(capsys, "--manifest-in", str(out_dir / "manifest.txt"))[0] == 0
+        assert (out_dir / "sample_000.ctr").read_bytes() == sample
+        replayed = (out_dir / "manifest.txt").read_text().splitlines()
+        condition = [line for line in manifest if line.startswith("condition.")]
+        assert len(condition) == 2
+        assert condition == [line for line in replayed if line.startswith("condition.")]
+        # an FBP condition runs no CG
+        fbp_dir = tmp_path / "fbp"
+        argv[-1] = str(fbp_dir)
+        assert run(capsys, *argv, "--condition", "fbp")[0] == 0
+        assert "condition." not in (fbp_dir / "manifest.txt").read_text()
+
     def test_too_short_linear_schedule_names_T(self, sino64, tmp_path, capsys):
         code, _, err = run(capsys, "sample", "--in", str(sino64), "--size", "24",
                            "--K", "5", "--T", "20", "--samples", "1",
@@ -775,6 +848,31 @@ class TestManifestReplay:
         assert len(norms[0]) == 1
         assert norms[0] == norms[1]
         assert rasters[0] == rasters[1]
+
+    def test_replay_notes_other_versions(self, tmp_path, capsys):
+        out = tmp_path / "p.ctr"
+        assert run(capsys, "phantom", "--kind", "disks", "--size", "16",
+                   "--out", str(out))[0] == 0
+        original = out.read_bytes()
+        manifest = tmp_path / "p.manifest.txt"
+        text = manifest.read_text()
+        # the versions this process runs: no note
+        code, _, err = run(capsys, "--manifest-in", str(manifest))
+        assert (code, err) == (0, "")
+        import scipy
+
+        lines = [line for line in text.splitlines() if not line.startswith("version.")]
+        versions = ["version.lactdiff: 0.1", "version.numpy: 0.2", "version.scipy: 0.3"]
+        manifest.write_text("\n".join(lines[:2] + versions + lines[2:]) + "\n")
+        out.unlink()
+        code, _, err = run(capsys, "--manifest-in", str(manifest))
+        # one line on stderr, and the replay runs as before
+        assert code == 0
+        assert err.count("\n") == 1 and err.startswith("note: ")
+        for package, version in [("lactdiff", lactdiff.__version__),
+                                 ("numpy", np.__version__), ("scipy", scipy.__version__)]:
+            assert f"{package} 0." in err and f"-> {version}" in err
+        assert out.read_bytes() == original
 
     def test_v1_manifest_still_replays(self, tmp_path, capsys):
         # replay reads only the argv line, whose format v2 left unchanged

@@ -1,9 +1,14 @@
 """Projection operators: geometry, adjointness, filtering, and FBP."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import plan_matrix
 from lactdiff import tomography
 from lactdiff.core import DimensionError, Image, ParameterError, Sinogram
 from lactdiff.evaluation import PhantomKind, PhantomSpec, make_phantom, psnr
@@ -83,7 +88,7 @@ class TestStencilPlan:
     def test_matches_coo_reference(self, geom):
         # the plan keeps each row in walk order, the reference in column
         # order, so the entries are compared once both rows are sorted
-        plan = tomography._build_stencil_matrix(geom).sorted_indices()
+        plan = plan_matrix(tomography._build_stencil_matrix(geom)).sorted_indices()
         ref = coo_stencil_matrix(geom)
         assert plan.shape == ref.shape
         for name in ("indptr", "indices", "data"):
@@ -308,7 +313,7 @@ class TestPlanBlocks:
     @pytest.mark.parametrize("views", [1, 7])
     def test_products_match_the_whole_plan(self, monkeypatch, views):
         geom = fresh_geometry()
-        whole = tomography._build_stencil_matrix(geom)
+        whole = plan_matrix(tomography._build_stencil_matrix(geom))
         rng = np.random.default_rng(11)
         x = rng.standard_normal((13, 21))
         y = rng.standard_normal((33, 40))
@@ -372,6 +377,28 @@ class TestTomoOperator:
             op.forward(np.zeros(13 * 21 + 1))
         with pytest.raises(DimensionError):
             op.adjoint(np.zeros((33, 39)))
+
+
+class TestSparseKernels:
+    def test_fall_back_to_scipy_sparse_without_the_file(self, monkeypatch):
+        # with no kernels loaded and the extension file hidden, the kernels
+        # come from scipy.sparse, and the products keep scipy's bits
+        def refuse(*args, **kwargs):
+            raise AssertionError("the kernels were loaded from their file")
+
+        monkeypatch.delitem(sys.modules, tomography._KERNELS, raising=False)
+        monkeypatch.setattr(tomography, "_KERNELS_FILE", Path("sparse", "hidden"))
+        monkeypatch.setattr(importlib.util, "spec_from_file_location", refuse)
+        geom = fresh_geometry()
+        rng = np.random.default_rng(14)
+        x, y = rng.standard_normal(13 * 21), rng.standard_normal(33 * 40)
+        op = TomoOperator(geom)
+        ax, atax = op.normal(x)
+        aty = op.adjoint(y)
+        plan = plan_matrix(geom.plan)
+        assert np.array_equal(ax, plan @ x)
+        assert np.array_equal(atax, plan.T @ (plan @ x))
+        assert np.array_equal(aty, plan.T @ y)
 
 
 class TestRampFilter:
