@@ -155,9 +155,8 @@ def _write_manifest(path: Path, argv, fields: dict, traces=None, seeds=()) -> No
         f"version.lactdiff: {__version__}",
         f"version.numpy: {np.__version__}",
     ]
-    # scipy is recorded when the run loaded it (every stencil plan build does,
-    # and a one-off projection builds none), and is not imported just to be
-    # recorded
+    # scipy is recorded when the run loaded it (every projection does, for
+    # its sparse kernels), and is not imported just to be recorded
     scipy = sys.modules.get("scipy")
     if scipy is not None:
         lines.append(f"version.scipy: {scipy.__version__}")

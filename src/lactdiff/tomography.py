@@ -4,22 +4,20 @@ The forward projector is ray-driven with linear interpolation along the
 driving axis; the backprojector is the exact transpose of the same stencil,
 so the pair satisfies the adjoint identity <Ax, y> = <x, A^T y> to round-off.
 
-Every view's stencil comes from one walk, _view_stencil, which yields the
-row counts and the entries together.  A product takes one of two paths,
-with the same bits.  TomoOperator, which iterative solvers call many times,
-builds the geometry's CSR stencil plan (a StencilPlan) on first use, in one
-walk over the views, and runs its three products, A, A^T and A^T A, on the
-plan's arrays with scipy's compiled csr_matvec and csc_matvec kernels,
-loaded on their own without the scipy.sparse package (_sparse_kernels).
-A^T A takes one pass over the plan, a cache-sized block of rows at a time.
-Every plan entry is an interpolation weight, so >= 0; Geometry.norm_sq
-relies on that to start its Lanczos estimate from the all-ones image.
-The one-off products (project_array, backproject_array and the functions
-built on them) always walk the stencil a view at a time with numpy alone.
-A streamed product costs about one plan build, or 10 to 35 plan products
-(fewer at 128^2 than at 64^2), and loading the kernels costs a process
-about 10 ms, so from the second product on one geometry TomoOperator is
-the cheaper path.
+Every view's stencil comes from one walk, _view_stencil: a block of rows of
+the (V*D, R*C) CSR matrix A.  Every product is one loop over such blocks,
+_block_products, which applies each with scipy's compiled csr_matvec (A)
+and csc_matvec (A^T), loaded without the scipy.sparse package
+(_sparse_kernels).  TomoOperator, which iterative solvers call many times,
+takes the blocks from the geometry's stencil plan (a StencilPlan), which
+keeps those of one walk; the one-off products (project_array,
+backproject_array and the functions built on them) walk each view's block,
+apply it and drop it.  Same rows, kernels and order: the same bits.  Every
+plan entry is an interpolation weight, so >= 0; Geometry.norm_sq relies on
+that to start its Lanczos estimate from the all-ones image.  A streamed
+product costs a little less than one plan build, or about 8 plan products
+at 128^2 with 240 views and 10 to 20 at 64^2 with 120, so from the second
+product on one geometry TomoOperator is the cheaper path.
 
 Coordinate conventions, frozen so sinograms are portable:
   pixel (row i, col j) center at ((j - (cols-1)/2), ((rows-1)/2 - i)) * pixel_size
@@ -64,7 +62,7 @@ class Geometry:
     and its ||A^T A||: each is computed on first use and lives as long as
     the geometry does.  Only TomoOperator products (so the solvers and the
     norm estimate) build and use the plan; one-off products (project_array,
-    backproject_array) stream the stencil instead.
+    backproject_array) walk the same blocks of rows a view at a time.
     """
 
     image_rows: int
@@ -372,35 +370,43 @@ def _sparse_kernels():
     return kernels
 
 
+def _view_blocks(geom: Geometry):
+    """Each view's stencil as (start, end, indptr, indices, data): its rows
+    start:end of the plan as a CSR block, with one indptr buffer for all."""
+    det = geom.detectors
+    work = _stencil_work(geom)
+    indptr = np.zeros(det + 1, dtype=np.int32)
+    for v, theta_deg in enumerate(geom.angles_deg):
+        counts, cols, weights = _view_stencil(geom, theta_deg, work)
+        np.cumsum(counts, out=indptr[1:])
+        yield v * det, (v + 1) * det, indptr, cols, weights
+
+
 def _build_stencil_matrix(geom: Geometry) -> StencilPlan:
     """Assemble the projection stencil as a (V*D, R*C) CSR plan.
 
     Entries are the linear interpolation coefficients of every ray's samples
     along its driving axis; using one matrix for both directions makes the
-    adjoint the literal transpose.  One walk over the views fills arrays
-    sized at the n_views * _view_nnz_bound estimate with int32 indices, each
-    row in walk order, keeping the explicit zeros of integer crossings, and
-    then shrinks them in place to the entry count.  Nothing is copied, and the
-    unwritten tail is never touched, so none of it becomes resident past the
-    page that holds the last entry (a 2 MB page where numpy asks for huge
-    pages, so the peak can exceed the plan by up to 4 MB).
+    adjoint the literal transpose.  The plan keeps the blocks of one
+    _view_blocks walk in arrays sized at the n_views * _view_nnz_bound
+    estimate, then shrunk in place to the entry count.  Nothing is copied,
+    and the unwritten tail is never touched, so none of it becomes resident
+    past the page that holds the last entry (a 2 MB page where numpy asks
+    for huge pages, so the peak can exceed the plan by up to 4 MB).
     """
-    det = geom.detectors
     bound = geom.n_views * _view_nnz_bound(geom)
-    indptr = np.zeros(geom.n_views * det + 1, dtype=np.int32)
+    m = geom.n_views * geom.detectors
+    indptr = np.zeros(m + 1, dtype=np.int32)
     indices = np.empty(bound, dtype=np.int32)
     data = np.empty(bound, dtype=np.float64)
     nnz = 0
-    work = _stencil_work(geom)
-    for v, theta_deg in enumerate(geom.angles_deg):
-        counts, cols, weights = _view_stencil(geom, theta_deg, work)
-        indptr[1 + v * det : 1 + (v + 1) * det] = nnz + np.cumsum(counts)
+    for start, end, rows, cols, weights in _view_blocks(geom):
+        indptr[start + 1 : end + 1] = nnz + rows[1:]
         indices[nnz : nnz + cols.size] = cols
         data[nnz : nnz + cols.size] = weights
         nnz += cols.size
     indices.resize(nnz, refcheck=False)
     data.resize(nnz, refcheck=False)
-    m = geom.n_views * det
     # block ends: the first row boundary at or past every step entries
     step = _NORMAL_BLOCK_BYTES // (indices.itemsize + data.itemsize)
     ends = np.searchsorted(indptr, np.arange(step, nnz, step)).tolist()
@@ -417,49 +423,66 @@ def _stencil_plan(geom: Geometry) -> Optional[StencilPlan]:
     return geom.plan
 
 
+def _block_products(geom: Geometry, plan, x, y, adjoint: bool):
+    """The one product loop: for each row block of A, csr_matvec adds its
+    rows of A x into y when x is given, and then, with adjoint, csc_matvec
+    (reading the block as the CSC matrix of its A^T) adds their share of
+    A^T y into the returned image while the block is in cache.
+
+    The blocks are each view's as it is walked when plan is None, else the
+    plan's block_ends ranges for two kernels and the whole plan for one (a
+    call costs about 2 us).  x and y are contiguous float64 vectors.  Rows
+    sum in walk order and pixels in row order, as M @ x and M.T @ y do with
+    M the plan as a scipy csr_matrix, so every path has the same bits.
+    """
+    kernels = _sparse_kernels()
+    n = geom.image_rows * geom.image_cols
+    aty = np.zeros(n) if adjoint else None
+    if plan is None:
+        blocks = _view_blocks(geom)
+    else:
+        ends = plan.block_ends if x is not None and adjoint else plan.shape[:1]
+        # indptr[start:end + 1] holds offsets into the whole indices and data
+        blocks = ((start, end, plan.indptr[start : end + 1], plan.indices, plan.data)
+                  for start, end in zip((0, *ends), ends))
+    for start, end, indptr, indices, data in blocks:
+        y_block = y[start:end]
+        if x is not None:
+            kernels.csr_matvec(end - start, n, indptr, indices, data, x, y_block)
+        if adjoint:
+            kernels.csc_matvec(n, end - start, indptr, indices, data, y_block, aty)
+    return aty
+
+
 def project_array(image: np.ndarray, geom: Geometry) -> np.ndarray:
     """Forward projection of a float64 (rows, cols) array to (views, detectors).
 
-    Streams the stencil without a plan or scipy, one _view_stencil walk per
-    view: one call costs about one plan build, or 10 to 35 products with the
-    plan, so callers that make two or more products on one geometry should
-    use TomoOperator.  np.add.at applies its updates one at a time, in index
-    order, starting from zero: the order in which csr_matvec sums a row of
-    the plan, so the result has the bits of TomoOperator.forward.
+    Streams the stencil, one _view_stencil walk per view, through the loop
+    of TomoOperator.forward, so the result has its bits.  One call costs a
+    little less than one plan build, or 8 to 20 products with the plan, so
+    callers that make two or more products on one geometry should use
+    TomoOperator.
     """
     geom.matches_image(image)
+    out = np.zeros((geom.n_views, geom.detectors))
     x = np.asarray(image, dtype=np.float64).ravel()
-    det = geom.detectors
-    out = np.zeros((geom.n_views, det))
-    rows = np.arange(det)
-    work = _stencil_work(geom)
-    for v, theta_deg in enumerate(geom.angles_deg):
-        counts, cols, weights = _view_stencil(geom, theta_deg, work)
-        weights *= x[cols]
-        np.add.at(out[v], rows.repeat(counts), weights)
+    _block_products(geom, None, x, out.reshape(-1), adjoint=False)
     return out
 
 
 def backproject_array(sino: np.ndarray, geom: Geometry) -> np.ndarray:
     """Exact transpose of project_array, (views, detectors) -> (rows, cols).
 
-    Streams the stencil, at the cost that project_array describes.  The
-    updates reach each pixel in plan row order, as in csc_matvec on the
-    plan's arrays, so the result has the bits of TomoOperator.adjoint.
-    Summing a view on its own first (np.bincount, np.add.reduceat) would not.
+    Streams the stencil through the loop of TomoOperator.adjoint, at the
+    cost that project_array describes, so the result has its bits.
     """
     if sino.shape != (geom.n_views, geom.detectors):
         raise DimensionError(
             f"sinogram {sino.shape} does not match geometry "
             f"{(geom.n_views, geom.detectors)}"
         )
-    y = np.asarray(sino, dtype=np.float64)
-    out = np.zeros(geom.image_rows * geom.image_cols)
-    work = _stencil_work(geom)
-    for v, theta_deg in enumerate(geom.angles_deg):
-        counts, cols, weights = _view_stencil(geom, theta_deg, work)
-        weights *= y[v].repeat(counts)
-        np.add.at(out, cols, weights)
+    y = np.asarray(sino, dtype=np.float64).ravel()
+    out = _block_products(geom, None, None, y, adjoint=True)
     return out.reshape(geom.image_rows, geom.image_cols)
 
 
@@ -545,18 +568,14 @@ class TomoOperator:
     """Flattened-vector view of the projection pair for iterative solvers.
 
     Three products: forward (A x), adjoint (A^T y) and normal, which returns
-    (A x, A^T A x) from one pass over the plan the geometry owns (built on
-    first use: an iterative solver makes many products).  Each calls scipy's
-    compiled kernels (_sparse_kernels) on the plan's CSR arrays: csr_matvec
-    for A, and csc_matvec, which reads the same arrays as the CSC matrix of
-    A^T, for A^T, so no transpose is kept.  scipy's public product cannot do
-    what normal does: for each block of rows the plan's block_ends give, A
-    fills the block's rows of A x, and A^T adds their share into A^T A x
-    while the block is still in cache.  These are the kernels of scipy's own
-    csr_matrix products, in the plan's summation order, so with M the plan
-    as a csr_matrix the results have the bits of M @ x, M.T @ y and
-    M.T @ (M @ x).  Above _PLAN_NNZ_LIMIT, normal is the streamed A
-    followed by the streamed A^T.
+    (A x, A^T A x) from one pass.  Each runs _block_products on the plan the
+    geometry owns (built on first use: an iterative solver makes many
+    products), or, above _PLAN_NNZ_LIMIT, on each view's block as it is
+    walked, so a streamed normal walks each view once.  scipy's public
+    product cannot run a block of rows into slices of two outputs, as
+    normal does.  These are the kernels of scipy's own csr_matrix products,
+    in the plan's summation order, so with M the plan as a csr_matrix the
+    results have the bits of M @ x, M.T @ y and M.T @ (M @ x).
     """
 
     geom: Geometry
@@ -577,15 +596,10 @@ class TomoOperator:
         return x.ravel()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        g = self.geom
         x = self._image_vector(x)
-        plan = g.plan
-        if plan is None:
-            return project_array(x.reshape(g.image_rows, g.image_cols), g).ravel()
-        m, n = plan.shape
-        out = np.zeros(m)
-        _sparse_kernels().csr_matvec(m, n, plan.indptr, plan.indices, plan.data, x, out)
-        return out
+        ax = np.zeros(self.shape[0])
+        _block_products(self.geom, self.geom.plan, x, ax, adjoint=False)
+        return ax
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         g = self.geom
@@ -595,32 +609,10 @@ class TomoOperator:
                 f"vector of size {y.size} does not match sinogram "
                 f"{(g.n_views, g.detectors)}"
             )
-        plan = g.plan
-        if plan is None:
-            return backproject_array(y.reshape(g.n_views, g.detectors), g).ravel()
-        m, n = plan.shape
-        out = np.zeros(n)
-        _sparse_kernels().csc_matvec(n, m, plan.indptr, plan.indices, plan.data, y.ravel(), out)
-        return out
+        return _block_products(g, g.plan, None, y.ravel(), adjoint=True)
 
     def normal(self, x: np.ndarray):
         """(A x, A^T A x), with the bits of forward(x) and adjoint(forward(x))."""
-        g = self.geom
         x = self._image_vector(x)
-        plan = g.plan
-        if plan is None:
-            ax = project_array(x.reshape(g.image_rows, g.image_cols), g)
-            return ax.ravel(), backproject_array(ax, g).ravel()
-        kernels = _sparse_kernels()
-        m, n = plan.shape
-        indptr, indices, data = plan.indptr, plan.indices, plan.data
-        ax, out = np.zeros(m), np.zeros(n)
-        start = 0
-        for end in plan.block_ends:
-            # indptr[start:end + 1] holds offsets into the whole indices and
-            # data, so a block needs no copy
-            rows, ax_block = indptr[start : end + 1], ax[start:end]
-            kernels.csr_matvec(end - start, n, rows, indices, data, x, ax_block)
-            kernels.csc_matvec(n, end - start, rows, indices, data, ax_block, out)
-            start = end
-        return ax, out
+        ax = np.zeros(self.shape[0])
+        return ax, _block_products(self.geom, self.geom.plan, x, ax, adjoint=True)

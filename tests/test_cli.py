@@ -104,10 +104,10 @@ def test_phantom_command_leaves_out_scipy_sparse(tmp_path):
 
 
 def test_first_plan_build_leaves_out_scipy_sparse():
-    # in a fresh process, one-off projections stream the stencil without
-    # scipy; the first TomoOperator product builds the plan and loads the
-    # sparse kernels, but not scipy.sparse.  The products are the bytes
-    # this process computes.
+    # in a fresh process, one-off projections stream the stencil through
+    # scipy's sparse kernels without a plan; the first TomoOperator product
+    # builds the plan.  Neither loads scipy.sparse.  The products are the
+    # bytes this process computes.
     code = (
         "import sys; import numpy as np; from lactdiff.core import Image; "
         "from lactdiff.tomography import TomoOperator, back_project, forward_project, "
@@ -172,7 +172,11 @@ def test_plan_commands_leave_out_scipy_sparse(tmp_path, method):
 
 
 def test_project_and_fbp_commands_leave_out_scipy_sparse(tmp_path):
-    # each makes one product, which streams; neither builds a plan
+    # each makes one product, which streams through scipy's sparse kernels;
+    # neither builds a plan nor loads scipy.sparse, and the manifest records
+    # scipy's version, as the plan commands' do
+    import scipy
+
     phantom, sino, recon = tmp_path / "p.ctr", tmp_path / "s.ctr", tmp_path / "r.ctr"
     write_raster(phantom, Image(16, 16, np.arange(256.0).reshape(16, 16) / 256.0))
     commands = [
@@ -188,7 +192,8 @@ def test_project_and_fbp_commands_leave_out_scipy_sparse(tmp_path):
         )
         assert run_fresh(code) == "0 False\n"
     for out in (sino, recon):
-        assert "version.scipy" not in out.with_suffix(".manifest.txt").read_text()
+        manifest = out.with_suffix(".manifest.txt").read_text().splitlines()
+        assert f"version.scipy: {scipy.__version__}" in manifest
 
 
 def test_manifests_record_versions(tmp_path, capsys):
@@ -207,7 +212,7 @@ def test_manifests_record_versions(tmp_path, capsys):
         lines = (tmp_path / manifest).read_text().splitlines()
         versions = dict(line.split(": ", 1) for line in lines if line.startswith("version."))
         want = {"version.lactdiff": lactdiff.__version__, "version.numpy": np.__version__}
-        # scipy is recorded when loaded: a plan build loads it, and this
+        # scipy is recorded when loaded: every product loads it, and this
         # process may have loaded it before
         if "scipy" in sys.modules:
             want["version.scipy"] = sys.modules["scipy"].__version__

@@ -301,29 +301,52 @@ class TestPlanBlocks:
             return original(geom, theta_deg, out=out)
 
         monkeypatch.setattr(tomography, "_view_coords", counted)
+        # no plan, so the operator's normal streams: A and A^T on each view in turn
+        monkeypatch.setattr(tomography, "_PLAN_NNZ_LIMIT", 0)
         geom = fresh_geometry()
         x, y = np.ones((13, 21)), np.ones((33, 40))
         for product in (lambda: tomography._build_stencil_matrix(geom),
                         lambda: project_array(x, geom),
-                        lambda: backproject_array(y, geom)):
+                        lambda: backproject_array(y, geom),
+                        lambda: TomoOperator(geom).normal(x)):
             calls.clear()
             product()
             assert calls == list(geom.angles_deg)
+        assert geom.plan is None
 
-    @pytest.mark.parametrize("views", [1, 7])
-    def test_products_match_the_whole_plan(self, monkeypatch, views):
+    @staticmethod
+    def laid_out(a, layout):
+        """a's values in C order, Fortran order, or as the [:, :cols] slice of
+        a wider array, the layout fbp_reconstruct hands to backproject_array."""
+        if layout == "fortran":
+            return np.asfortranarray(a)
+        if layout == "column_slice":
+            wide = np.zeros((a.shape[0], 2 * a.shape[1]))
+            wide[:, : a.shape[1]] = a
+            return wide[:, : a.shape[1]]
+        return np.ascontiguousarray(a)
+
+    # a C-order case keeps the bare view count as its id
+    @pytest.mark.parametrize("views, layout", [
+        pytest.param(views, layout, id=str(views) if layout == "c" else f"{views}-{layout}")
+        for views in (1, 7) for layout in ("c", "fortran", "column_slice")
+    ])
+    def test_products_match_the_whole_plan(self, monkeypatch, views, layout):
         geom = fresh_geometry()
         whole = plan_matrix(tomography._build_stencil_matrix(geom))
         rng = np.random.default_rng(11)
         x = rng.standard_normal((13, 21))
         y = rng.standard_normal((33, 40))
         want_ax, want_aty = whole @ x.ravel(), whole.T @ y.ravel()
+        x, y = self.laid_out(x, layout), self.laid_out(y, layout)
         self.limit_views(monkeypatch, geom, views)
         op = TomoOperator(geom)
-        for got in (project_array(x, geom).ravel(), op.forward(x.ravel())):
+        ax, atax = op.normal(x)
+        for got in (project_array(x, geom).ravel(), op.forward(x), ax):
             assert np.array_equal(got, want_ax)
-        for got in (backproject_array(y, geom).ravel(), op.adjoint(y.ravel())):
+        for got in (backproject_array(y, geom).ravel(), op.adjoint(y)):
             assert np.array_equal(got, want_aty)
+        assert np.array_equal(atax, whole.T @ want_ax)
         assert geom.plan is None
 
 
