@@ -34,16 +34,28 @@ class NumericalError(ArithmeticError):
 
 
 def _frozen_f32(data, rows, cols, what):
-    arr = np.asarray(data, dtype=np.float32)
+    # the one copy; C order, so a transposed input reduces in the same order
+    arr = np.array(data, dtype=np.float32, order="C")
     if arr.size != rows * cols:
         raise DimensionError(
             f"{what} payload has {arr.size} values, expected {rows}x{cols}"
         )
-    arr = arr.reshape(rows, cols).copy()
+    arr = arr.reshape(rows, cols)
     if not np.all(np.isfinite(arr)):
         raise DataError(f"{what} contains non-finite values")
     arr.setflags(write=False)
     return arr
+
+
+def _check_view_angles(angles: np.ndarray, nonfinite_error: type) -> None:
+    """The view-angle rule of Sinogram and Geometry: finite (else
+    nonfinite_error), within [0, 180) degrees and strictly increasing."""
+    if not np.all(np.isfinite(angles)):
+        raise nonfinite_error("view angles must be finite")
+    if np.any(angles < 0.0) or np.any(angles >= 180.0):
+        raise ParameterError("view angles must lie in [0, 180) degrees")
+    if np.any(np.diff(angles) <= 0.0):
+        raise ParameterError("view angles must be strictly increasing")
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,15 +103,11 @@ class Sinogram:
             raise DimensionError(
                 f"sinogram dimensions must be positive, got {self.views}x{self.detectors}"
             )
-        angles = np.asarray(self.angles_deg, dtype=np.float32).ravel().copy()
+        angles = np.array(self.angles_deg, dtype=np.float32).ravel()
         if angles.size != self.views:
             raise DimensionError(f"expected {self.views} angles, got {angles.size}")
-        if not np.all(np.isfinite(angles)):
-            raise DataError("sinogram angles contain non-finite values")
-        if np.any(angles < 0.0) or np.any(angles >= 180.0):
-            raise ParameterError("view angles must lie in [0, 180) degrees")
-        if self.views > 1 and np.any(np.diff(angles) <= 0.0):
-            raise ParameterError("view angles must be strictly increasing")
+        # a non-finite angle is corrupt payload, as a non-finite value is
+        _check_view_angles(angles, DataError)
         angles.setflags(write=False)
         object.__setattr__(self, "angles_deg", angles)
         object.__setattr__(

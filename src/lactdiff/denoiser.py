@@ -200,13 +200,22 @@ def gmm_log_marginal(prior: GmmPrior, x_t: np.ndarray, t: int, sched: NoiseSched
     return float(_logsumexp(log_comp + np.log(prior.weights)))
 
 
-def _gmm_posterior_mean_rows(
-    prior: GmmPrior, x: np.ndarray, t: int, sched: NoiseSchedule
+def gmm_posterior_mean(
+    prior: GmmPrior, x_t: np.ndarray, t: int, sched: NoiseSchedule
 ) -> np.ndarray:
-    """E[x0 | x_t] for each row of an (n, dim) array; every row's arithmetic
-    is independent of n, so a chain gives the same bits alone or in a batch."""
-    if x.shape[1] != prior.dim:
-        raise DimensionError(f"x has dim {x.shape[1]}, prior has dim {prior.dim}")
+    """Exact E[x0 | x_t] under the mixture prior, for x_t of any shape
+    (..., dim); the result has x_t's shape.
+
+    Component responsibilities come from the diffused marginals; each
+    component contributes its conjugate-Gaussian posterior mean
+    (sqrt(ab)*s2*x_t + (1-ab)*mu) / (ab*s2 + 1 - ab).  Each state's
+    arithmetic is independent of the others, so a chain gives the same bits
+    alone or in a batch.
+    """
+    x_t = np.asarray(x_t, dtype=np.float64)
+    if x_t.ndim < 1 or x_t.shape[-1] != prior.dim:
+        raise DimensionError(f"x has shape {x_t.shape}, prior has dim {prior.dim}")
+    x = x_t.reshape(-1, prior.dim)
     ab, centers, m2 = _diffused_components(prior, t, sched)
     sqrt_ab = np.sqrt(ab)
     comp_means = [
@@ -214,10 +223,10 @@ def _gmm_posterior_mean_rows(
         for s2, mu, m2_i in zip(prior.variances, prior.means, m2)
     ]
     if prior.n_components == 1:
-        return comp_means[0]
+        return comp_means[0].reshape(x_t.shape)
     sq = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
     log_resp = np.log(prior.weights) - 0.5 * (prior.dim * np.log(2.0 * np.pi * m2) + sq / m2)
-    return _mixture_average(log_resp, comp_means)
+    return _mixture_average(log_resp, comp_means).reshape(x_t.shape)
 
 
 def _mixture_average(log_resp: np.ndarray, comp_means) -> np.ndarray:
@@ -228,19 +237,6 @@ def _mixture_average(log_resp: np.ndarray, comp_means) -> np.ndarray:
     for i in range(1, len(comp_means)):
         total += resp[:, i : i + 1] * comp_means[i]
     return total
-
-
-def gmm_posterior_mean(
-    prior: GmmPrior, x_t: np.ndarray, t: int, sched: NoiseSchedule
-) -> np.ndarray:
-    """Exact E[x0 | x_t] under the mixture prior.
-
-    Component responsibilities come from the diffused marginals; each
-    component contributes its conjugate-Gaussian posterior mean
-    (sqrt(ab)*s2*x_t + (1-ab)*mu) / (ab*s2 + 1 - ab).
-    """
-    x = np.asarray(x_t, dtype=np.float64).reshape(1, -1)
-    return _gmm_posterior_mean_rows(prior, x, t, sched)[0]
 
 
 def _eps_from_posterior_mean(x: np.ndarray, post_mean: np.ndarray, ab: float) -> np.ndarray:
@@ -256,7 +252,7 @@ class GmmDenoiser:
 
     def denoise(self, x: np.ndarray, t: int, cond: ConditionInput):
         flat = x.reshape(x.shape[0], -1)
-        post = _gmm_posterior_mean_rows(self.prior, flat, t, self.sched)
+        post = gmm_posterior_mean(self.prior, flat, t, self.sched)
         eps = _eps_from_posterior_mean(flat, post, self.sched.alpha_bar_at(t))
         return eps.reshape(x.shape)
 

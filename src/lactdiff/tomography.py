@@ -28,7 +28,6 @@ Coordinate conventions, frozen so sinograms are portable:
 from __future__ import annotations
 
 import enum
-import hashlib
 import importlib.machinery
 import importlib.util
 import math
@@ -40,7 +39,18 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import DimensionError, Image, ParameterError, Sinogram
+from .core import DimensionError, Image, ParameterError, Sinogram, _check_view_angles
+
+# The interpreter's own SHA-256, which gives hashlib's digest without
+# loading OpenSSL's libcrypto (about 3.5 MiB) into a process that has no
+# other use for it; hashlib only where the interpreter was built without it.
+try:
+    from _sha2 import sha256 as _sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 
 class FilterKind(enum.Enum):
@@ -83,15 +93,10 @@ class Geometry:
             raise ParameterError("pixel_size must be positive and finite")
         if not (self.detector_spacing > 0.0 and np.isfinite(self.detector_spacing)):
             raise ParameterError("detector_spacing must be positive and finite")
-        angles = np.asarray(self.angles_deg, dtype=np.float64).ravel().copy()
+        angles = np.array(self.angles_deg, dtype=np.float64).ravel()
         if angles.size < 1:
             raise ParameterError("at least one view angle is required")
-        if not np.all(np.isfinite(angles)):
-            raise ParameterError("view angles must be finite")
-        if np.any(angles < 0.0) or np.any(angles >= 180.0):
-            raise ParameterError("view angles must lie in [0, 180) degrees")
-        if angles.size > 1 and np.any(np.diff(angles) <= 0.0):
-            raise ParameterError("view angles must be strictly increasing")
+        _check_view_angles(angles, ParameterError)
         diagonal = math.hypot(
             self.image_rows * self.pixel_size, self.image_cols * self.pixel_size
         )
@@ -124,11 +129,12 @@ class Geometry:
                 f"sinogram {sino.shape} does not match geometry "
                 f"{(self.n_views, self.detectors)}"
             )
-        if not np.allclose(sino.angles_deg, self.angles_deg, rtol=0.0, atol=2e-4):
+        # a sinogram stores its angles as float32, the identity digest() hashes
+        if not np.array_equal(sino.angles_deg, self.angles_deg.astype(np.float32)):
             raise DimensionError("sinogram angles do not match geometry angles")
 
     def digest(self) -> str:
-        h = hashlib.sha256()
+        h = _sha256()
         h.update(
             np.array(
                 [

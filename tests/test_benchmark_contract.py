@@ -1,12 +1,16 @@
 """The names and plan sizes the benchmark harness relies on.
 
 benchmarks/tracing.py wraps lactdiff functions and methods that it finds by
-name, and benchmarks/workloads.py reads the size of the plan that
+name, benchmarks/workloads.py and benchmarks/child.py call lactdiff through
+module attributes, and workloads.py reads the size of the plan that
 `tomography._stencil_plan` returns.  A rename or a deletion here would only
 show when the benchmark runs, so these tests load the tracer by path and
-check that it installs and uninstalls cleanly.
+check that it installs and uninstalls cleanly, and read the workloads'
+source for every lactdiff attribute it names.
 """
 
+import ast
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -17,7 +21,8 @@ import lactdiff.cli  # noqa: F401  (loads every module the tracer patches)
 from lactdiff import tomography
 from lactdiff.tomography import default_detectors, make_limited_geometry
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+TRACING = BENCHMARKS / "tracing.py"
 
 
 @pytest.fixture(scope="module")
@@ -74,3 +79,64 @@ def test_stencil_plan_sizes(size, views, nnz):
     assert plan.nnz == nnz
     assert plan.shape == (views * geom.detectors, size * size)
     assert plan.indptr[-1] == plan.data.size == plan.indices.size == nnz
+
+
+def lactdiff_reads(path):
+    """Every dotted lactdiff name the file at path imports or reads, such as
+    "lactdiff.sampler.draw_samples" for `sampler.draw_samples` after
+    `from lactdiff import sampler`."""
+    tree = ast.parse(path.read_text(), str(path))
+    bound = {}  # local name -> the dotted lactdiff name it stands for
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module.split(".")[0] == "lactdiff":
+                for alias in node.names:
+                    bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "lactdiff":
+                    local = alias.asname or "lactdiff"
+                    bound[local] = alias.name if alias.asname else "lactdiff"
+    reads = set(bound.values())
+    for node in ast.walk(tree):
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.append(node.attr)
+            node = node.value
+        if attrs and isinstance(node, ast.Name) and node.id in bound:
+            reads.add(".".join([bound[node.id], *reversed(attrs)]))
+    return reads
+
+
+def resolve(dotted):
+    """The object a dotted name names, importing modules along the way."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], start=2):
+        try:
+            obj = getattr(obj, part)
+        except AttributeError:
+            obj = importlib.import_module(".".join(parts[:i]))
+    return obj
+
+
+WORKLOAD_READS = sorted(
+    lactdiff_reads(BENCHMARKS / "workloads.py") | lactdiff_reads(BENCHMARKS / "child.py")
+)
+
+
+def test_workload_reads_are_found():
+    # the scan sees attribute chains, class attributes and private names
+    for dotted in (
+        "lactdiff.cli.main",
+        "lactdiff.tomography._stencil_plan",
+        "lactdiff.evaluation.gaussian_posterior_oracle",
+        "lactdiff.sampler.draw_samples",
+        "lactdiff.denoiser.ConditionInput.none",
+    ):
+        assert dotted in WORKLOAD_READS
+
+
+@pytest.mark.parametrize("dotted", WORKLOAD_READS)
+def test_every_workload_read_resolves(dotted):
+    resolve(dotted)

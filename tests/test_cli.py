@@ -196,6 +196,25 @@ def test_project_and_fbp_commands_leave_out_scipy_sparse(tmp_path):
         assert f"version.scipy: {scipy.__version__}" in manifest
 
 
+@pytest.mark.parametrize("method", ["fbp", "rls", "tv"])
+def test_reconstruct_commands_leave_out_openssl(tmp_path, method):
+    # these commands draw no random numbers, so nothing loads numpy.random,
+    # whose secrets -> hmac import brings in OpenSSL; Geometry.digest uses
+    # the interpreter's own SHA-256
+    geom = make_limited_geometry(16, 23, 12, 60.0)
+    sino, recon = tmp_path / "s.ctr", tmp_path / "r.ctr"
+    write_raster(sino, forward_project(Image(16, 16, np.full((16, 16), 0.5)), geom))
+    argv = ["reconstruct", "--method", method, "--in", str(sino), "--size", "16",
+            "--iters", "3", "--out", str(recon)]
+    code = (
+        "import sys; from lactdiff.cli import main; "
+        f"code = main({argv!r}); print(code, '_hashlib' in sys.modules)"
+    )
+    assert run_fresh(code) == "0 False\n"
+    manifest = recon.with_suffix(".manifest.txt").read_text().splitlines()
+    assert f"geometry.digest: {geom.digest()}" in manifest
+
+
 def test_manifests_record_versions(tmp_path, capsys):
     phantom, sino = tmp_path / "p.ctr", tmp_path / "s.ctr"
     commands = {

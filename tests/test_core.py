@@ -49,6 +49,14 @@ class TestImage:
         with pytest.raises(ValueError):
             img.data[0, 0] = 1.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_data_is_a_c_order_copy(self, dtype):
+        source = np.arange(6.0, dtype=dtype).reshape(3, 2).T
+        img = Image(2, 3, source)
+        assert img.data.flags.c_contiguous
+        assert not np.shares_memory(img.data, source)
+        assert img.data.tobytes() == source.astype(np.float32).tobytes()
+
 
 class TestSinogram:
     def test_angles_must_increase(self):

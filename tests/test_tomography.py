@@ -1,5 +1,6 @@
 """Projection operators: geometry, adjointness, filtering, and FBP."""
 
+import hashlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -10,7 +11,15 @@ import scipy.sparse as sp
 
 from conftest import plan_matrix
 from lactdiff import tomography
-from lactdiff.core import DimensionError, Image, ParameterError, Sinogram
+from lactdiff.core import (
+    DataError,
+    DimensionError,
+    Image,
+    ParameterError,
+    Sinogram,
+    read_raster,
+    write_raster,
+)
 from lactdiff.evaluation import PhantomKind, PhantomSpec, make_phantom, psnr
 from lactdiff.tomography import (
     FilterKind,
@@ -165,6 +174,45 @@ class TestGeometry:
         assert default_detectors(64) == 92
         assert default_detectors(128) == 183
 
+    def test_digest_is_the_sha256_of_the_geometry(self):
+        geom = Geometry(13, 21, 40, np.linspace(0.0, 179.0, 33), 1.0, 1.25)
+        h = hashlib.sha256()
+        h.update(np.array([13, 21, 40, 1.0, 1.25], dtype=np.float64).tobytes())
+        h.update(geom.angles_deg.astype(np.float32).tobytes())
+        assert geom.digest() == h.hexdigest()[:16]
+
+    @pytest.mark.parametrize(
+        "angles",
+        [[0.0, np.nan, 20.0], [-1.0, 10.0, 20.0], [0.0, 10.0, 180.0], [0.0, 10.0, 10.0],
+         [0.0, 20.0, 10.0]],
+        ids=["nan", "negative", "180", "repeat", "decrease"],
+    )
+    def test_sinogram_and_geometry_share_the_angle_rule(self, angles):
+        # a non-finite angle is corrupt payload in a sinogram, a bad
+        # parameter in a geometry; every other bad angle is a bad parameter
+        sino_error = DataError if np.isnan(angles).any() else ParameterError
+        with pytest.raises(sino_error):
+            Sinogram(3, 23, angles, np.zeros((3, 23)))
+        with pytest.raises(ParameterError):
+            Geometry(16, 16, 23, angles)
+
+    def test_geometry_matches_the_sinogram_it_projects(self, tmp_path):
+        # angles no float32 holds exactly; the sinogram rounds them, and a
+        # geometry rebuilt from its file has the same float32 angles and
+        # digest, so each geometry reconstructs either copy of the sinogram
+        geom = make_limited_geometry(16, 23, 7, 60.0)
+        sino = forward_project(Image(16, 16, coverage_disk(16, 5.0)), geom)
+        assert not np.array_equal(sino.angles_deg, geom.angles_deg)
+        recon = fbp_reconstruct(sino, geom)
+        write_raster(tmp_path / "s.ctr", sino)
+        read = read_raster(tmp_path / "s.ctr")
+        assert read == sino
+        rebuilt = square_geometry(16, read.detectors, read.angles_deg)
+        assert rebuilt.digest() == geom.digest()
+        assert fbp_reconstruct(read, geom) == recon
+        # the rebuilt geometry's float64 angles are the rounded ones
+        assert np.allclose(fbp_reconstruct(read, rebuilt).data, recon.data, atol=1e-5)
+
 
 class TestForwardProjection:
     def test_zero_image_projects_to_zero(self):
@@ -254,6 +302,11 @@ class TestAdjoint:
         other = Sinogram(8, 23, geom.angles_deg + 1.0, np.zeros((8, 23)))
         with pytest.raises(DimensionError):
             back_project(other, geom)
+        # one view a ten-thousandth of a degree off, well above float32 rounding
+        angles = geom.angles_deg.copy()
+        angles[3] += 1e-4
+        with pytest.raises(DimensionError, match="angles"):
+            back_project(Sinogram(8, 23, angles, np.zeros((8, 23))), geom)
 
 
 def fresh_geometry() -> Geometry:
