@@ -10,14 +10,14 @@ source for every lactdiff attribute it names.
 """
 
 import ast
-import importlib
+import functools
 import importlib.util
 import sys
 from pathlib import Path
 
 import pytest
 
-import lactdiff.cli  # noqa: F401  (loads every module the tracer patches)
+import lactdiff.cli  # loads every module the tracer patches and the workloads read
 from lactdiff import tomography
 from lactdiff.tomography import default_detectors, make_limited_geometry
 
@@ -108,18 +108,6 @@ def lactdiff_reads(path):
     return reads
 
 
-def resolve(dotted):
-    """The object a dotted name names, importing modules along the way."""
-    parts = dotted.split(".")
-    obj = importlib.import_module(parts[0])
-    for i, part in enumerate(parts[1:], start=2):
-        try:
-            obj = getattr(obj, part)
-        except AttributeError:
-            obj = importlib.import_module(".".join(parts[:i]))
-    return obj
-
-
 WORKLOAD_READS = sorted(
     lactdiff_reads(BENCHMARKS / "workloads.py") | lactdiff_reads(BENCHMARKS / "child.py")
 )
@@ -139,4 +127,6 @@ def test_workload_reads_are_found():
 
 @pytest.mark.parametrize("dotted", WORKLOAD_READS)
 def test_every_workload_read_resolves(dotted):
-    resolve(dotted)
+    root, *attrs = dotted.split(".")
+    assert root == "lactdiff"
+    functools.reduce(getattr, attrs, lactdiff)
