@@ -16,6 +16,7 @@ import shlex
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,26 +34,6 @@ from .core import (
     write_pgm,
     write_raster,
 )
-from .denoiser import GmmDenoiser, GmmPrior, load_gmm_prior
-from .diffusion import cosine_schedule, default_linear_schedule
-from .evaluation import (
-    METRICS_CSV_HEADER,
-    PhantomKind,
-    PhantomSpec,
-    make_phantom,
-    metrics_csv_row,
-    psnr,
-    ssim,
-)
-from .sampler import (
-    ChainTrace,
-    SamplerConfig,
-    build_condition,
-    chain_seeds,
-    draw_samples,
-    sample_average,
-    uncertainty_map,
-)
 from .solvers import (
     ProxConfig,
     default_rls_tau,
@@ -69,9 +50,19 @@ from .tomography import (
     square_geometry,
 )
 
+if TYPE_CHECKING:
+    from .denoiser import GmmPrior
+
+# The sampling stack (sampler, denoiser, diffusion) and evaluation are
+# imported inside the commands that use them, so that `project` and
+# `reconstruct` load only core, tomography and solvers.
+
 USAGE_ERROR = 2
 IO_ERROR = 3
 NUMERICAL_ERROR = 4
+
+# the values of evaluation.PhantomKind, which the parser does not import
+PHANTOM_KINDS = ("shepp_logan", "disks", "ellipses")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -85,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("phantom", help="write a synthetic test object")
-    p.add_argument("--kind", required=True, choices=[k.value for k in PhantomKind])
+    p.add_argument("--kind", required=True, choices=PHANTOM_KINDS)
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -232,6 +223,8 @@ def _read_expected(path, kind):
 
 
 def _cmd_phantom(args, argv) -> int:
+    from .evaluation import PhantomKind, PhantomSpec, make_phantom
+
     spec = PhantomSpec(PhantomKind(args.kind), args.size, args.seed)
     image = make_phantom(spec)
     write_raster(args.out, image)
@@ -306,7 +299,8 @@ def _cmd_reconstruct(args, argv) -> int:
         reports = []
         recon = rls_reconstruct(sino, geom, tau=args.tau, max_iter=args.iters, reports=reports)
     else:
-        recon = tv_reconstruct(sino, geom, lam=args.lam, outer_iters=args.iters)
+        reports = []
+        recon = tv_reconstruct(sino, geom, lam=args.lam, outer_iters=args.iters, reports=reports)
     write_raster(args.out, recon)
     if args.pgm:
         write_pgm(args.pgm, recon)
@@ -326,6 +320,10 @@ def _cmd_reconstruct(args, argv) -> int:
     if args.method == "rls":
         fields["resolved.tau"] = default_rls_tau(geom) if args.tau is None else args.tau
         fields.update(_cg_fields("rls.", reports))
+    if args.method == "tv":
+        # candidates the monotone safeguard rejected, and the inner TV prox steps
+        fields["tv.rejected"] = f"{reports[0].rejected}/{args.iters}"
+        fields["tv.prox_iters"] = reports[0].prox_iterations
     fields["out"] = args.out
     fields["duration_s"] = f"{time.perf_counter() - started:.3f}"
     _write_manifest(Path(args.out).with_suffix(".manifest.txt"), argv, fields)
@@ -344,6 +342,8 @@ def _cg_fields(prefix: str, reports) -> dict:
 
 
 def _builtin_prior(dim: int, center: np.ndarray, std: float) -> GmmPrior:
+    from .denoiser import GmmPrior
+
     return GmmPrior(dim, [1.0], center.reshape(1, dim), [std**2])
 
 
@@ -351,6 +351,8 @@ def _load_prior_file(spec: str, dim: int) -> GmmPrior | None:
     """The mixture in prior file `spec`, or None for "builtin"."""
     if spec == "builtin":
         return None
+    from .denoiser import load_gmm_prior
+
     prior = load_gmm_prior(spec)
     if prior.dim != dim:
         raise ParameterError(f"prior file dim {prior.dim} does not match image dim {dim}")
@@ -358,6 +360,18 @@ def _load_prior_file(spec: str, dim: int) -> GmmPrior | None:
 
 
 def _cmd_sample(args, argv) -> int:
+    from .denoiser import GmmDenoiser
+    from .diffusion import cosine_schedule, default_linear_schedule
+    from .sampler import (
+        ChainTrace,
+        SamplerConfig,
+        build_condition,
+        chain_seeds,
+        draw_samples,
+        sample_average,
+        uncertainty_map,
+    )
+
     started = time.perf_counter()
     sino = _read_expected(args.input, Sinogram)
     geom = square_geometry(args.size, sino.detectors, sino.angles_deg)
@@ -460,6 +474,8 @@ def _cmd_sample(args, argv) -> int:
 
 
 def _cmd_metrics(args, argv) -> int:
+    from .evaluation import METRICS_CSV_HEADER, metrics_csv_row, psnr, ssim
+
     recon = read_raster(args.recon)
     reference = read_raster(args.reference)
     if type(recon) is not type(reference):

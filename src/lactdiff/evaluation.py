@@ -154,11 +154,12 @@ def psnr(x: Image, reference: Image) -> float:
     return 10.0 * math.log10(peak**2 / mse)
 
 
-def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+def _gaussian_taps(size: int = 11, sigma: float = 1.5) -> np.ndarray:
+    """1-D taps of the SSIM window: the 2-D window, outer(g, g) normalised,
+    is the outer product of these with themselves."""
     half = (size - 1) / 2.0
     g = np.exp(-((np.arange(size) - half) ** 2) / (2.0 * sigma**2))
-    kernel = np.outer(g, g)
-    return kernel / kernel.sum()
+    return g / g.sum()
 
 
 def ssim(x: Image, reference: Image) -> float:
@@ -182,13 +183,12 @@ def ssim(x: Image, reference: Image) -> float:
         raise ParameterError("reference image is constant; ssim is undefined")
     c1 = (0.01 * peak) ** 2
     c2 = (0.03 * peak) ** 2
-    win = _gaussian_window()
-    # imported here: scipy.signal costs about 0.6 s and 48 MB at start-up,
-    # and only the metrics command needs it
-    from scipy.signal import convolve2d
+    taps = _gaussian_taps()
+    windows = np.lib.stride_tricks.sliding_window_view
 
     def smooth(img):
-        return convolve2d(img, win, mode="valid")
+        # the separable window as two 1-D "valid" passes, rows then columns
+        return windows(windows(img, taps.size, axis=1) @ taps, taps.size, axis=0) @ taps
 
     mu_a = smooth(a)
     mu_b = smooth(b)

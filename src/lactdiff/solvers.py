@@ -296,26 +296,60 @@ def total_variation(u: np.ndarray) -> float:
     return float(np.sqrt(gx**2 + gy**2).sum())
 
 
-def tv_prox(g: np.ndarray, weight: float, iters: int = 20) -> np.ndarray:
+class TvDual:
+    """Chambolle's dual field (px, py) of tv_prox, and its work buffers.
+
+    Handed to tv_prox call after call, it starts each projection from the
+    field the previous call ended with.  `iterations` counts the projection
+    steps of every call.
+    """
+
+    def __init__(self, shape):
+        self.px, self.py = np.zeros(shape), np.zeros(shape)
+        self.work = tuple(np.empty(shape) for _ in range(6))
+        self.iterations = 0
+
+
+def tv_prox(
+    g: np.ndarray, weight: float, iters: int = 20, dual: Optional[TvDual] = None
+) -> np.ndarray:
     """argmin_u 0.5*||u - g||^2 + weight*TV(u) by dual projection iterations.
 
-    Chambolle's projection (J. Math. Imaging Vis. 20, 2004) with step 1/4,
-    run in buffers allocated once.
+    Chambolle's projection (J. Math. Imaging Vis. 20, 2004) with step 1/4.
+    Without a dual it starts from p = 0 and runs all iters steps.  With one
+    it starts from dual's field, leaves its last field there, and stops
+    before the cap once u_j = g - weight * div p_j moves by at most 1e-6 of
+    its norm in one step: ||u_j - u_{j-1}|| <= 1e-6 * ||u_j||.  The test
+    reuses the div p that each step computes anyway.
     """
     if weight <= 0.0 or iters < 1:
         return np.asarray(g, dtype=np.float64).copy()
     g = np.asarray(g, dtype=np.float64)
+    warm = dual is not None
+    if not warm:
+        dual = TvDual(g.shape)
+    elif dual.px.shape != g.shape:
+        raise DimensionError(f"dual field {dual.px.shape} does not match {g.shape}")
     tau = 0.25
     g_scaled = g / weight
-    px, py = np.zeros_like(g), np.zeros_like(g)
-    u, gx, gy, denom = (np.empty_like(g) for _ in range(4))
-    for _ in range(iters):
+    px, py = dual.px, dual.py
+    div, div_prev, work, gx, gy, denom = dual.work
+    for step in range(iters + 1):
+        _div2d(px, py, out=div)
+        if warm and step > 0:
+            # ||u_j - u_{j-1}|| / ||u_j|| = ||div_j - div_{j-1}|| / ||g / weight - div_j||
+            np.subtract(div, div_prev, out=work)
+            moved = _dot(work.ravel(), work.ravel())
+            np.subtract(g_scaled, div, out=work)
+            if moved <= 1e-12 * _dot(work.ravel(), work.ravel()):
+                break
+        if step == iters:
+            break
         # px, py <- (p + tau * grad(div p - g / weight)) / (1 + tau * |grad(...)|)
-        _div2d(px, py, out=u)
-        u -= g_scaled
-        _grad2d(u, gx, gy)
+        np.subtract(div, g_scaled, out=work)
+        _grad2d(work, gx, gy)
         np.square(gx, out=denom)
-        denom += np.square(gy, out=u)
+        denom += np.square(gy, out=work)
         np.sqrt(denom, out=denom)
         denom *= tau
         denom += 1.0
@@ -325,7 +359,18 @@ def tv_prox(g: np.ndarray, weight: float, iters: int = 20) -> np.ndarray:
         gy *= tau
         py += gy
         py /= denom
-    return g - weight * _div2d(px, py)
+        div, div_prev = div_prev, div
+        dual.iterations += 1
+    return g - weight * div
+
+
+@dataclass
+class TvReport:
+    """What tv_reconstruct did: the candidates its monotone safeguard
+    rejected, and the tv_prox steps of all its calls."""
+
+    rejected: int
+    prox_iterations: int
 
 
 def tv_reconstruct(
@@ -334,19 +379,25 @@ def tv_reconstruct(
     lam: float,
     outer_iters: int = 50,
     prox_iters: int = 20,
+    *,
+    reports: Optional[List[TvReport]] = None,
 ) -> Image:
     """Approximately minimize 0.5*||Ax - y||^2 + lam*TV(x).
 
     Accelerated proximal gradient with a monotone safeguard (Beck & Teboulle,
     IEEE TIP 18(11), 2009): the candidate from the momentum point is kept
     only when it does not increase the composite objective, so the objective
-    is non-increasing across outer iterations even with the fixed inner prox
-    budget.  The gradient step is 1/L with L = 1.05 * ||A^T A|| from the
-    Lanczos estimate the geometry keeps (Geometry.norm_sq).  The gradient at
-    the momentum point z is A^T A z - A^T y.  A^T y is formed once, A^T A is
+    is non-increasing across outer iterations.  As there, the inner TV prox
+    is warm-started: one TvDual is carried from call to call, and each call
+    stops by tv_prox's rule, within prox_iters steps.  A rejected candidate
+    thus does not come back, since the next prox starts from a further dual.
+    The gradient step is 1/L with L = 1.05 * ||A^T A|| from the Lanczos
+    estimate the geometry keeps (Geometry.norm_sq).  The gradient at the
+    momentum point z is A^T A z - A^T y.  A^T y is formed once, A^T A is
     kept for the iterate and the candidate, and A^T A z is formed from them,
     since z is their combination; so each outer iteration costs one normal
-    product (A and A^T A of the candidate, one pass over the plan).
+    product (A and A^T A of the candidate, one pass over the plan).  When
+    reports is a list, a TvReport of the run is appended to it.
     """
     geom.matches_sinogram(sino)
     if lam < 0.0 or not np.isfinite(lam):
@@ -374,13 +425,15 @@ def tv_reconstruct(
     z_momentum, nz = x, nx
     f_x = objective(x, np.zeros(y.size))
     t_k = 1.0
+    dual = TvDual((rows, cols))
+    rejected = 0
     for _ in range(outer_iters):
         grad = nz - aty
         if not np.all(np.isfinite(grad)):
             raise NumericalError("TV solver produced non-finite gradient")
         cand = z_momentum - step * grad
         if lam > 0.0:
-            cand = tv_prox(cand.reshape(rows, cols), lam * step, prox_iters).ravel()
+            cand = tv_prox(cand.reshape(rows, cols), lam * step, prox_iters, dual).ravel()
         acand, ncand = op.normal(cand)
         f_cand = objective(cand, acand)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k**2))
@@ -388,12 +441,15 @@ def tv_reconstruct(
             x_next, nx_next, f_next = cand, ncand, f_cand
         else:
             x_next, nx_next, f_next = x, nx, f_x
+            rejected += 1
         # z and A^T A z share the coefficients, since A^T A is linear
         c_cand, c_prev = t_k / t_next, (t_k - 1.0) / t_next
         z_momentum = x_next + c_cand * (cand - x_next) + c_prev * (x_next - x)
         nz = nx_next + c_cand * (ncand - nx_next) + c_prev * (nx_next - nx)
         x, nx, f_x = x_next, nx_next, f_next
         t_k = t_next
+    if reports is not None:
+        reports.append(TvReport(rejected, dual.iterations))
     return Image(rows, cols, x.reshape(rows, cols))
 
 

@@ -17,7 +17,10 @@ from pathlib import Path
 
 import pytest
 
-import lactdiff.cli  # loads every module the tracer patches and the workloads read
+import lactdiff
+# every module the tracer patches and the workloads read; the package loads
+# them only on use, and one loaded mid-test would add names to compare
+from lactdiff import cli, core, denoiser, diffusion, evaluation, sampler, solvers  # noqa: F401
 from lactdiff import tomography
 from lactdiff.tomography import default_detectors, make_limited_geometry
 

@@ -82,8 +82,91 @@ def test_cli_import_leaves_out_scipy_sparse():
 
 
 def test_cli_import_leaves_out_scipy_signal():
-    # scipy.signal loads only when ssim runs
+    # ssim smooths with numpy, so no command loads scipy.signal
     assert not loaded_by_cli_import("scipy.signal")
+
+
+SAMPLING_STACK = ("lactdiff.sampler", "lactdiff.denoiser", "lactdiff.diffusion",
+                  "lactdiff.evaluation")
+
+
+def test_cli_import_leaves_out_the_sampling_stack():
+    code = "import sys, lactdiff.cli; print(sorted(m for m in sys.modules if m.startswith('lactdiff')))"
+    assert run_fresh(code) == (
+        "['lactdiff', 'lactdiff.cli', 'lactdiff.core', 'lactdiff.solvers', "
+        "'lactdiff.tomography']\n"
+    )
+
+
+@pytest.mark.parametrize("method", ["project", "fbp", "rls", "tv"])
+def test_classical_commands_leave_out_the_sampling_stack(tmp_path, method):
+    phantom, sino = tmp_path / "p.ctr", tmp_path / "s.ctr"
+    write_raster(phantom, Image(16, 16, np.arange(256.0).reshape(16, 16) / 256.0))
+    if method == "project":
+        argv = ["project", "--in", str(phantom), "--views", "12", "--noise-std", "0.01",
+                "--out", str(sino)]
+    else:
+        assert main(["project", "--in", str(phantom), "--views", "12", "--out", str(sino)]) == 0
+        argv = ["reconstruct", "--method", method, "--in", str(sino), "--size", "16",
+                "--iters", "5", "--out", str(tmp_path / "r.ctr")]
+    code = (
+        "import sys; from lactdiff.cli import main; "
+        f"code = main({argv!r}); print(code, [m for m in {SAMPLING_STACK!r} if m in sys.modules])"
+    )
+    assert run_fresh(code) == "0 []\n"
+
+
+def test_metrics_command_leaves_out_scipy_signal(tmp_path):
+    # nor OpenSSL, which scipy.signal loaded through numpy.random
+    phantom = tmp_path / "p.ctr"
+    write_raster(phantom, Image(16, 16, np.arange(256.0).reshape(16, 16) / 256.0))
+    argv = ["metrics", "--recon", str(phantom), "--reference", str(phantom)]
+    code = (
+        "import sys; from lactdiff.cli import main; "
+        f"code = main({argv!r}); "
+        "print(code, 'scipy.signal' in sys.modules, '_hashlib' in sys.modules)"
+    )
+    assert run_fresh(code) == "inf,1.0\n0 False False\n"
+
+
+def test_phantom_kinds_are_the_evaluation_kinds():
+    from lactdiff.cli import PHANTOM_KINDS
+    from lactdiff.evaluation import PhantomKind
+
+    assert PHANTOM_KINDS == tuple(kind.value for kind in PhantomKind)
+
+
+EXPORTS = {
+    "core": "DataError DimensionError FormatError Image NumericalError ParameterError "
+            "SeededRng Sinogram read_raster write_pgm write_raster",
+    "tomography": "FilterKind Geometry TomoOperator back_project default_detectors "
+                  "fbp_reconstruct forward_project make_limited_geometry ramp_filter",
+    "solvers": "CgReport DenseOperator ProxConfig conjugate_gradient data_consistency_prox "
+               "rls_reconstruct tv_reconstruct",
+    "diffusion": "NoiseSchedule TimestepMap cosine_schedule default_linear_schedule "
+                 "forward_sample linear_schedule respace reverse_step",
+    "denoiser": "ConditionInput ConditionSource Denoiser GmmPrior conditional_gmm_denoiser "
+                "denoise gmm_denoiser gmm_posterior_mean guided_epsilon load_gmm_prior "
+                "save_gmm_prior",
+    "sampler": "ChainTrace SampleSet SamplerConfig build_condition chain_seeds draw_samples "
+               "sample_average sample_posterior sample_posterior_ct uncertainty_map",
+    "evaluation": "PhantomKind PhantomSpec gaussian_posterior_oracle make_phantom psnr ssim",
+}
+
+
+def test_package_exports_resolve_to_their_submodules():
+    import importlib
+
+    exported = set()
+    for module, names in EXPORTS.items():
+        sub = importlib.import_module(f"lactdiff.{module}")
+        for name in names.split():
+            assert getattr(lactdiff, name) is getattr(sub, name), name
+            exported.add(name)
+    assert set(lactdiff.__all__) == exported
+    assert exported <= set(dir(lactdiff))
+    with pytest.raises(AttributeError):
+        lactdiff.no_such_name
 
 
 def test_cli_import_leaves_out_scipy_special():
@@ -458,6 +541,26 @@ class TestReconstructAndMetrics:
                          "--size", "32", "--iters", "15", "--lam", "1.0",
                          "--out", str(out))
         assert code == 0
+
+    def test_manifest_records_what_tv_did(self, pipeline, tmp_path, capsys):
+        _, sino = pipeline
+        out = tmp_path / "tv.ctr"
+        code, _, _ = run(capsys, "reconstruct", "--method", "tv", "--in", str(sino),
+                         "--size", "32", "--iters", "15", "--lam", "1.0",
+                         "--out", str(out))
+        assert code == 0
+        lines = out.with_suffix(".manifest.txt").read_text().splitlines()
+        fields = dict(line.split(": ", 1) for line in lines if line.startswith("tv."))
+        rejected, outer = fields["tv.rejected"].split("/")
+        assert outer == "15" and 0 <= int(rejected) <= 15
+        # each of the 15 proxes runs 1 to 20 steps
+        assert 15 <= int(fields["tv.prox_iters"]) <= 300
+        sino_raster = read_raster(sino)
+        reports = []
+        solvers.tv_reconstruct(sino_raster, square_geometry(32, sino_raster.detectors,
+                               sino_raster.angles_deg), 1.0, 15, reports=reports)
+        assert fields == {"tv.rejected": f"{reports[0].rejected}/15",
+                          "tv.prox_iters": str(reports[0].prox_iterations)}
 
     @pytest.mark.parametrize("method", ["rls", "tv"])
     def test_single_pixel_image(self, method, tmp_path, capsys):
@@ -850,27 +953,35 @@ class TestManifestReplay:
         # a BLAS dot product sums in an order set by its thread count once
         # the vectors are long enough: at 128^2 (16384 pixels) one and two
         # OpenBLAS threads gave other bits, at 64^2 the same
+        self.check_blas_thread_independence(tmp_path, capsys, "rls", "operator.norm_sq: ")
+
+    def test_tv_output_does_not_depend_on_blas_threads(self, tmp_path, capsys):
+        # the inner TV prox stops on norms, which must not follow BLAS either
+        self.check_blas_thread_independence(tmp_path, capsys, "tv", "tv.")
+
+    @staticmethod
+    def check_blas_thread_independence(tmp_path, capsys, method, recorded):
         phantom, sino = tmp_path / "p.ctr", tmp_path / "s.ctr"
         assert run(capsys, "phantom", "--kind", "shepp_logan", "--size", "128",
                    "--out", str(phantom))[0] == 0
         assert run(capsys, "project", "--in", str(phantom), "--views", "60",
                    "--theta-max", "60", "--noise-std", "0.01", "--seed", "7",
                    "--out", str(sino))[0] == 0
-        rasters, norms = [], []
+        rasters, fields = [], []
         for threads in ("1", "2"):
-            out = tmp_path / f"rls{threads}.ctr"
+            out = tmp_path / f"{method}{threads}.ctr"
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                        PYTHONPATH=str(Path(lactdiff.__file__).parents[1]))
             subprocess.run(
-                [sys.executable, "-m", "lactdiff.cli", "reconstruct", "--method", "rls",
+                [sys.executable, "-m", "lactdiff.cli", "reconstruct", "--method", method,
                  "--in", str(sino), "--size", "128", "--iters", "40", "--out", str(out)],
                 env=env, check=True, timeout=120, capture_output=True,
             )
             rasters.append(out.read_bytes())
             manifest = out.with_suffix(".manifest.txt").read_text().splitlines()
-            norms.append([line for line in manifest if line.startswith("operator.norm_sq: ")])
-        assert len(norms[0]) == 1
-        assert norms[0] == norms[1]
+            fields.append([line for line in manifest if line.startswith(recorded)])
+        assert len(fields[0]) >= 1
+        assert fields[0] == fields[1]
         assert rasters[0] == rasters[1]
 
     def test_replay_notes_other_versions(self, tmp_path, capsys):

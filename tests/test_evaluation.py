@@ -95,7 +95,32 @@ class TestPsnr:
 class TestSsim:
     def test_identical_is_one(self):
         img = make_phantom(PhantomSpec(PhantomKind.SHEPP_LOGAN, 32))
-        assert ssim(img, img) == pytest.approx(1.0, abs=1e-12)
+        assert ssim(img, img) == 1.0
+
+    @pytest.mark.parametrize("shape", [(11, 11), (32, 32), (40, 23)])
+    def test_matches_a_2d_convolution_reference(self, shape):
+        # the window applied as one 11x11 kernel with scipy's convolve2d
+        from scipy.signal import convolve2d
+
+        rng = np.random.default_rng(sum(shape))
+        x = Image(*shape, rng.uniform(0.0, 2.0, shape))
+        ref = Image(*shape, x.as_f64() + 0.2 * rng.standard_normal(shape))
+        a, b = x.as_f64(), ref.as_f64()
+        g = np.exp(-((np.arange(11) - 5.0) ** 2) / (2.0 * 1.5**2))
+        win = np.outer(g, g) / np.outer(g, g).sum()
+
+        def smooth(img):
+            return convolve2d(img, win, mode="valid")
+
+        c1, c2 = (0.01 * np.ptp(b)) ** 2, (0.03 * np.ptp(b)) ** 2
+        mu_a, mu_b = smooth(a), smooth(b)
+        var_a, var_b = smooth(a * a) - mu_a**2, smooth(b * b) - mu_b**2
+        cov = smooth(a * b) - mu_a * mu_b
+        want = np.mean(
+            (2.0 * mu_a * mu_b + c1) * (2.0 * cov + c2)
+            / ((mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2))
+        )
+        assert abs(ssim(x, ref) - want) <= 1e-12 * abs(want)
 
     def test_affine_distortion_below_one(self):
         ref = make_phantom(PhantomSpec(PhantomKind.SHEPP_LOGAN, 64))

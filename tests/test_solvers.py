@@ -8,7 +8,7 @@ import pytest
 
 from conftest import dense_tomo_matrix
 from lactdiff import solvers, tomography
-from lactdiff.core import Image, NumericalError, ParameterError, Sinogram
+from lactdiff.core import DimensionError, Image, NumericalError, ParameterError, Sinogram
 from lactdiff.evaluation import PhantomKind, PhantomSpec, make_phantom
 from lactdiff.solvers import (
     DenseOperator,
@@ -258,9 +258,27 @@ def tv_prox_reference(g, weight, iters=20):
     return g - weight * div2d_reference(px, py)
 
 
+def tv_prox_warm_reference(g, weight, px, py, max_iters=20):
+    """Chambolle's dual projection from the dual (px, py), with fresh arrays,
+    stopped once u = g - weight * div p moves by at most 1e-6 of its norm in
+    one step.  Returns (u, px, py, steps)."""
+    tau = 0.25
+    u = g - weight * div2d_reference(px, py)
+    for steps in range(1, max_iters + 1):
+        gx, gy = grad2d_reference(div2d_reference(px, py) - g / weight)
+        denom = 1.0 + tau * np.sqrt(gx**2 + gy**2)
+        px = (px + tau * gx) / denom
+        py = (py + tau * gy) / denom
+        u_prev, u = u, g - weight * div2d_reference(px, py)
+        if np.linalg.norm(u - u_prev) <= 1e-6 * np.linalg.norm(u):
+            break
+    return u, px, py, steps
+
+
 def tv_reconstruct_reference(sino, geom, lam, outer_iters, prox_iters=20):
-    """The TV loop that projects every point it evaluates: the zero start, each
-    momentum point and each candidate.  Returns (x, rejected candidates)."""
+    """The TV loop that projects every point it evaluates (the zero start, each
+    momentum point and each candidate) and carries one TV dual from prox to
+    prox.  Returns (x, rejected candidates)."""
     op = TomoOperator(geom)
     y = sino.as_f64().ravel()
     rows, cols = geom.image_rows, geom.image_cols
@@ -272,13 +290,17 @@ def tv_reconstruct_reference(sino, geom, lam, outer_iters, prox_iters=20):
 
     x = np.zeros(rows * cols)
     z = x.copy()
+    px = py = np.zeros((rows, cols))
     f_x = objective(x)
     t_k = 1.0
     rejected = 0
     for _ in range(outer_iters):
         cand = z - step * op.adjoint(op.forward(z) - y)
         if lam > 0.0:
-            cand = tv_prox(cand.reshape(rows, cols), lam * step, prox_iters).ravel()
+            u, px, py, _ = tv_prox_warm_reference(
+                cand.reshape(rows, cols), lam * step, px, py, prox_iters
+            )
+            cand = u.ravel()
         f_cand = objective(cand)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k**2))
         if f_cand <= f_x:
@@ -315,8 +337,56 @@ class TestTvMatchesReference:
         sino = noisy_case(geom, image, 0.05, 0)
         ref, rejected = tv_reconstruct_reference(sino, geom, lam, iters)
         assert rejected >= min_rejected
-        got = tv_reconstruct(sino, geom, lam, iters).as_f64().ravel()
+        reports = []
+        got = tv_reconstruct(sino, geom, lam, iters, reports=reports).as_f64().ravel()
         assert np.linalg.norm(got - ref) <= 1e-6 * np.linalg.norm(ref)
+        assert reports[0].rejected == rejected
+
+
+class TestTvKeepsMoving:
+    """A rejected candidate does not stop TV: the warm-started prox does not
+    return it again.  With the dual restarted on every prox, the 30- and
+    100-iteration iterates of these cases were byte-equal."""
+
+    GEOM = make_limited_geometry(16, default_detectors(16), 12, 90.0)
+
+    @pytest.mark.parametrize("lam", [5.0, 20.0])
+    def test_objective_falls_after_rejections(self, lam):
+        sino = noisy_case(self.GEOM, TestTvMatchesReference.DISKS, 0.05, 0)
+        y = sino.as_f64().ravel()
+        op = TomoOperator(self.GEOM)
+
+        def objective(k, reports):
+            x = tv_reconstruct(sino, self.GEOM, lam, k, reports=reports).as_f64()
+            res = op.forward(x.ravel()) - y
+            return 0.5 * float(res @ res) + lam * total_variation(x)
+
+        reports = []
+        assert objective(100, reports) < objective(30, [])
+        assert reports[0].rejected >= 1
+
+    def test_report_counts_the_prox_steps(self):
+        sino = noisy_case(self.GEOM, TestTvMatchesReference.DISKS, 0.05, 0)
+        counted = []
+
+        def counting_prox(g, weight, iters=20, dual=None):
+            before = dual.iterations
+            out = tv_prox(g, weight, iters, dual)
+            counted.append(dual.iterations - before)
+            return out
+
+        reports = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solvers, "tv_prox", counting_prox)
+            tv_reconstruct(sino, self.GEOM, 5.0, 12, reports=reports)
+        assert len(counted) == 12 and all(1 <= k <= 20 for k in counted)
+        assert reports[0].prox_iterations == sum(counted)
+
+    def test_zero_weight_runs_no_prox(self):
+        sino = noisy_case(self.GEOM, TestTvMatchesReference.DISKS, 0.05, 0)
+        reports = []
+        tv_reconstruct(sino, self.GEOM, 0.0, 5, reports=reports)
+        assert reports[0].prox_iterations == 0
 
 
 class TestTvProx:
@@ -326,6 +396,26 @@ class TestTvProx:
         for weight in (1e-3, 0.1, 3.0):
             g = rng.uniform(0.1, 10.0) * rng.standard_normal(shape)
             assert np.array_equal(tv_prox(g, weight), tv_prox_reference(g, weight))
+
+    @pytest.mark.parametrize("shape", [(2, 9), (16, 16), (13, 40)])
+    def test_warm_start_matches_reference(self, shape):
+        # calls on one dual: a small weight stops by the rule after 2 steps,
+        # the others at their cap
+        rng = np.random.default_rng(sum(shape))
+        dual = solvers.TvDual(shape)
+        px = py = np.zeros(shape)
+        for weight, iters in ((1e-4, 20), (1e-4, 20), (0.3, 20), (3.0, 4)):
+            g = rng.standard_normal(shape)
+            before = dual.iterations
+            got = tv_prox(g, weight, iters, dual)
+            want, px, py, steps = tv_prox_warm_reference(g, weight, px, py, iters)
+            assert dual.iterations - before == steps == (2 if weight < 0.1 else iters)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+            assert np.allclose(dual.px, px, rtol=0.0, atol=1e-12)
+
+    def test_dual_of_another_shape_rejected(self):
+        with pytest.raises(DimensionError):
+            tv_prox(np.zeros((4, 5)), 0.5, 20, solvers.TvDual((5, 4)))
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 6), (6, 1)])
     def test_runs_on_a_single_row_or_column(self, shape):
