@@ -28,6 +28,7 @@ from .core import (
     Image,
     NumericalError,
     ParameterError,
+    PhantomKind,
     SeededRng,
     Sinogram,
     read_raster,
@@ -61,9 +62,6 @@ USAGE_ERROR = 2
 IO_ERROR = 3
 NUMERICAL_ERROR = 4
 
-# the values of evaluation.PhantomKind, which the parser does not import
-PHANTOM_KINDS = ("shepp_logan", "disks", "ellipses")
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -76,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("phantom", help="write a synthetic test object")
-    p.add_argument("--kind", required=True, choices=PHANTOM_KINDS)
+    p.add_argument("--kind", required=True, choices=[kind.value for kind in PhantomKind])
     p.add_argument("--size", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -223,7 +221,7 @@ def _read_expected(path, kind):
 
 
 def _cmd_phantom(args, argv) -> int:
-    from .evaluation import PhantomKind, PhantomSpec, make_phantom
+    from .evaluation import PhantomSpec, make_phantom
 
     spec = PhantomSpec(PhantomKind(args.kind), args.size, args.seed)
     image = make_phantom(spec)

@@ -1,4 +1,4 @@
-"""Raster types, seeded randomness, and the CTR1 binary container.
+"""Raster types, phantom kinds, seeded randomness, and the CTR1 binary container.
 
 Rasters store 32-bit floats, the same precision the container serializes,
 so a write/read cycle is bit-exact.  Numerical routines elsewhere promote
@@ -7,6 +7,7 @@ to float64 internally and cast back when producing a raster.
 
 from __future__ import annotations
 
+import enum
 import struct
 from dataclasses import dataclass
 
@@ -31,6 +32,14 @@ class FormatError(ValueError):
 
 class NumericalError(ArithmeticError):
     """A computation produced a non-finite or otherwise invalid state."""
+
+
+class PhantomKind(enum.Enum):
+    """The test objects of evaluation.make_phantom, by their `phantom --kind` names."""
+
+    SHEPP_LOGAN = "shepp_logan"
+    DISKS = "disks"
+    ELLIPSES = "ellipses"
 
 
 def _frozen_f32(data, rows, cols, what):

@@ -2,20 +2,16 @@
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import DimensionError, Image, NumericalError, ParameterError, SeededRng
-from .denoiser import GmmPrior
+from .core import DimensionError, Image, NumericalError, ParameterError, PhantomKind, SeededRng
 
-
-class PhantomKind(enum.Enum):
-    SHEPP_LOGAN = "shepp_logan"
-    DISKS = "disks"
-    ELLIPSES = "ellipses"
+if TYPE_CHECKING:
+    from .denoiser import GmmPrior
 
 
 @dataclass(frozen=True)

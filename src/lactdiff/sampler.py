@@ -202,7 +202,7 @@ def _run_chains(
         if cfg.prox is not None and step_index >= cfg.prox_skip:
             for i in range(n):
                 # A x~ gives the "before" residual, A^T A x~ CG's first product
-                ax, ata_x = operator.normal(x[i]) if traces is not None else (None, None)
+                ax, ata_x = operator.normal(x[i])
                 x[i], report = prox_consistency(
                     x[i], y, operator, cfg.prox, aty=aty, normal_x_tilde=ata_x
                 )

@@ -17,6 +17,10 @@ import numpy as np
 from .core import DimensionError, Image, NumericalError, ParameterError, Sinogram
 from .tomography import Geometry, TomoOperator
 
+# the most Lanczos steps of one operator_norm_sq call, and projection steps of one tv_prox call
+_LANCZOS_MAX_STEPS = 50
+_TV_PROX_MAX_STEPS = 20
+
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """<a, b> of 1-D float64 arrays, with bits that BLAS threads cannot change.
@@ -159,7 +163,7 @@ def conjugate_gradient(
     return x, CgReport(iterations, res_norm, converged)
 
 
-def operator_norm_sq(op, iters: int = 50) -> float:
+def operator_norm_sq(op) -> float:
     """Largest eigenvalue of A^T A, by Lanczos from the normalised all-ones image.
 
     Each step makes one op.normal product and extends the tridiagonal of the
@@ -177,8 +181,8 @@ def operator_norm_sq(op, iters: int = 50) -> float:
     far below, and the next step moves theta (a 6 x 1 image seen at 90
     degrees with detector spacing 0.99999 stops 5e-10 low on the bound
     alone).  It also stops when the Krylov space becomes invariant
-    (beta <= 1e-12 * theta, as for low-rank geometries), or after iters
-    steps (iters >= 1).
+    (beta <= 1e-12 * theta, as for low-rank geometries), or after
+    _LANCZOS_MAX_STEPS (50) steps.
 
     The start makes theta the top eigenvalue for every operator with
     entries >= 0, as a stencil plan's interpolation weights are: A^T A is
@@ -190,14 +194,12 @@ def operator_norm_sq(op, iters: int = 50) -> float:
     all-ones image is outside this guarantee: the estimate is then a lower
     eigenvalue.
     """
-    if iters < 1:
-        raise ParameterError(f"iters must be >= 1, got {iters}")
     n = op.shape[1]
     v = np.full(n, 1.0 / np.sqrt(n))
     v_prev = np.zeros(n)
     alphas, betas = [], []
     beta = theta = 0.0
-    for k in range(1, iters + 1):
+    for k in range(1, _LANCZOS_MAX_STEPS + 1):
         w = op.normal(v)[1] - beta * v_prev
         alpha = _dot(v, w)
         w -= alpha * v
@@ -310,41 +312,27 @@ class TvDual:
         self.iterations = 0
 
 
-def tv_prox(
-    g: np.ndarray, weight: float, iters: int = 20, dual: Optional[TvDual] = None
-) -> np.ndarray:
+def tv_prox(g: np.ndarray, weight: float, dual: TvDual) -> np.ndarray:
     """argmin_u 0.5*||u - g||^2 + weight*TV(u) by dual projection iterations.
 
     Chambolle's projection (J. Math. Imaging Vis. 20, 2004) with step 1/4.
-    Without a dual it starts from p = 0 and runs all iters steps.  With one
-    it starts from dual's field, leaves its last field there, and stops
-    before the cap once u_j = g - weight * div p_j moves by at most 1e-6 of
-    its norm in one step: ||u_j - u_{j-1}|| <= 1e-6 * ||u_j||.  The test
-    reuses the div p that each step computes anyway.
+    It starts from dual's field (p = 0 in a fresh TvDual), leaves its last
+    field there, and stops once u_j = g - weight * div p_j moves by at most
+    1e-6 of its norm in one step, ||u_j - u_{j-1}|| <= 1e-6 * ||u_j||, or
+    after _TV_PROX_MAX_STEPS (20) steps.  The test reuses the div p that
+    each step computes anyway.
     """
-    if weight <= 0.0 or iters < 1:
+    if weight <= 0.0:
         return np.asarray(g, dtype=np.float64).copy()
     g = np.asarray(g, dtype=np.float64)
-    warm = dual is not None
-    if not warm:
-        dual = TvDual(g.shape)
-    elif dual.px.shape != g.shape:
+    if dual.px.shape != g.shape:
         raise DimensionError(f"dual field {dual.px.shape} does not match {g.shape}")
     tau = 0.25
     g_scaled = g / weight
     px, py = dual.px, dual.py
     div, div_prev, work, gx, gy, denom = dual.work
-    for step in range(iters + 1):
-        _div2d(px, py, out=div)
-        if warm and step > 0:
-            # ||u_j - u_{j-1}|| / ||u_j|| = ||div_j - div_{j-1}|| / ||g / weight - div_j||
-            np.subtract(div, div_prev, out=work)
-            moved = _dot(work.ravel(), work.ravel())
-            np.subtract(g_scaled, div, out=work)
-            if moved <= 1e-12 * _dot(work.ravel(), work.ravel()):
-                break
-        if step == iters:
-            break
+    _div2d(px, py, out=div)
+    for _ in range(_TV_PROX_MAX_STEPS):
         # px, py <- (p + tau * grad(div p - g / weight)) / (1 + tau * |grad(...)|)
         np.subtract(div, g_scaled, out=work)
         _grad2d(work, gx, gy)
@@ -359,8 +347,15 @@ def tv_prox(
         gy *= tau
         py += gy
         py /= denom
-        div, div_prev = div_prev, div
         dual.iterations += 1
+        div, div_prev = div_prev, div
+        _div2d(px, py, out=div)
+        # ||u_j - u_{j-1}|| / ||u_j|| = ||div_j - div_{j-1}|| / ||g / weight - div_j||
+        np.subtract(div, div_prev, out=work)
+        moved = _dot(work.ravel(), work.ravel())
+        np.subtract(g_scaled, div, out=work)
+        if moved <= 1e-12 * _dot(work.ravel(), work.ravel()):
+            break
     return g - weight * div
 
 
@@ -378,7 +373,6 @@ def tv_reconstruct(
     geom: Geometry,
     lam: float,
     outer_iters: int = 50,
-    prox_iters: int = 20,
     *,
     reports: Optional[List[TvReport]] = None,
 ) -> Image:
@@ -389,7 +383,7 @@ def tv_reconstruct(
     only when it does not increase the composite objective, so the objective
     is non-increasing across outer iterations.  As there, the inner TV prox
     is warm-started: one TvDual is carried from call to call, and each call
-    stops by tv_prox's rule, within prox_iters steps.  A rejected candidate
+    stops by tv_prox's rule, within its 20-step cap.  A rejected candidate
     thus does not come back, since the next prox starts from a further dual.
     The gradient step is 1/L with L = 1.05 * ||A^T A|| from the Lanczos
     estimate the geometry keeps (Geometry.norm_sq).  The gradient at the
@@ -433,7 +427,7 @@ def tv_reconstruct(
             raise NumericalError("TV solver produced non-finite gradient")
         cand = z_momentum - step * grad
         if lam > 0.0:
-            cand = tv_prox(cand.reshape(rows, cols), lam * step, prox_iters, dual).ravel()
+            cand = tv_prox(cand.reshape(rows, cols), lam * step, dual).ravel()
         acand, ncand = op.normal(cand)
         f_cand = objective(cand, acand)
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_k**2))

@@ -129,11 +129,21 @@ def test_metrics_command_leaves_out_scipy_signal(tmp_path):
     assert run_fresh(code) == "inf,1.0\n0 False False\n"
 
 
-def test_phantom_kinds_are_the_evaluation_kinds():
-    from lactdiff.cli import PHANTOM_KINDS
-    from lactdiff.evaluation import PhantomKind
-
-    assert PHANTOM_KINDS == tuple(kind.value for kind in PhantomKind)
+@pytest.mark.parametrize("command", ["phantom", "metrics"])
+def test_phantom_and_metrics_leave_out_the_sampling_stack(tmp_path, command):
+    # both load evaluation, which needs GmmPrior only as an annotation
+    phantom = tmp_path / "p.ctr"
+    if command == "phantom":
+        argv = ["phantom", "--kind", "disks", "--size", "16", "--out", str(phantom)]
+    else:
+        write_raster(phantom, Image(16, 16, np.arange(256.0).reshape(16, 16) / 256.0))
+        argv = ["metrics", "--recon", str(phantom), "--reference", str(phantom)]
+    code = (
+        "import sys; from lactdiff.cli import main; "
+        f"code = main({argv!r}); "
+        f"print(code, [m for m in {SAMPLING_STACK!r} if m in sys.modules])"
+    )
+    assert run_fresh(code).splitlines()[-1] == "0 ['lactdiff.evaluation']"
 
 
 EXPORTS = {

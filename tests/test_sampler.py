@@ -303,22 +303,25 @@ class TestChain:
         )
         args = (model, sino.as_f64().ravel(), TomoOperator(geom), (n, n),
                 ConditionInput.none(n, n), SCHED, cfg)
-        draw_samples(*args)
+        untraced_set = draw_samples(*args)
         untraced = dict(count_products)
         count_products.clear()
         traces = []
-        draw_samples(*args, traces=traces)
+        traced_set = draw_samples(*args, traces=traces)
         iters = [r.iterations for t in traces for r in t.prox_reports]
         assert len(iters) == cfg.steps * cfg.n_samples
-        # untraced (the same solves, to the bit): A^T y once per draw, then per
-        # step CG's first product and one per iteration, each a normal product
+        # both: A^T y once per draw, then per step one normal of x~ (A^T A x~
+        # for CG's first product, and A x~ for the traced "before" residual)
+        # and one normal per CG iteration
         assert untraced == {"adjoint": 1, "normal": sum(i + 1 for i in iters)}
-        # traced: A^T y once per draw, then per step one normal of x~ (A x~ for
-        # the "before" residual, A^T A x~ for CG's first product), one normal
-        # per iteration, and the "after" residual's A z
+        # traced adds the "after" residual's A z
         assert count_products == {
             "forward": len(iters), "adjoint": 1, "normal": sum(i + 1 for i in iters)
         }
+        # the same solves, to the bit
+        assert [s.data.tobytes() for s in traced_set.samples] == [
+            s.data.tobytes() for s in untraced_set.samples
+        ]
 
     def test_ct_wrapper_smoke(self):
         n = 16
