@@ -28,7 +28,8 @@ class SamplerConfig:
     """Chain length, guidance weight, consistency settings, and seeding.
 
     prox is None to disable the data-consistency step entirely; prox_skip
-    leaves the first few (largest-noise) steps unconstrained.  Guidance
+    leaves the first few (largest-noise) steps unconstrained, and must be
+    below steps when prox is set, so that some step applies it.  Guidance
     weights other than 1 require an unconditional model.  seed is an
     unsigned 64-bit integer.
     """
@@ -47,6 +48,8 @@ class SamplerConfig:
             raise ParameterError("n_samples must be >= 1")
         if self.prox_skip < 0:
             raise ParameterError("prox_skip must be >= 0")
+        if self.prox is not None and self.prox_skip >= self.steps:
+            raise ParameterError(f"prox_skip must be below steps ({self.steps}) with prox set")
         if not np.isfinite(self.guidance):
             raise ParameterError("guidance weight must be finite")
         if not 0 <= self.seed < (1 << 64):

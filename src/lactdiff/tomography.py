@@ -10,9 +10,10 @@ _block_products, which applies each with scipy's compiled csr_matvec (A)
 and csc_matvec (A^T), loaded without the scipy.sparse package
 (_sparse_kernels).  TomoOperator, which iterative solvers call many times,
 takes the blocks from the geometry's stencil plan (a StencilPlan), which
-keeps those of one walk; the one-off products (project_array,
-backproject_array and the functions built on them) walk each view's block,
-apply it and drop it.  Same rows, kernels and order: the same bits.  Every
+keeps those of one walk and which only TomoOperator builds.  The one-off
+products (project_array, backproject_array and the functions built on
+them) use the plan a geometry holds, else walk each view's block, apply
+it and drop it.  Same rows, kernels and order: the same bits.  Every
 plan entry is an interpolation weight, so >= 0; Geometry.norm_sq relies on
 that to start its Lanczos estimate from the all-ones image.  A streamed
 product costs a little less than one plan build, or about 8 plan products
@@ -71,8 +72,9 @@ class Geometry:
     object); construction fails otherwise.  A geometry owns its stencil plan
     and its ||A^T A||: each is computed on first use and lives as long as
     the geometry does.  Only TomoOperator products (so the solvers and the
-    norm estimate) build and use the plan; one-off products (project_array,
-    backproject_array) walk the same blocks of rows a view at a time.
+    norm estimate) build the plan; one-off products (project_array,
+    backproject_array) use it once built (held_plan), else walk the same
+    blocks of rows a view at a time.
     """
 
     image_rows: int
@@ -162,6 +164,12 @@ class Geometry:
         if self.n_views * _view_nnz_bound(self) > _PLAN_NNZ_LIMIT:
             return None
         return _build_stencil_matrix(self)
+
+    @property
+    def held_plan(self) -> Optional[StencilPlan]:
+        """The plan if it has been built, else None; never builds it."""
+        # cached_property keeps a built plan in the instance dict
+        return self.__dict__.get("plan")
 
     @cached_property
     def norm_sq(self) -> float:
@@ -463,24 +471,24 @@ def _block_products(geom: Geometry, plan, x, y, adjoint: bool):
 def project_array(image: np.ndarray, geom: Geometry) -> np.ndarray:
     """Forward projection of a float64 (rows, cols) array to (views, detectors).
 
-    Streams the stencil, one _view_stencil walk per view, through the loop
-    of TomoOperator.forward, so the result has its bits.  One call costs a
-    little less than one plan build, or 8 to 20 products with the plan, so
-    callers that make two or more products on one geometry should use
-    TomoOperator.
+    Runs the loop of TomoOperator.forward, so the result has its bits, on
+    the plan the geometry holds, else streaming one _view_stencil walk per
+    view; it never builds the plan.  A streamed call costs a little less
+    than one plan build, or 8 to 20 products with the plan, so callers that
+    make two or more products on one geometry should use TomoOperator.
     """
     geom.matches_image(image)
     out = np.zeros((geom.n_views, geom.detectors))
     x = np.asarray(image, dtype=np.float64).ravel()
-    _block_products(geom, None, x, out.reshape(-1), adjoint=False)
+    _block_products(geom, geom.held_plan, x, out.reshape(-1), adjoint=False)
     return out
 
 
 def backproject_array(sino: np.ndarray, geom: Geometry) -> np.ndarray:
     """Exact transpose of project_array, (views, detectors) -> (rows, cols).
 
-    Streams the stencil through the loop of TomoOperator.adjoint, at the
-    cost that project_array describes, so the result has its bits.
+    Runs the loop of TomoOperator.adjoint, so the result has its bits, on
+    the plan the geometry holds or else streaming, as project_array does.
     """
     if sino.shape != (geom.n_views, geom.detectors):
         raise DimensionError(
@@ -488,15 +496,15 @@ def backproject_array(sino: np.ndarray, geom: Geometry) -> np.ndarray:
             f"{(geom.n_views, geom.detectors)}"
         )
     y = np.asarray(sino, dtype=np.float64).ravel()
-    out = _block_products(geom, None, None, y, adjoint=True)
+    out = _block_products(geom, geom.held_plan, None, y, adjoint=True)
     return out.reshape(geom.image_rows, geom.image_cols)
 
 
 def forward_project(image: Image, geom: Geometry) -> Sinogram:
     """Line integrals of `image` along every (angle, detector offset) ray.
 
-    Each call streams the stencil (see project_array); for repeated products
-    on one geometry, TomoOperator reuses the geometry's plan.
+    Uses the plan the geometry holds, else streams (see project_array); for
+    repeated products on one geometry, TomoOperator builds and reuses the plan.
     """
     data = project_array(image.as_f64(), geom)
     return Sinogram(geom.n_views, geom.detectors, geom.angles_deg, data)
@@ -505,7 +513,7 @@ def forward_project(image: Image, geom: Geometry) -> Sinogram:
 def back_project(sino: Sinogram, geom: Geometry) -> Image:
     """Adjoint of forward_project (unfiltered smearing of the sinogram).
 
-    Each call streams the stencil, as forward_project does.
+    Uses the plan the geometry holds, else streams, as forward_project does.
     """
     geom.matches_sinogram(sino)
     data = backproject_array(sino.as_f64(), geom)
@@ -558,7 +566,7 @@ def fbp_reconstruct(
 
     On full-angle data this approximates the original image; restricted
     angular coverage loses the edges oriented along the missing directions.
-    The back-projection streams the stencil, as back_project does.
+    The back-projection uses the plan the geometry holds, else streams.
     """
     geom.matches_sinogram(sino)
     if not isinstance(kind, FilterKind):

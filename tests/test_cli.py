@@ -146,37 +146,15 @@ def test_phantom_and_metrics_leave_out_the_sampling_stack(tmp_path, command):
     assert run_fresh(code).splitlines()[-1] == "0 ['lactdiff.evaluation']"
 
 
-EXPORTS = {
-    "core": "DataError DimensionError FormatError Image NumericalError ParameterError "
-            "SeededRng Sinogram read_raster write_pgm write_raster",
-    "tomography": "FilterKind Geometry TomoOperator back_project default_detectors "
-                  "fbp_reconstruct forward_project make_limited_geometry ramp_filter",
-    "solvers": "CgReport DenseOperator ProxConfig conjugate_gradient data_consistency_prox "
-               "rls_reconstruct tv_reconstruct",
-    "diffusion": "NoiseSchedule TimestepMap cosine_schedule default_linear_schedule "
-                 "forward_sample linear_schedule respace reverse_step",
-    "denoiser": "ConditionInput ConditionSource Denoiser GmmPrior conditional_gmm_denoiser "
-                "denoise gmm_denoiser gmm_posterior_mean guided_epsilon load_gmm_prior "
-                "save_gmm_prior",
-    "sampler": "ChainTrace SampleSet SamplerConfig build_condition chain_seeds draw_samples "
-               "sample_average sample_posterior sample_posterior_ct uncertainty_map",
-    "evaluation": "PhantomKind PhantomSpec gaussian_posterior_oracle make_phantom psnr ssim",
-}
-
-
-def test_package_exports_resolve_to_their_submodules():
-    import importlib
-
-    exported = set()
-    for module, names in EXPORTS.items():
-        sub = importlib.import_module(f"lactdiff.{module}")
-        for name in names.split():
-            assert getattr(lactdiff, name) is getattr(sub, name), name
-            exported.add(name)
-    assert set(lactdiff.__all__) == exported
-    assert exported <= set(dir(lactdiff))
-    with pytest.raises(AttributeError):
-        lactdiff.no_such_name
+def test_bare_package_import_loads_no_submodule():
+    # the package holds only __version__; `from` imports load the submodules
+    code = (
+        "import sys, lactdiff; "
+        "bare = sorted(m for m in sys.modules if m.startswith('lactdiff.')); "
+        "from lactdiff import sampler, tomography; "
+        "print(bare, sampler.__name__, tomography.__name__, hasattr(lactdiff, 'Geometry'))"
+    )
+    assert run_fresh(code) == "[] lactdiff.sampler lactdiff.tomography False\n"
 
 
 def test_cli_import_leaves_out_scipy_special():
@@ -841,6 +819,18 @@ class TestSampleCommand:
                            "--out-dir", str(tmp_path / "bad"))
         assert code == 2
         assert "seed" in err
+        assert not (tmp_path / "bad").exists()
+
+    def test_prox_skip_over_every_step_is_usage_error(
+        self, sino64, tmp_path, capsys, monkeypatch
+    ):
+        # with no consistency step left, the run would claim a prox it never ran
+        refuse_projections(monkeypatch)
+        code, _, err = run(capsys, "sample", "--in", str(sino64), "--size", "24",
+                           "--T", "60", "--K", "5", "--prox-skip", "5", "--samples", "1",
+                           "--out-dir", str(tmp_path / "bad"))
+        assert code == 2
+        assert "prox_skip" in err
         assert not (tmp_path / "bad").exists()
 
     def test_recorded_chain_seeds_rerun_each_sample(self, sino64, tmp_path, capsys):

@@ -182,6 +182,14 @@ class TestChain:
                          ConditionInput.none(4, 4), SCHED, cfg, trace=trace)
         assert len(trace.prox_residuals) == 30 - 12
 
+    def test_prox_skip_must_leave_a_consistency_step(self):
+        prox = ProxConfig(gamma=1.0)
+        with pytest.raises(ParameterError, match="prox_skip"):
+            SamplerConfig(steps=5, prox=prox, prox_skip=5)
+        assert SamplerConfig(steps=5, prox=prox, prox_skip=4).prox_skip == 4
+        # with no prox, a skip count has nothing to leave out
+        assert SamplerConfig(steps=5, prox_skip=9).prox_skip == 9
+
     def test_non_finite_state_reports_step(self):
         # a state float32 cannot hold, or a non-finite prediction, stops the run
         class ExplodingDenoiser:

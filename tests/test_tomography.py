@@ -405,7 +405,7 @@ class TestPlanBlocks:
 
 class TestOneOffProducts:
     """forward_project, back_project and fbp_reconstruct build no plan; they
-    stream the stencil."""
+    use the one their geometry holds, and otherwise stream the stencil."""
 
     def test_stream_without_a_plan(self, monkeypatch):
         def refuse(geom):
@@ -419,6 +419,29 @@ class TestOneOffProducts:
         fbp_reconstruct(sino, geom)
         assert "plan" not in geom.__dict__
 
+    def test_use_the_plan_the_geometry_holds(self, monkeypatch):
+        image = Image(13, 21, np.random.default_rng(14).standard_normal((13, 21)))
+
+        def products(geom):
+            sino = forward_project(image, geom)
+            return [sino, back_project(sino, geom), fbp_reconstruct(sino, geom)]
+
+        streamed = products(fresh_geometry())
+        geom = fresh_geometry()
+        TomoOperator(geom).forward(image.as_f64())
+        assert geom.held_plan is not None
+        walks = []
+        original = tomography._view_stencil
+
+        def counted(geom, theta_deg, work):
+            walks.append(theta_deg)
+            return original(geom, theta_deg, work)
+
+        monkeypatch.setattr(tomography, "_view_stencil", counted)
+        for got, want in zip(products(geom), streamed):
+            assert got.data.tobytes() == want.data.tobytes()
+        assert walks == []
+
 
 class TestTomoOperator:
     GEOM = Geometry(13, 21, 40, np.linspace(0.0, 179.0, 33))
@@ -428,8 +451,10 @@ class TestTomoOperator:
         rng = np.random.default_rng(12)
         x = rng.standard_normal((13, 21))
         y = rng.standard_normal((33, 40))
-        assert np.array_equal(op.forward(x.ravel()), project_array(x, self.GEOM).ravel())
-        assert np.array_equal(op.adjoint(y.ravel()), backproject_array(y, self.GEOM).ravel())
+        # on a geometry that holds no plan, the array functions stream
+        geom = fresh_geometry()
+        assert np.array_equal(op.forward(x.ravel()), project_array(x, geom).ravel())
+        assert np.array_equal(op.adjoint(y.ravel()), backproject_array(y, geom).ravel())
 
     def test_fetches_the_plan_once(self, monkeypatch):
         builds = []
