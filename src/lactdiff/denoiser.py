@@ -14,7 +14,6 @@ closed-form posteriors; no network training happens here.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Protocol
@@ -25,28 +24,21 @@ from .core import DataError, DimensionError, Image, ParameterError
 from .diffusion import NoiseSchedule
 
 
-class ConditionSource(enum.Enum):
-    FBP = "fbp"
-    RLS = "rls"
-    NONE = "none"
-
-
 @dataclass(frozen=True)
 class ConditionInput:
-    """Low-fidelity reconstruction used as conditioning, normalized to [0, 1]."""
+    """Conditioning image in [0, 1]: a low-fidelity reconstruction, or the
+    zero image of ConditionInput.none for the unconditional branch."""
 
     image: Image
-    source: ConditionSource
 
     def __post_init__(self):
-        if self.source is not ConditionSource.NONE:
-            arr = self.image.data
-            if arr.min() < 0.0 or arr.max() > 1.0:
-                raise DataError("condition image values must lie in [0, 1]")
+        arr = self.image.data
+        if arr.min() < 0.0 or arr.max() > 1.0:
+            raise DataError("condition image values must lie in [0, 1]")
 
     @classmethod
     def none(cls, rows: int, cols: int) -> "ConditionInput":
-        return cls(Image(rows, cols, np.zeros((rows, cols))), ConditionSource.NONE)
+        return cls(Image(rows, cols, np.zeros((rows, cols))))
 
 
 class Denoiser(Protocol):
@@ -55,8 +47,8 @@ class Denoiser(Protocol):
     denoise(x, t, cond) takes an (n, rows, cols) float64 stack x at original
     timestep t and returns the eps stack, of x's shape.  Row i of eps
     depends only on x[i], t and cond, never on the other rows or on n, so a
-    chain gets the same bits alone or in a batch.  A model must accept
-    cond.source == NONE.
+    chain gets the same bits alone or in a batch.  The unconditional branch
+    of guidance receives ConditionInput.none, a zero image.
     """
 
     def denoise(self, x: np.ndarray, t: int, cond: ConditionInput) -> np.ndarray:
@@ -71,7 +63,7 @@ def denoise(model: Denoiser, x: np.ndarray, t: int, cond: ConditionInput) -> np.
     """
     if x.ndim != 3:
         raise DimensionError(f"expected an (n, rows, cols) stack, got shape {x.shape}")
-    if cond.source is not ConditionSource.NONE and cond.image.shape != x.shape[1:]:
+    if cond.image.shape != x.shape[1:]:
         raise DimensionError(f"condition {cond.image.shape} does not match sample {x.shape[1:]}")
     eps = model.denoise(x, t, cond)
     if not isinstance(eps, np.ndarray):

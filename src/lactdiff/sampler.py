@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .core import DimensionError, Image, NumericalError, ParameterError, SeededRng, Sinogram
-from .denoiser import ConditionInput, ConditionSource, Denoiser, denoise, guided_epsilon
+from .denoiser import ConditionInput, Denoiser, denoise, guided_epsilon
 from .diffusion import NoiseSchedule, respace, reverse_step
 from .solvers import CgReport, ProxConfig, _dot, prox_consistency, rls_reconstruct
 from .tomography import FilterKind, Geometry, TomoOperator, fbp_reconstruct
@@ -100,10 +100,8 @@ def build_condition(
     """
     if method == "fbp":
         recon = fbp_reconstruct(sino, geom, FilterKind.RAM_LAK)
-        source = ConditionSource.FBP
     elif method == "rls":
         recon = rls_reconstruct(sino, geom, reports=reports)
-        source = ConditionSource.RLS
     else:
         raise ParameterError(f"condition method must be 'fbp' or 'rls', got {method!r}")
     arr = recon.as_f64()
@@ -112,7 +110,7 @@ def build_condition(
         arr = np.clip((arr - lo) / (hi - lo), 0.0, 1.0)
     else:
         arr = np.zeros_like(arr)
-    return ConditionInput(Image(geom.image_rows, geom.image_cols, arr), source)
+    return ConditionInput(Image(geom.image_rows, geom.image_cols, arr))
 
 
 # noise is drawn a block of steps at a time, at most this many float64 values

@@ -194,14 +194,9 @@ def make_limited_geometry(
 
     Angles are n_views values evenly spaced on the half-open interval
     [0, theta_max_deg).  The detector spacing follows `square_geometry`,
-    preserving the no-truncation invariant.
+    preserving the no-truncation invariant.  Geometry checks the sizes;
+    only the angular range is checked here.
     """
-    if n < 1:
-        raise DimensionError("image size must be >= 1")
-    if n_views < 1:
-        raise ParameterError("view count must be >= 1")
-    if detectors < 1:
-        raise ParameterError("detector count must be >= 1")
     if not (0.0 < theta_max_deg <= 180.0):
         raise ParameterError(
             f"theta_max must lie in (0, 180] degrees, got {theta_max_deg}"

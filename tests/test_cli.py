@@ -954,40 +954,63 @@ class TestManifestReplay:
         # the vectors are long enough: at 128^2 (16384 pixels) one and two
         # OpenBLAS threads gave other bits, at 64^2 the same
         self.check_blas_thread_independence(
-            tmp_path, capsys, "rls", ("operator.norm_sq: ",)
+            tmp_path, capsys, self.reconstruct("rls"), ("r.ctr",), ("operator.norm_sq: ",)
         )
 
     def test_tv_output_does_not_depend_on_blas_threads(self, tmp_path, capsys):
         # the inner TV prox stops on norms, which must not follow BLAS either
         self.check_blas_thread_independence(
-            tmp_path, capsys, "tv", ("tv.rejected: ", "tv.prox_iters: ")
+            tmp_path, capsys, self.reconstruct("tv"), ("r.ctr",),
+            ("tv.rejected: ", "tv.prox_iters: "),
+        )
+
+    def test_sample_output_does_not_depend_on_blas_threads(self, tmp_path, capsys):
+        # the prox CG of every chain, and the condition's RLS solve, sum
+        # dot products of 16384 pixels
+        self.check_blas_thread_independence(
+            tmp_path, capsys,
+            ["sample", "--K", "2", "--prox-skip", "1", "--samples", "2", "--seed", "3",
+             "--out-dir", "{out}"],
+            ("sample_000.ctr", "sample_001.ctr", "average.ctr", "uncertainty.ctr"),
         )
 
     @staticmethod
-    def check_blas_thread_independence(tmp_path, capsys, method, recorded):
-        # recorded: the manifest line prefixes that must appear once each
+    def reconstruct(method):
+        return ["reconstruct", "--method", method, "--iters", "40", "--out", "{out}/r.ctr"]
+
+    @staticmethod
+    def check_blas_thread_independence(tmp_path, capsys, command, rasters, recorded=()):
+        # command: the argv but for the input sinogram and its size, with
+        # "{out}" for the run's output directory; rasters: the files it must
+        # write there; recorded: manifest line prefixes that must appear once each
         phantom, sino = tmp_path / "p.ctr", tmp_path / "s.ctr"
         assert run(capsys, "phantom", "--kind", "shepp_logan", "--size", "128",
                    "--out", str(phantom))[0] == 0
         assert run(capsys, "project", "--in", str(phantom), "--views", "60",
                    "--theta-max", "60", "--noise-std", "0.01", "--seed", "7",
                    "--out", str(sino))[0] == 0
-        rasters, fields = [], []
+        outputs, manifests = [], []
         for threads in ("1", "2"):
-            out = tmp_path / f"{method}{threads}.ctr"
+            out = tmp_path / f"threads{threads}"
+            out.mkdir()
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                        PYTHONPATH=str(Path(lactdiff.__file__).parents[1]))
+            argv = [arg.replace("{out}", str(out)) for arg in command]
             subprocess.run(
-                [sys.executable, "-m", "lactdiff.cli", "reconstruct", "--method", method,
-                 "--in", str(sino), "--size", "128", "--iters", "40", "--out", str(out)],
+                [sys.executable, "-m", "lactdiff.cli", *argv, "--in", str(sino), "--size", "128"],
                 env=env, check=True, timeout=120, capture_output=True,
             )
-            rasters.append(out.read_bytes())
-            manifest = out.with_suffix(".manifest.txt").read_text().splitlines()
-            fields.append([line for line in manifest if line.startswith(recorded)])
-        assert [line.split(": ")[0] + ": " for line in fields[0]] == list(recorded)
-        assert fields[0] == fields[1]
-        assert rasters[0] == rasters[1]
+            outputs.append({name: (out / name).read_bytes() for name in rasters})
+            assert sorted(p.name for p in out.glob("*.ctr")) == sorted(rasters)
+            (manifest,) = out.glob("*manifest.txt")
+            # paths name the run's own directory, and the time is the run's own
+            manifests.append([line.replace(str(out), "{out}")
+                              for line in manifest.read_text().splitlines()
+                              if not line.startswith("duration_s: ")])
+        recorded_lines = [line for line in manifests[0] if line.startswith(recorded)]
+        assert [line.split(": ")[0] + ": " for line in recorded_lines] == list(recorded)
+        assert manifests[0] == manifests[1]
+        assert outputs[0] == outputs[1]
 
     def test_replay_notes_other_versions(self, tmp_path, capsys):
         out = tmp_path / "p.ctr"

@@ -8,7 +8,6 @@ from lactdiff import denoiser
 from lactdiff.core import DataError, DimensionError, Image, ParameterError
 from lactdiff.denoiser import (
     ConditionInput,
-    ConditionSource,
     GmmPrior,
     _logsumexp,
     conditional_gmm_denoiser,
@@ -91,13 +90,14 @@ class TestInterface:
 
     def test_condition_shape_checked(self):
         x = np.ones((1, 2, 2))
-        cond = ConditionInput(Image(3, 3, np.zeros((3, 3))), ConditionSource.FBP)
-        with pytest.raises(DimensionError):
-            denoise(ZeroDenoiser(), x, 10, cond)
+        # the null condition has no exemption from the shape rule
+        for cond in (ConditionInput(Image(3, 3, np.full((3, 3), 0.5))), ConditionInput.none(3, 3)):
+            with pytest.raises(DimensionError):
+                denoise(ZeroDenoiser(), x, 10, cond)
 
     def test_condition_range_checked(self):
         with pytest.raises(DataError):
-            ConditionInput(Image(1, 2, [[0.0, 1.5]]), ConditionSource.FBP)
+            ConditionInput(Image(1, 2, [[0.0, 1.5]]))
 
     def test_shapes_checked(self):
         x = np.zeros((2, 1, 2))

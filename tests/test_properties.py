@@ -56,6 +56,8 @@ def test_adjoint_identity(geom, seed):
 @hypothesis.example(Geometry(1, 7, 4, [0.0, 54.0], 0.5, 0.99999))
 # a top cluster of three: the Ritz bound alone holds at step 2, 5e-10 low
 @hypothesis.example(Geometry(6, 1, 5, [90.0], 0.5, 0.99999))
+# both rays pass outside the half-unit pixel, so A = 0 and the norm is 0
+@hypothesis.example(Geometry(1, 1, 2, [0.0], 0.5, 1.0))
 def test_norm_estimate_matches_dense_eigenvalue(geom):
     mat = dense_tomo_matrix(geom)
     expected = np.linalg.eigvalsh(mat.T @ mat)[-1]

@@ -9,7 +9,6 @@ from conftest import TableDenoiser
 from lactdiff.core import DimensionError, Image, NumericalError, ParameterError, Sinogram
 from lactdiff.denoiser import (
     ConditionInput,
-    ConditionSource,
     GmmPrior,
     conditional_gmm_denoiser,
     gmm_denoiser,
@@ -76,7 +75,6 @@ class TestBuildCondition:
         sino = Sinogram(8, 23, geom.angles_deg, np.zeros((8, 23)))
         cond = build_condition(sino, geom, "fbp")
         assert np.all(cond.image.data == 0.0)
-        assert cond.source is ConditionSource.FBP
 
     def test_output_in_unit_range(self):
         n = 32

@@ -224,6 +224,17 @@ class TestTv:
         ]
         assert np.all(np.diff(values) <= 1e-6)
 
+    def test_zero_norm_geometry_gives_zero(self):
+        # both rays pass outside the half-unit pixel, so A = 0 and ||A^T A|| = 0:
+        # TV's step falls back to 1 instead of dividing by zero
+        geom = Geometry(1, 1, 2, [0.0], 0.5, 1.0)
+        assert geom.norm_sq == 0.0
+        sino = Sinogram(1, 2, geom.angles_deg, np.array([[1.0, 2.0]]))
+        for recon in (tv_reconstruct(sino, geom, lam=0.3, outer_iters=10),
+                      rls_reconstruct(sino, geom)):
+            assert recon.shape == (1, 1)
+            assert np.all(recon.as_f64() == 0.0)
+
 
 def grad2d_reference(u):
     gx = np.zeros_like(u)
