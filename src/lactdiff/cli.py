@@ -294,11 +294,9 @@ def _cmd_reconstruct(args, argv) -> int:
         kind = FilterKind.RAM_LAK if args.filter == "ramlak" else FilterKind.HANN
         recon = fbp_reconstruct(sino, geom, kind)
     elif args.method == "rls":
-        reports = []
-        recon = rls_reconstruct(sino, geom, tau=args.tau, max_iter=args.iters, reports=reports)
+        recon, report = rls_reconstruct(sino, geom, tau=args.tau, max_iter=args.iters)
     else:
-        reports = []
-        recon = tv_reconstruct(sino, geom, lam=args.lam, outer_iters=args.iters, reports=reports)
+        recon, report = tv_reconstruct(sino, geom, lam=args.lam, outer_iters=args.iters)
     write_raster(args.out, recon)
     if args.pgm:
         write_pgm(args.pgm, recon)
@@ -317,25 +315,25 @@ def _cmd_reconstruct(args, argv) -> int:
         fields["operator.norm_sq"] = geom.norm_sq if used_norm else "n/a"
     if args.method == "rls":
         fields["resolved.tau"] = default_rls_tau(geom) if args.tau is None else args.tau
-        fields.update(_cg_fields("rls.", reports))
+        fields.update(_cg_fields("rls.", report))
     if args.method == "tv":
         # candidates the monotone safeguard rejected, and the inner TV prox steps
-        fields["tv.rejected"] = f"{reports[0].rejected}/{args.iters}"
-        fields["tv.prox_iters"] = reports[0].prox_iterations
+        fields["tv.rejected"] = f"{report.rejected}/{args.iters}"
+        fields["tv.prox_iters"] = report.prox_iterations
     fields["out"] = args.out
     fields["duration_s"] = f"{time.perf_counter() - started:.3f}"
     _write_manifest(Path(args.out).with_suffix(".manifest.txt"), argv, fields)
     return 0
 
 
-def _cg_fields(prefix: str, reports) -> dict:
-    """Manifest fields of the CG solve in reports, if any; converged is
+def _cg_fields(prefix: str, report) -> dict:
+    """Manifest fields of a CG solve's report, or none without one; converged is
     false when CG stopped at its iteration budget short of its tolerance."""
-    if not reports:
+    if report is None:
         return {}
     return {
-        f"{prefix}cg_iterations": reports[0].iterations,
-        f"{prefix}converged": str(reports[0].converged).lower(),
+        f"{prefix}cg_iterations": report.iterations,
+        f"{prefix}converged": str(report.converged).lower(),
     }
 
 
@@ -403,8 +401,10 @@ def _cmd_sample(args, argv) -> int:
         if uncond_prior is None:
             uncond_prior = _builtin_prior(dim, np.zeros(dim), max(args.prior_std, 1.0))
         uncond_model = GmmDenoiser(uncond_prior, sched)
-    condition_reports = []
-    cond = build_condition(sino, geom, args.condition, reports=condition_reports)
+    # an unusable --out-dir fails here, before the condition's solve and the chains
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    cond, condition_report = build_condition(sino, geom, args.condition)
     if prior is None:
         prior = _builtin_prior(dim, cond.image.as_f64().ravel(), args.prior_std)
     model = GmmDenoiser(prior, sched)
@@ -422,8 +422,6 @@ def _cmd_sample(args, argv) -> int:
         traces=traces,
     )
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for i, sample in enumerate(sample_set.samples):
         write_raster(out_dir / f"sample_{i:03d}.ctr", sample)
         if args.pgm:
@@ -458,7 +456,7 @@ def _cmd_sample(args, argv) -> int:
             "param.samples": args.samples,
             "seed": args.seed,
             "geometry.digest": geom.digest(),
-            **_cg_fields("condition.rls_", condition_reports),
+            **_cg_fields("condition.rls_", condition_report),
             "mean_final_residual": (
                 f"{float(np.mean(final_residuals)):.9g}" if final_residuals else "n/a"
             ),

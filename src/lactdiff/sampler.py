@@ -87,21 +87,18 @@ class SampleSet:
 
 
 def build_condition(
-    sino: Sinogram,
-    geom: Geometry,
-    method: str,
-    *,
-    reports: Optional[List[CgReport]] = None,
-) -> ConditionInput:
+    sino: Sinogram, geom: Geometry, method: str
+) -> Tuple[ConditionInput, Optional[CgReport]]:
     """Low-fidelity reconstruction rescaled to [0, 1] for conditioning.
 
-    Constant reconstructions map to all-zeros.  When reports is a list, an
-    "rls" solve appends its CgReport to it, as rls_reconstruct does.
+    Returns (ConditionInput, report): the CgReport of an "rls" solve, None
+    for "fbp".  Constant reconstructions map to all-zeros.
     """
+    report = None
     if method == "fbp":
         recon = fbp_reconstruct(sino, geom, FilterKind.RAM_LAK)
     elif method == "rls":
-        recon = rls_reconstruct(sino, geom, reports=reports)
+        recon, report = rls_reconstruct(sino, geom)
     else:
         raise ParameterError(f"condition method must be 'fbp' or 'rls', got {method!r}")
     arr = recon.as_f64()
@@ -110,7 +107,7 @@ def build_condition(
         arr = np.clip((arr - lo) / (hi - lo), 0.0, 1.0)
     else:
         arr = np.zeros_like(arr)
-    return ConditionInput(Image(geom.image_rows, geom.image_cols, arr))
+    return ConditionInput(Image(geom.image_rows, geom.image_cols, arr)), report
 
 
 # noise is drawn a block of steps at a time, at most this many float64 values

@@ -10,7 +10,7 @@ TomoOperator makes in one pass over its plan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -229,13 +229,11 @@ def rls_reconstruct(
     tau: Optional[float] = None,
     tol: float = 1e-8,
     max_iter: int = 200,
-    *,
-    reports: Optional[List[CgReport]] = None,
-) -> Image:
+) -> Tuple[Image, CgReport]:
     """Minimize ||Ax - y||^2 + tau * ||x||^2 via CG on the normal equations.
 
-    When reports is a list, the solve's CgReport is appended to it, so a
-    caller can tell a solve that stopped at max_iter short of tol.
+    Returns (Image, CgReport); the report tells a solve that stopped at
+    max_iter short of tol.
     """
     geom.matches_sinogram(sino)
     if max_iter < 1:
@@ -252,9 +250,8 @@ def rls_reconstruct(
         return op.normal(v)[1] + tau * v
 
     x, report = conjugate_gradient(normal_apply, rhs, None, tol, max_iter)
-    if reports is not None:
-        reports.append(report)
-    return Image(geom.image_rows, geom.image_cols, x.reshape(geom.image_rows, geom.image_cols))
+    rows, cols = geom.image_rows, geom.image_cols
+    return Image(rows, cols, x.reshape(rows, cols)), report
 
 
 def _grad2d(u: np.ndarray, gx: Optional[np.ndarray] = None, gy: Optional[np.ndarray] = None):
@@ -271,25 +268,24 @@ def _grad2d(u: np.ndarray, gx: Optional[np.ndarray] = None, gy: Optional[np.ndar
     return gx, gy
 
 
-def _div2d(px: np.ndarray, py: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Negative adjoint of _grad2d, <grad u, p> = -<u, div p>, for every shape.
+def _div2d(px: np.ndarray, py: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Negative adjoint of _grad2d, <grad u, p> = -<u, div p>, for every shape,
+    written into out.
 
     An axis of length 1 has no differences, so its component adds nothing.
-    Writes into out when it is given.
     """
-    div = np.empty_like(px) if out is None else out
     rows, cols = px.shape
     if rows > 1:
-        div[0, :] = px[0, :]
-        np.subtract(px[1:-1, :], px[:-2, :], out=div[1:-1, :])
-        np.negative(px[-2, :], out=div[-1, :])
+        out[0, :] = px[0, :]
+        np.subtract(px[1:-1, :], px[:-2, :], out=out[1:-1, :])
+        np.negative(px[-2, :], out=out[-1, :])
     else:
-        div.fill(0.0)
+        out.fill(0.0)
     if cols > 1:
-        div[:, 0] += py[:, 0]
-        div[:, 1:-1] += py[:, 1:-1] - py[:, :-2]
-        div[:, -1] -= py[:, -2]
-    return div
+        out[:, 0] += py[:, 0]
+        out[:, 1:-1] += py[:, 1:-1] - py[:, :-2]
+        out[:, -1] -= py[:, -2]
+    return out
 
 
 def total_variation(u: np.ndarray) -> float:
@@ -373,10 +369,8 @@ def tv_reconstruct(
     geom: Geometry,
     lam: float,
     outer_iters: int = 50,
-    *,
-    reports: Optional[List[TvReport]] = None,
-) -> Image:
-    """Approximately minimize 0.5*||Ax - y||^2 + lam*TV(x).
+) -> Tuple[Image, TvReport]:
+    """Approximately minimize 0.5*||Ax - y||^2 + lam*TV(x); returns (Image, TvReport).
 
     Accelerated proximal gradient with a monotone safeguard (Beck & Teboulle,
     IEEE TIP 18(11), 2009): the candidate from the momentum point is kept
@@ -390,8 +384,7 @@ def tv_reconstruct(
     momentum point z is A^T A z - A^T y.  A^T y is formed once, A^T A is
     kept for the iterate and the candidate, and A^T A z is formed from them,
     since z is their combination; so each outer iteration costs one normal
-    product (A and A^T A of the candidate, one pass over the plan).  When
-    reports is a list, a TvReport of the run is appended to it.
+    product (A and A^T A of the candidate, one pass over the plan).
     """
     geom.matches_sinogram(sino)
     if lam < 0.0 or not np.isfinite(lam):
@@ -442,9 +435,7 @@ def tv_reconstruct(
         nz = nx_next + c_cand * (ncand - nx_next) + c_prev * (nx_next - nx)
         x, nx, f_x = x_next, nx_next, f_next
         t_k = t_next
-    if reports is not None:
-        reports.append(TvReport(rejected, dual.iterations))
-    return Image(rows, cols, x.reshape(rows, cols))
+    return Image(rows, cols, x.reshape(rows, cols)), TvReport(rejected, dual.iterations)
 
 
 def prox_consistency(

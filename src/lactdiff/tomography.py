@@ -217,14 +217,14 @@ def square_geometry(n: int, detectors: int, angles_deg) -> Geometry:
     return Geometry(n, n, detectors, angles_deg, 1.0, spacing)
 
 
-def _view_coords(geom: Geometry, theta_deg: float, out=None):
+def _view_coords(geom: Geometry, theta_deg: float, out: np.ndarray):
     """Driving-axis layout for one view.
 
     Returns (drive_rows, coord, ray_weight): coord is the fractional index
     into the interpolated axis for every (driving index, detector) pair, and
-    ray_weight is the path length per driving-axis step.  When out is an
-    (n, detectors) array with n at least the driving count, coord is written
-    into its leading rows.
+    ray_weight is the path length per driving-axis step.  coord is written
+    into the leading rows of out, an (n, detectors) array with n at least
+    the driving count.
     """
     theta = math.radians(theta_deg)
     ct, st = math.cos(theta), math.sin(theta)
@@ -236,13 +236,13 @@ def _view_coords(geom: Geometry, theta_deg: float, out=None):
     if abs(ct) >= abs(st):
         # near-vertical rays: march over rows, interpolate between columns
         y = (half_r - np.arange(rows, dtype=np.float64)) * ps
-        coord = np.subtract(offsets, (y * st)[:, None], out=None if out is None else out[:rows])
+        coord = np.subtract(offsets, (y * st)[:, None], out=out[:rows])
         coord /= ct * ps
         coord += half_c
         return True, coord, ps / abs(ct)
     # near-horizontal rays: march over columns, interpolate between rows
     x = (np.arange(cols, dtype=np.float64) - half_c) * ps
-    coord = np.subtract(offsets, (x * ct)[:, None], out=None if out is None else out[:cols])
+    coord = np.subtract(offsets, (x * ct)[:, None], out=out[:cols])
     coord /= st * ps
     np.subtract(half_r, coord, out=coord)
     return False, coord, ps / abs(st)
@@ -519,17 +519,14 @@ def _pad_length(detectors: int) -> int:
     return 2 * (1 << int(math.ceil(math.log2(detectors))))
 
 
-def _ramp_filter_array(
-    rows: np.ndarray, kind: FilterKind, remove_dc: bool = True
-) -> np.ndarray:
+def _ramp_filter_array(rows: np.ndarray, kind: FilterKind) -> np.ndarray:
     """Row-wise ramp filtering: pad, multiply the spectrum by |w|, crop.
 
     Rows are zero-padded to twice the next power of two to suppress circular
     wrap.  Cropping the padded result reintroduces a small DC component (the
-    discarded kernel tails); with remove_dc it is subtracted so every output
-    row has exactly zero mean.  Reconstruction keeps that tail mass instead
-    (remove_dc=False), since spreading it over the crop window as a constant
-    offset measurably biases the image.
+    discarded kernel tails).  Reconstruction keeps that tail mass, since
+    spreading it over the crop window as a constant offset measurably biases
+    the image; ramp_filter removes it.
     """
     n = rows.shape[1]
     padded = _pad_length(n)
@@ -538,19 +535,21 @@ def _ramp_filter_array(
     if kind is FilterKind.HANN:
         response *= 0.5 * (1.0 + np.cos(2.0 * np.pi * freqs))
     spectrum = np.fft.rfft(rows, n=padded, axis=1)
-    filtered = np.fft.irfft(spectrum * response, n=padded, axis=1)[:, :n]
-    if remove_dc:
-        filtered -= filtered.mean(axis=1, keepdims=True)
-    return filtered
+    return np.fft.irfft(spectrum * response, n=padded, axis=1)[:, :n]
 
 
 def ramp_filter(sino: Sinogram, kind: FilterKind = FilterKind.RAM_LAK) -> Sinogram:
-    """Filter each view independently with the |w| (optionally Hann) response."""
+    """Filter each view independently with the |w| (optionally Hann) response.
+
+    Each output row has exactly zero mean: the DC component that cropping
+    reintroduces is subtracted.
+    """
     if sino.detectors < 2:
         raise ParameterError("ramp filtering needs at least 2 detector bins")
     if not isinstance(kind, FilterKind):
         raise ParameterError(f"unknown filter kind {kind!r}")
     data = _ramp_filter_array(sino.as_f64(), kind)
+    data -= data.mean(axis=1, keepdims=True)
     return Sinogram(sino.views, sino.detectors, sino.angles_deg, data)
 
 
@@ -566,7 +565,7 @@ def fbp_reconstruct(
     geom.matches_sinogram(sino)
     if not isinstance(kind, FilterKind):
         raise ParameterError(f"unknown filter kind {kind!r}")
-    filtered = _ramp_filter_array(sino.as_f64(), kind, remove_dc=False)
+    filtered = _ramp_filter_array(sino.as_f64(), kind)
     recon = backproject_array(filtered, geom)
     recon *= math.pi / (geom.n_views * geom.detector_spacing)
     return Image(geom.image_rows, geom.image_cols, recon)

@@ -246,10 +246,10 @@ def test_criterion_07_limited_angle_ordering():
                 sino = forward_project(phantom, geom)
                 scores["fbp"].append(psnr(fbp_reconstruct(sino, geom), phantom))
                 scores["rls"].append(
-                    psnr(rls_reconstruct(sino, geom, max_iter=60), phantom)
+                    psnr(rls_reconstruct(sino, geom, max_iter=60)[0], phantom)
                 )
                 scores["tv"].append(
-                    psnr(tv_reconstruct(sino, geom, lam=1.0, outer_iters=25), phantom)
+                    psnr(tv_reconstruct(sino, geom, lam=1.0, outer_iters=25)[0], phantom)
                 )
             for method in means:
                 means[method].append(np.mean(scores[method]))

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import lactdiff
-from lactdiff import solvers, tomography
+from lactdiff import sampler, solvers, tomography
 from lactdiff.cli import main
 from lactdiff.core import Image, Sinogram, read_raster, write_raster
 from lactdiff.denoiser import GmmPrior, gmm_denoiser
@@ -544,11 +544,10 @@ class TestReconstructAndMetrics:
         # each of the 15 proxes runs 1 to 20 steps
         assert 15 <= int(fields["tv.prox_iters"]) <= 300
         sino_raster = read_raster(sino)
-        reports = []
-        solvers.tv_reconstruct(sino_raster, square_geometry(32, sino_raster.detectors,
-                               sino_raster.angles_deg), 1.0, 15, reports=reports)
-        assert fields == {"tv.rejected": f"{reports[0].rejected}/15",
-                          "tv.prox_iters": str(reports[0].prox_iterations)}
+        _, report = solvers.tv_reconstruct(sino_raster, square_geometry(
+            32, sino_raster.detectors, sino_raster.angles_deg), 1.0, 15)
+        assert fields == {"tv.rejected": f"{report.rejected}/15",
+                          "tv.prox_iters": str(report.prox_iterations)}
 
     @pytest.mark.parametrize("method", ["rls", "tv"])
     def test_single_pixel_image(self, method, tmp_path, capsys):
@@ -607,12 +606,11 @@ class TestReconstructAndMetrics:
         raster = read_raster(sino)
         geom = square_geometry(32, raster.detectors, raster.angles_deg)
         # the CLI's default budget is --iters 100
-        reports = []
-        solvers.rls_reconstruct(raster, geom, max_iter=100, reports=reports)
-        assert reports[0].converged and reports[0].iterations > 5
+        _, report = solvers.rls_reconstruct(raster, geom, max_iter=100)
+        assert report.converged and report.iterations > 5
         cases = {
             "capped": (["--iters", "5"], "5", "false"),
-            "default": ([], str(reports[0].iterations), "true"),
+            "default": ([], str(report.iterations), "true"),
         }
         for name, (extra, want_iters, want_converged) in cases.items():
             out = tmp_path / f"{name}.ctr"
@@ -833,6 +831,23 @@ class TestSampleCommand:
         assert "prox_skip" in err
         assert not (tmp_path / "bad").exists()
 
+    def test_unusable_out_dir_fails_before_the_condition(
+        self, sino64, tmp_path, capsys, monkeypatch
+    ):
+        # an --out-dir that is an existing file fails before any solve or chain runs
+        def refuse(*args, **kwargs):
+            raise AssertionError("the condition was built")
+
+        monkeypatch.setattr(sampler, "build_condition", refuse)
+        taken = tmp_path / "taken"
+        taken.write_bytes(b"")
+        code, _, err = run(capsys, "sample", "--in", str(sino64), "--size", "24",
+                           "--T", "60", "--K", "4", "--samples", "1",
+                           "--out-dir", str(taken))
+        assert code == 3
+        assert "taken" in err
+        assert taken.read_bytes() == b""
+
     def test_recorded_chain_seeds_rerun_each_sample(self, sino64, tmp_path, capsys):
         out_dir = tmp_path / "run"
         assert run(capsys, "sample", "--in", str(sino64), "--size", "24", "--K", "6",
@@ -846,7 +861,7 @@ class TestSampleCommand:
         sino = read_raster(sino64)
         geom = square_geometry(24, sino.detectors, sino.angles_deg)
         sched = default_linear_schedule(60)
-        cond = build_condition(sino, geom, "rls")
+        cond, _ = build_condition(sino, geom, "rls")
         model = gmm_denoiser(GmmPrior(24 * 24, [1.0], cond.image.as_f64().reshape(1, -1),
                                       [0.25]), sched)
         cfg = SamplerConfig(steps=6, prox=ProxConfig(gamma=1.0))
@@ -858,17 +873,20 @@ class TestSampleCommand:
     def test_manifest_records_the_condition_solve(self, sino64, tmp_path, capsys):
         sino = read_raster(sino64)
         geom = square_geometry(24, sino.detectors, sino.angles_deg)
-        reports = []
-        build_condition(sino, geom, "rls", reports=reports)
-        assert len(reports) == 1
+        assert build_condition(sino, geom, "fbp")[1] is None
+        _, report = build_condition(sino, geom, "rls")
+        # the condition's report is the one of rls_reconstruct on the same inputs
+        _, direct = solvers.rls_reconstruct(sino, geom)
+        assert (report.iterations, report.converged, report.final_residual_norm) == (
+            direct.iterations, direct.converged, direct.final_residual_norm)
         out_dir = tmp_path / "run"
         argv = ["sample", "--in", str(sino64), "--size", "24", "--K", "4", "--T", "60",
                 "--samples", "1", "--out-dir", str(out_dir)]
         assert run(capsys, *argv)[0] == 0
         manifest = (out_dir / "manifest.txt").read_text().splitlines()
         fields = dict(line.split(": ", 1) for line in manifest[1:])
-        assert fields["condition.rls_cg_iterations"] == str(reports[0].iterations)
-        assert fields["condition.rls_converged"] == str(reports[0].converged).lower()
+        assert fields["condition.rls_cg_iterations"] == str(report.iterations)
+        assert fields["condition.rls_converged"] == str(report.converged).lower()
         # a replay writes the same sample and the same condition lines
         sample = (out_dir / "sample_000.ctr").read_bytes()
         (out_dir / "sample_000.ctr").unlink()

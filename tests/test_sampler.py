@@ -73,7 +73,7 @@ class TestBuildCondition:
     def test_zero_sinogram_gives_zero_condition(self):
         geom = make_limited_geometry(16, 23, 8, 90.0)
         sino = Sinogram(8, 23, geom.angles_deg, np.zeros((8, 23)))
-        cond = build_condition(sino, geom, "fbp")
+        cond, _ = build_condition(sino, geom, "fbp")
         assert np.all(cond.image.data == 0.0)
 
     def test_output_in_unit_range(self):
@@ -82,7 +82,7 @@ class TestBuildCondition:
         ph = make_phantom(PhantomSpec(PhantomKind.DISKS, n, seed=2))
         sino = forward_project(ph, geom)
         for method in ("fbp", "rls"):
-            cond = build_condition(sino, geom, method)
+            cond, _ = build_condition(sino, geom, method)
             assert cond.image.data.min() >= 0.0
             assert cond.image.data.max() <= 1.0
 
@@ -94,8 +94,8 @@ class TestBuildCondition:
         scaled = ph.as_f64()
         scaled = (scaled - scaled.min()) / (scaled.max() - scaled.min())
         reference = Image(n, n, scaled)
-        p_fbp = psnr(build_condition(sino, geom, "fbp").image, reference)
-        p_rls = psnr(build_condition(sino, geom, "rls").image, reference)
+        p_fbp = psnr(build_condition(sino, geom, "fbp")[0].image, reference)
+        p_rls = psnr(build_condition(sino, geom, "rls")[0].image, reference)
         assert p_rls > p_fbp
 
     def test_unknown_method(self):
@@ -241,7 +241,7 @@ class TestChain:
         n = 16
         geom = make_limited_geometry(n, default_detectors(n), 10, 120.0)
         sino = forward_project(make_phantom(PhantomSpec(PhantomKind.DISKS, n, seed=4)), geom)
-        cond = build_condition(sino, geom, "fbp")
+        cond, _ = build_condition(sino, geom, "fbp")
         means = np.stack([cond.image.as_f64().ravel(), np.zeros(n * n)])
         model = gmm_denoiser(GmmPrior(n * n, [0.6, 0.4], means, [0.25, 0.5]), SCHED)
         cfg = SamplerConfig(
@@ -334,7 +334,7 @@ class TestChain:
         geom = make_limited_geometry(n, default_detectors(n), 10, 120.0)
         ph = make_phantom(PhantomSpec(PhantomKind.DISKS, n, seed=4))
         sino = forward_project(ph, geom)
-        cond = build_condition(sino, geom, "fbp")
+        cond, _ = build_condition(sino, geom, "fbp")
         prior = GmmPrior(n * n, [1.0], cond.image.as_f64().reshape(1, -1), [0.25])
         model = gmm_denoiser(prior, SCHED)
         cfg = SamplerConfig(
@@ -398,7 +398,7 @@ class TestAggregation:
         ph = make_phantom(PhantomSpec(PhantomKind.DISKS, n, seed=6))
         geom = make_limited_geometry(n, default_detectors(n), 30, 75.0)
         sino = forward_project(ph, geom)
-        cond = build_condition(sino, geom, "rls")
+        cond, _ = build_condition(sino, geom, "rls")
         prior = GmmPrior(n * n, [1.0], cond.image.as_f64().reshape(1, -1), [0.25])
         model = gmm_denoiser(prior, SCHED)
         cfg = SamplerConfig(

@@ -102,7 +102,7 @@ class TestRls:
             geom.n_views, geom.detectors, geom.angles_deg,
             np.zeros((geom.n_views, geom.detectors)),
         )
-        recon = rls_reconstruct(sino, geom, tau=0.1)
+        recon, _ = rls_reconstruct(sino, geom, tau=0.1)
         assert np.all(recon.data == 0.0)
 
     def test_matches_dense_normal_equations(self):
@@ -112,7 +112,7 @@ class TestRls:
         oracle = np.linalg.solve(
             dense.T @ dense + tau * np.eye(64), dense.T @ sino.as_f64().ravel()
         )
-        recon = rls_reconstruct(sino, geom, tau=tau, tol=1e-12, max_iter=500)
+        recon, _ = rls_reconstruct(sino, geom, tau=tau, tol=1e-12, max_iter=500)
         err = np.linalg.norm(recon.as_f64().ravel() - oracle)
         assert err <= 1e-5 * np.linalg.norm(oracle)
 
@@ -125,7 +125,7 @@ class TestRls:
             y.reshape(geom.n_views, geom.detectors),
         )
         tau = 1e6
-        recon = rls_reconstruct(unit, geom, tau=tau, tol=1e-12, max_iter=200)
+        recon, _ = rls_reconstruct(unit, geom, tau=tau, tol=1e-12, max_iter=200)
         aty = TomoOperator(geom).adjoint(unit.as_f64().ravel())
         assert np.linalg.norm(recon.as_f64()) <= np.linalg.norm(aty) / tau * (1 + 1e-6)
 
@@ -158,15 +158,14 @@ class TestRls:
 
     def test_reports_whether_the_solve_converged(self):
         geom, sino = small_case(n=16, views=8, theta=60.0, seed=3)
-        reports = []
-        capped = rls_reconstruct(sino, geom, tau=0.1, max_iter=2, reports=reports)
-        full = rls_reconstruct(sino, geom, tau=0.1, reports=reports)
-        assert reports[0].iterations == 2 and not reports[0].converged
-        assert 2 < reports[1].iterations < 200 and reports[1].converged
-        # collecting the report does not change the reconstruction
-        assert np.array_equal(full.as_f64(), rls_reconstruct(sino, geom, tau=0.1).as_f64())
+        capped, capped_report = rls_reconstruct(sino, geom, tau=0.1, max_iter=2)
+        full, full_report = rls_reconstruct(sino, geom, tau=0.1)
+        assert capped_report.iterations == 2 and not capped_report.converged
+        assert 2 < full_report.iterations < 200 and full_report.converged
+        # a repeated solve returns the same reconstruction
+        assert np.array_equal(full.as_f64(), rls_reconstruct(sino, geom, tau=0.1)[0].as_f64())
         assert np.array_equal(
-            capped.as_f64(), rls_reconstruct(sino, geom, tau=0.1, max_iter=2).as_f64()
+            capped.as_f64(), rls_reconstruct(sino, geom, tau=0.1, max_iter=2)[0].as_f64()
         )
 
 
@@ -179,8 +178,8 @@ class TestTv:
         sino = Sinogram(
             30, geom.detectors, geom.angles_deg, sino_data.reshape(30, -1)
         )
-        tv0 = tv_reconstruct(sino, geom, lam=0.0, outer_iters=8000)
-        ls = rls_reconstruct(sino, geom, tau=0.0, tol=1e-13, max_iter=3000)
+        tv0, _ = tv_reconstruct(sino, geom, lam=0.0, outer_iters=8000)
+        ls, _ = rls_reconstruct(sino, geom, tau=0.0, tol=1e-13, max_iter=3000)
         rel = np.linalg.norm(tv0.as_f64() - ls.as_f64()) / np.linalg.norm(ls.as_f64())
         assert rel <= 1e-3
 
@@ -190,7 +189,7 @@ class TestTv:
             geom.n_views, geom.detectors, geom.angles_deg,
             np.zeros((geom.n_views, geom.detectors)),
         )
-        recon = tv_reconstruct(sino, geom, lam=0.3, outer_iters=10)
+        recon, _ = tv_reconstruct(sino, geom, lam=0.3, outer_iters=10)
         assert np.allclose(recon.as_f64(), 0.0, atol=1e-12)
 
     def test_large_weight_reduces_total_variation(self):
@@ -199,8 +198,8 @@ class TestTv:
         geom = make_limited_geometry(n, default_detectors(n), 24, 120.0)
         sino_data = TomoOperator(geom).forward(phantom.as_f64().ravel())
         sino = Sinogram(24, geom.detectors, geom.angles_deg, sino_data.reshape(24, -1))
-        plain = tv_reconstruct(sino, geom, lam=0.0, outer_iters=120)
-        smooth = tv_reconstruct(sino, geom, lam=20.0, outer_iters=120)
+        plain, _ = tv_reconstruct(sino, geom, lam=0.0, outer_iters=120)
+        smooth, _ = tv_reconstruct(sino, geom, lam=20.0, outer_iters=120)
         assert total_variation(smooth.as_f64()) < total_variation(plain.as_f64())
 
     def test_objective_non_increasing(self):
@@ -219,7 +218,7 @@ class TestTv:
             )
 
         values = [
-            objective(tv_reconstruct(sino, geom, lam=lam, outer_iters=k))
+            objective(tv_reconstruct(sino, geom, lam=lam, outer_iters=k)[0])
             for k in range(5, 41, 5)
         ]
         assert np.all(np.diff(values) <= 1e-6)
@@ -230,8 +229,8 @@ class TestTv:
         geom = Geometry(1, 1, 2, [0.0], 0.5, 1.0)
         assert geom.norm_sq == 0.0
         sino = Sinogram(1, 2, geom.angles_deg, np.array([[1.0, 2.0]]))
-        for recon in (tv_reconstruct(sino, geom, lam=0.3, outer_iters=10),
-                      rls_reconstruct(sino, geom)):
+        for recon, _ in (tv_reconstruct(sino, geom, lam=0.3, outer_iters=10),
+                         rls_reconstruct(sino, geom)):
             assert recon.shape == (1, 1)
             assert np.all(recon.as_f64() == 0.0)
 
@@ -333,10 +332,10 @@ class TestTvMatchesReference:
         sino = noisy_case(geom, image, 0.05, 0)
         ref, rejected = tv_reconstruct_reference(sino, geom, lam, iters)
         assert rejected >= min_rejected
-        reports = []
-        got = tv_reconstruct(sino, geom, lam, iters, reports=reports).as_f64().ravel()
+        got, report = tv_reconstruct(sino, geom, lam, iters)
+        got = got.as_f64().ravel()
         assert np.linalg.norm(got - ref) <= 1e-6 * np.linalg.norm(ref)
-        assert reports[0].rejected == rejected
+        assert report.rejected == rejected
 
 
 class TestTvKeepsMoving:
@@ -352,14 +351,15 @@ class TestTvKeepsMoving:
         y = sino.as_f64().ravel()
         op = TomoOperator(self.GEOM)
 
-        def objective(k, reports):
-            x = tv_reconstruct(sino, self.GEOM, lam, k, reports=reports).as_f64()
+        def objective(k):
+            recon, report = tv_reconstruct(sino, self.GEOM, lam, k)
+            x = recon.as_f64()
             res = op.forward(x.ravel()) - y
-            return 0.5 * float(res @ res) + lam * total_variation(x)
+            return 0.5 * float(res @ res) + lam * total_variation(x), report
 
-        reports = []
-        assert objective(100, reports) < objective(30, [])
-        assert reports[0].rejected >= 1
+        long_run, report = objective(100)
+        assert long_run < objective(30)[0]
+        assert report.rejected >= 1
 
     def test_report_counts_the_prox_steps(self):
         sino = noisy_case(self.GEOM, TestTvMatchesReference.DISKS, 0.05, 0)
@@ -371,18 +371,16 @@ class TestTvKeepsMoving:
             counted.append(dual.iterations - before)
             return out
 
-        reports = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(solvers, "tv_prox", counting_prox)
-            tv_reconstruct(sino, self.GEOM, 5.0, 12, reports=reports)
+            _, report = tv_reconstruct(sino, self.GEOM, 5.0, 12)
         assert len(counted) == 12 and all(1 <= k <= 20 for k in counted)
-        assert reports[0].prox_iterations == sum(counted)
+        assert report.prox_iterations == sum(counted)
 
     def test_zero_weight_runs_no_prox(self):
         sino = noisy_case(self.GEOM, TestTvMatchesReference.DISKS, 0.05, 0)
-        reports = []
-        tv_reconstruct(sino, self.GEOM, 0.0, 5, reports=reports)
-        assert reports[0].prox_iterations == 0
+        _, report = tv_reconstruct(sino, self.GEOM, 0.0, 5)
+        assert report.prox_iterations == 0
 
 
 class TestTvProx:

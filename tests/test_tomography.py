@@ -49,8 +49,9 @@ def coo_stencil_matrix(geom: Geometry) -> sp.csr_matrix:
     """Reference plan: COO triplets of every in-range stencil entry, then tocsr."""
     rows_n, cols_n, det = geom.image_rows, geom.image_cols, geom.detectors
     row_idx, col_idx, values = [], [], []
+    coord_buf = np.empty((max(rows_n, cols_n), det))
     for v, theta_deg in enumerate(geom.angles_deg):
-        drive_rows, coord, weight = tomography._view_coords(geom, theta_deg)
+        drive_rows, coord, weight = tomography._view_coords(geom, theta_deg, coord_buf)
         n_drive = coord.shape[0]
         interp_n = cols_n if drive_rows else rows_n
         j0 = np.floor(coord).astype(np.int64)
@@ -126,7 +127,7 @@ class TestStencilPlan:
         # j0 entry comes right before its j0+1 entry
         work = tomography._stencil_work(geom)
         for theta_deg in geom.angles_deg:
-            drive_rows = tomography._view_coords(geom, theta_deg)[0]
+            drive_rows = tomography._view_coords(geom, theta_deg, work[0])[0]
             counts, cols, _ = tomography._view_stencil(geom, theta_deg, work)
             pixel_row, pixel_col = np.divmod(cols, geom.image_cols)
             drive, interp = (pixel_row, pixel_col) if drive_rows else (pixel_col, pixel_row)
@@ -349,7 +350,7 @@ class TestPlanBlocks:
         calls = []
         original = tomography._view_coords
 
-        def counted(geom, theta_deg, out=None):
+        def counted(geom, theta_deg, out):
             calls.append(theta_deg)
             return original(geom, theta_deg, out=out)
 
