@@ -93,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", required=True, choices=["fbp", "rls", "tv"])
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--size", type=int, required=True, help="output image side length")
-    p.add_argument("--filter", choices=["ramlak", "hann"], default="ramlak")
+    p.add_argument("--filter", choices=[kind.value for kind in FilterKind], default="ramlak")
     p.add_argument("--tau", type=float, default=None, help="rls: Tikhonov weight")
     p.add_argument("--lam", type=float, default=0.5, help="tv: regularization weight")
     p.add_argument("--iters", type=int, default=100, help="rls/tv iteration budget")
@@ -137,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_manifest(path: Path, argv, fields: dict, traces=None, seeds=()) -> None:
+def _write_manifest(path: Path, argv, fields: dict, traces=()) -> None:
     lines = [
         "run_manifest v2",
         f"argv: {shlex.join(argv)}",
@@ -151,17 +151,16 @@ def _write_manifest(path: Path, argv, fields: dict, traces=None, seeds=()) -> No
         lines.append(f"version.scipy: {scipy.__version__}")
     for key, value in fields.items():
         lines.append(f"{key}: {value}")
-    if traces:
-        for i, trace in enumerate(traces):
-            residuals = " ".join(f"{r:.9g}" for r in trace.residuals)
-            lines.append(f"residuals.sample{i}: {residuals}")
-        # prox steps whose CG stopped at cg_max_iter short of cg_tol
-        for i, trace in enumerate(traces):
-            capped = sum(not report.converged for report in trace.prox_reports)
-            lines.append(f"prox_capped.sample{i}: {capped}/{len(trace.prox_reports)}")
+    for i, trace in enumerate(traces):
+        residuals = " ".join(f"{r:.9g}" for r in trace.residuals)
+        lines.append(f"residuals.sample{i}: {residuals}")
+    # prox steps whose CG stopped at cg_max_iter short of cg_tol
+    for i, trace in enumerate(traces):
+        capped = sum(not report.converged for report in trace.prox_reports)
+        lines.append(f"prox_capped.sample{i}: {capped}/{len(trace.prox_reports)}")
     # the seed each chain's SeededRng was given, for sample_posterior to rerun it
-    for i, seed in enumerate(seeds):
-        lines.append(f"chain_seed.sample{i}: {seed}")
+    for i, trace in enumerate(traces):
+        lines.append(f"chain_seed.sample{i}: {trace.seed}")
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -291,8 +290,7 @@ def _cmd_reconstruct(args, argv) -> int:
     sino = _read_expected(args.input, Sinogram)
     geom = square_geometry(args.size, sino.detectors, sino.angles_deg)
     if args.method == "fbp":
-        kind = FilterKind.RAM_LAK if args.filter == "ramlak" else FilterKind.HANN
-        recon = fbp_reconstruct(sino, geom, kind)
+        recon = fbp_reconstruct(sino, geom, FilterKind(args.filter))
     elif args.method == "rls":
         recon, report = rls_reconstruct(sino, geom, tau=args.tau, max_iter=args.iters)
     else:
@@ -359,10 +357,8 @@ def _cmd_sample(args, argv) -> int:
     from .denoiser import GmmDenoiser
     from .diffusion import cosine_schedule, default_linear_schedule
     from .sampler import (
-        ChainTrace,
         SamplerConfig,
         build_condition,
-        chain_seeds,
         draw_samples,
         sample_average,
         uncertainty_map,
@@ -409,7 +405,6 @@ def _cmd_sample(args, argv) -> int:
         prior = _builtin_prior(dim, cond.image.as_f64().ravel(), args.prior_std)
     model = GmmDenoiser(prior, sched)
 
-    traces: list[ChainTrace] = []
     sample_set = draw_samples(
         model,
         sino.as_f64().ravel(),
@@ -419,7 +414,6 @@ def _cmd_sample(args, argv) -> int:
         sched,
         cfg,
         uncond_model=uncond_model,
-        traces=traces,
     )
 
     for i, sample in enumerate(sample_set.samples):
@@ -436,7 +430,7 @@ def _cmd_sample(args, argv) -> int:
         if args.pgm:
             write_pgm(out_dir / "uncertainty.pgm", spread)
 
-    final_residuals = [t.residuals[-1] for t in traces if t.residuals]
+    final_residuals = [trace.residuals[-1] for trace in sample_set.traces]
     _write_manifest(
         out_dir / "manifest.txt",
         argv,
@@ -457,14 +451,11 @@ def _cmd_sample(args, argv) -> int:
             "seed": args.seed,
             "geometry.digest": geom.digest(),
             **_cg_fields("condition.rls_", condition_report),
-            "mean_final_residual": (
-                f"{float(np.mean(final_residuals)):.9g}" if final_residuals else "n/a"
-            ),
+            "mean_final_residual": f"{float(np.mean(final_residuals)):.9g}",
             "out_dir": str(out_dir),
             "duration_s": f"{time.perf_counter() - started:.3f}",
         },
-        traces=traces,
-        seeds=chain_seeds(cfg.seed, cfg.n_samples),
+        sample_set.traces,
     )
     return 0
 

@@ -6,7 +6,8 @@ the stochastic reverse transition, and, when configured, pulls the iterate
 toward the measurements with the proximal consistency map.  All chains of
 one call advance together, as the rows of one float64 array.  Averaging
 many chains estimates the posterior mean; the per-pixel spread is an
-uncertainty proxy.
+uncertainty proxy.  Each chain returns its ChainTrace with its sample: its
+seed and, when it has measurements, its residuals and prox reports.
 """
 
 from __future__ import annotations
@@ -58,13 +59,15 @@ class SamplerConfig:
 
 @dataclass
 class ChainTrace:
-    """Measurement residuals recorded while a chain runs.
+    """What one chain did: its seed and the measurement residuals it met.
 
+    seed is the seed the chain's SeededRng was given.  With measurements,
     residuals holds ||A x - y|| after every completed step; prox_residuals
     holds (before, after) pairs around each consistency application, and
     prox_reports the CG report of each of those applications.
     """
 
+    seed: int
     residuals: List[float] = field(default_factory=list)
     prox_residuals: List[Tuple[float, float]] = field(default_factory=list)
     prox_reports: List[CgReport] = field(default_factory=list)
@@ -72,9 +75,11 @@ class ChainTrace:
 
 @dataclass(frozen=True, eq=False)
 class SampleSet:
-    """The samples of one draw_samples call, all of one shape."""
+    """The samples of one draw_samples call, all of one shape, and the
+    ChainTrace of each chain."""
 
     samples: Tuple[Image, ...]
+    traces: Tuple[ChainTrace, ...] = ()
 
     def __post_init__(self):
         samples = tuple(self.samples)
@@ -84,6 +89,7 @@ class SampleSet:
         if any(s.shape != shape for s in samples):
             raise DimensionError("samples in a set must share one shape")
         object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "traces", tuple(self.traces))
 
 
 def build_condition(
@@ -138,9 +144,9 @@ def _run_chains(
     cfg: SamplerConfig,
     uncond_model: Optional[Denoiser],
     seeds: List[int],
-    traces: Optional[List[ChainTrace]],
-) -> np.ndarray:
-    """Run one chain per seed, all at once; returns their (n, rows*cols) end states.
+) -> Tuple[np.ndarray, List[ChainTrace]]:
+    """Run one chain per seed, all at once; returns their (n, rows*cols) end
+    states and one ChainTrace per chain.
 
     The state of every chain is one row of a float64 array.  Each step calls
     the denoiser (and the unconditional model when guidance is on) once on
@@ -152,12 +158,14 @@ def _run_chains(
     """
     if cfg.guidance != 1.0 and uncond_model is None:
         raise ParameterError("guidance weight != 1 requires an unconditional model")
-    if (cfg.prox is not None or traces is not None) and (operator is None or measurements is None):
-        raise ParameterError("consistency and tracing need measurements and an operator")
+    if (measurements is None) != (operator is None):
+        raise ParameterError("measurements and an operator are given together or not at all")
+    if cfg.prox is not None and operator is None:
+        raise ParameterError("consistency needs measurements and an operator")
     y = None
     if measurements is not None:
         y = np.asarray(measurements, dtype=np.float64).ravel()
-        if operator is not None and y.size != operator.shape[0]:
+        if y.size != operator.shape[0]:
             raise DimensionError(
                 f"measurements have dim {y.size}, operator expects {operator.shape[0]}"
             )
@@ -166,6 +174,7 @@ def _run_chains(
     K = chain_sched.T
     rows, cols = shape
     n = len(seeds)
+    traces = [ChainTrace(seed) for seed in seeds]
     # chain start plus one noise vector for every step but the last
     noise = _noise_rows([SeededRng(seed) for seed in seeds], rows * cols, K)
     x = next(noise)
@@ -204,16 +213,15 @@ def _run_chains(
                 x[i], report = prox_consistency(
                     x[i], y, operator, cfg.prox, aty=aty, normal_x_tilde=ata_x
                 )
-                if traces is not None:
-                    before = residual(ax)
-                    after = residual(operator.forward(x[i]))
-                    traces[i].prox_residuals.append((before, after))
-                    traces[i].prox_reports.append(report)
-                    traces[i].residuals.append(after)
-        elif traces is not None:
+                before = residual(ax)
+                after = residual(operator.forward(x[i]))
+                traces[i].prox_residuals.append((before, after))
+                traces[i].prox_reports.append(report)
+                traces[i].residuals.append(after)
+        elif y is not None:
             for row, trace in zip(x, traces):
                 trace.residuals.append(residual(operator.forward(row)))
-    return x
+    return x, traces
 
 
 def sample_posterior(
@@ -226,9 +234,8 @@ def sample_posterior(
     cfg: SamplerConfig,
     uncond_model: Optional[Denoiser] = None,
     seed: Optional[int] = None,
-    trace: Optional[ChainTrace] = None,
-) -> Image:
-    """Run one reverse chain and return the reconstructed image.
+) -> Tuple[Image, ChainTrace]:
+    """Run one reverse chain; returns (reconstructed image, its ChainTrace).
 
     The chain draws its start from N(0, I), then for each shortened step:
     noise prediction (guidance-blended when the weight is not 1), the
@@ -242,12 +249,11 @@ def sample_posterior(
     chain_seeds(cfg.seed, 1)[0], so the result equals the one sample of
     draw_samples with n_samples = 1.
     """
-    x = _run_chains(
+    x, traces = _run_chains(
         model, measurements, operator, shape, cond, sched, cfg, uncond_model,
         [chain_seeds(cfg.seed, 1)[0] if seed is None else seed],
-        None if trace is None else [trace],
     )
-    return Image(*shape, x[0].reshape(shape))
+    return Image(*shape, x[0].reshape(shape)), traces[0]
 
 
 def sample_posterior_ct(
@@ -259,21 +265,12 @@ def sample_posterior_ct(
     cfg: SamplerConfig,
     uncond_model: Optional[Denoiser] = None,
     seed: Optional[int] = None,
-    trace: Optional[ChainTrace] = None,
-) -> Image:
+) -> Tuple[Image, ChainTrace]:
     """Tomographic wrapper around sample_posterior."""
     geom.matches_sinogram(sino)
     return sample_posterior(
-        model,
-        sino.as_f64().ravel(),
-        TomoOperator(geom),
-        (geom.image_rows, geom.image_cols),
-        cond,
-        sched,
-        cfg,
-        uncond_model=uncond_model,
-        seed=seed,
-        trace=trace,
+        model, sino.as_f64().ravel(), TomoOperator(geom), (geom.image_rows, geom.image_cols),
+        cond, sched, cfg, uncond_model, seed,
     )
 
 
@@ -295,23 +292,18 @@ def draw_samples(
     sched: NoiseSchedule,
     cfg: SamplerConfig,
     uncond_model: Optional[Denoiser] = None,
-    traces: Optional[List[ChainTrace]] = None,
 ) -> SampleSet:
     """cfg.n_samples independent chains; chain i uses chain_seeds(cfg.seed, n)[i].
 
     The chains run together, one step at a time for all of them; chain i
-    equals sample_posterior with that seed bit for bit, and does not depend
-    on n.  When traces is a list, one ChainTrace per chain is appended to it.
+    equals sample_posterior with that seed bit for bit, trace included, and
+    does not depend on n.  The set holds one ChainTrace per chain.
     """
-    chain_traces = None
-    if traces is not None:
-        chain_traces = [ChainTrace() for _ in range(cfg.n_samples)]
-        traces.extend(chain_traces)
-    x = _run_chains(
+    x, traces = _run_chains(
         model, measurements, operator, shape, cond, sched, cfg, uncond_model,
-        chain_seeds(cfg.seed, cfg.n_samples), chain_traces,
+        chain_seeds(cfg.seed, cfg.n_samples),
     )
-    return SampleSet(tuple(Image(*shape, row.reshape(shape)) for row in x))
+    return SampleSet(tuple(Image(*shape, row.reshape(shape)) for row in x), traces)
 
 
 def sample_average(sample_set: SampleSet) -> Image:

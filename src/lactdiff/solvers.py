@@ -254,13 +254,10 @@ def rls_reconstruct(
     return Image(rows, cols, x.reshape(rows, cols)), report
 
 
-def _grad2d(u: np.ndarray, gx: Optional[np.ndarray] = None, gy: Optional[np.ndarray] = None):
-    """Forward differences; the last row of gx and the last column of gy are 0.
-
-    Writes into gx and gy when they are given.
+def _grad2d(u: np.ndarray, gx: np.ndarray, gy: np.ndarray):
+    """Forward differences written into gx and gy; the last row of gx and the
+    last column of gy are 0.
     """
-    if gx is None:
-        gx, gy = np.empty_like(u), np.empty_like(u)
     np.subtract(u[1:, :], u[:-1, :], out=gx[:-1, :])
     gx[-1, :] = 0.0
     np.subtract(u[:, 1:], u[:, :-1], out=gy[:, :-1])
@@ -290,7 +287,8 @@ def _div2d(px: np.ndarray, py: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def total_variation(u: np.ndarray) -> float:
     """Isotropic discrete TV with forward differences."""
-    gx, gy = _grad2d(np.asarray(u, dtype=np.float64))
+    u = np.asarray(u, dtype=np.float64)
+    gx, gy = _grad2d(u, np.empty_like(u), np.empty_like(u))
     return float(np.sqrt(gx**2 + gy**2).sum())
 
 

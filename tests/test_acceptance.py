@@ -100,20 +100,20 @@ def gauss_case():
 _SAMPLE_CACHE = {}
 
 
-def chain_block(gauss_case, seed, n, measurements=None, operator=None, traces=None, **cfg):
-    """Chains with seeds seed .. seed+n-1 of the criterion-5 configuration, as rows."""
+def chain_block(gauss_case, seed, n, measurements=None, operator=None, **cfg):
+    """n chains of the criterion-5 configuration drawn with one seed, as rows,
+    and their traces."""
     sample_set = draw_samples(
         gauss_case["model"], measurements, operator, (4, 4), gauss_case["cond"],
         TRAIN_SCHED, replace(gauss_case["cfg"], seed=seed, n_samples=n, **cfg),
-        traces=traces,
     )
-    return np.stack([s.as_f64().ravel() for s in sample_set.samples])
+    return np.stack([s.as_f64().ravel() for s in sample_set.samples]), sample_set.traces
 
 
 def posterior_samples(gauss_case):
     """500 seeded chains from the criterion-5 configuration (cached)."""
     if "samples" not in _SAMPLE_CACHE:
-        _SAMPLE_CACHE["samples"] = chain_block(gauss_case, 1000, 500)
+        _SAMPLE_CACHE["samples"] = chain_block(gauss_case, 1000, 500)[0]
     return _SAMPLE_CACHE["samples"]
 
 
@@ -215,15 +215,14 @@ def test_criterion_05_conditional_posterior_convergence(gauss_case):
 def test_criterion_06_data_consistency_benefit(gauss_case):
     with criterion(6, "consistency prox lowers residuals and never raises them", 600.0):
         matrix, y = gauss_case["matrix"], gauss_case["y"]
-        traces = []
-        with_prox = chain_block(
-            gauss_case, 0, 100, y, DenseOperator(matrix), traces,
+        with_prox, traces = chain_block(
+            gauss_case, 0, 100, y, DenseOperator(matrix),
             prox=ProxConfig(gamma=1.0, cg_tol=1e-10, cg_max_iter=50),
         )
         for trace in traces:
             for before, after in trace.prox_residuals:
                 assert after <= before + 1e-10
-        without = chain_block(gauss_case, 0, 100)
+        without, _ = chain_block(gauss_case, 0, 100)
         res_on = np.linalg.norm(with_prox @ matrix.T - y, axis=1)
         res_off = np.linalg.norm(without @ matrix.T - y, axis=1)
         assert np.mean(res_on) <= np.mean(res_off)
@@ -262,7 +261,7 @@ def test_criterion_08_uncertainty_calibration(gauss_case):
         mean = gauss_case["oracle_mean"]
         non_negative = 0
         for rep in range(20):
-            samples = chain_block(gauss_case, rep * 1000, 64)
+            samples, _ = chain_block(gauss_case, rep * 1000, 64)
             spread = samples.std(axis=0, ddof=1)
             error = np.abs(samples.mean(axis=0) - mean)
             if np.corrcoef(spread, error)[0, 1] >= 0.0:

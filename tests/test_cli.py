@@ -866,9 +866,26 @@ class TestSampleCommand:
                                       [0.25]), sched)
         cfg = SamplerConfig(steps=6, prox=ProxConfig(gamma=1.0))
         for i, seed in enumerate(seeds):
-            lone = sample_posterior(model, sino.as_f64().ravel(), TomoOperator(geom), (24, 24),
-                                    cond, sched, cfg, seed=seed)
+            lone, trace = sample_posterior(model, sino.as_f64().ravel(), TomoOperator(geom),
+                                           (24, 24), cond, sched, cfg, seed=seed)
             assert read_raster(out_dir / f"sample_{i:03d}.ctr") == lone
+            assert trace.seed == seed
+
+    def test_manifest_orders_the_per_chain_lines(self, sino64, tmp_path, capsys):
+        # the run's fields come first, then each per-chain record for every chain
+        out_dir = tmp_path / "run"
+        assert run(capsys, "sample", "--in", str(sino64), "--size", "24", "--K", "4",
+                   "--T", "60", "--samples", "2", "--out-dir", str(out_dir))[0] == 0
+        lines = (out_dir / "manifest.txt").read_text().splitlines()
+        keys = [line.split(": ", 1)[0] for line in lines[1:]]
+        assert keys[-7:] == [
+            "duration_s",
+            "residuals.sample0", "residuals.sample1",
+            "prox_capped.sample0", "prox_capped.sample1",
+            "chain_seed.sample0", "chain_seed.sample1",
+        ]
+        per_chain = ("residuals.", "prox_capped.", "chain_seed.")
+        assert not any(key.startswith(per_chain) for key in keys[:-6])
 
     def test_manifest_records_the_condition_solve(self, sino64, tmp_path, capsys):
         sino = read_raster(sino64)

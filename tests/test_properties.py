@@ -160,7 +160,7 @@ def test_dense_operator_products_are_its_matrix_products(rows, cols, seed):
 def test_tv_divergence_is_negative_adjoint_of_gradient(rows, cols, seed):
     rng = np.random.default_rng(seed)
     u, px, py = rng.standard_normal((3, rows, cols))
-    gx, gy = _grad2d(u)
+    gx, gy = _grad2d(u, np.empty_like(u), np.empty_like(u))
     div = _div2d(px, py, np.empty_like(px))
     lhs, rhs = float(np.sum(gx * px) + np.sum(gy * py)), -float(np.sum(u * div))
     scale = np.linalg.norm(u) * (np.linalg.norm(px) + np.linalg.norm(py))

@@ -50,23 +50,21 @@ def gaussian_setup(seed=42):
     return model, mat, y
 
 
-def assert_chains_match_lone_runs(
-    model, measurements, operator, shape, cond, cfg, uncond_model=None, traced=False
-):
+def assert_chains_match_lone_runs(model, measurements, operator, shape, cond, cfg,
+                                  uncond_model=None):
     """Chain i of draw_samples equals sample_posterior with seed
     chain_seeds(cfg.seed, n)[i], byte for byte, and so does its trace."""
-    traces = [] if traced else None
     batch = draw_samples(model, measurements, operator, shape, cond, SCHED, cfg,
-                         uncond_model=uncond_model, traces=traces)
+                         uncond_model=uncond_model)
     seeds = chain_seeds(cfg.seed, cfg.n_samples)
+    assert [trace.seed for trace in batch.traces] == seeds
     for i, sample in enumerate(batch.samples):
-        trace = ChainTrace() if traced else None
-        lone = sample_posterior(model, measurements, operator, shape, cond, SCHED, cfg,
-                                uncond_model=uncond_model, seed=seeds[i], trace=trace)
+        lone, trace = sample_posterior(model, measurements, operator, shape, cond, SCHED, cfg,
+                                       uncond_model=uncond_model, seed=seeds[i])
         assert sample.data.tobytes() == lone.data.tobytes()
-        if traced:
-            assert len(trace.prox_reports) == cfg.steps - cfg.prox_skip
-            assert traces[i] == trace
+        prox_steps = 0 if cfg.prox is None else cfg.steps - cfg.prox_skip
+        assert len(trace.prox_reports) == prox_steps
+        assert batch.traces[i] == trace
 
 
 class TestBuildCondition:
@@ -110,11 +108,11 @@ class TestChain:
         model, mat, y = gaussian_setup()
         cond = ConditionInput.none(4, 4)
         cfg = SamplerConfig(steps=40, seed=3)
-        a = sample_posterior(model, None, None, (4, 4), cond, SCHED, cfg)
-        b = sample_posterior(model, None, None, (4, 4), cond, SCHED, cfg)
+        a, _ = sample_posterior(model, None, None, (4, 4), cond, SCHED, cfg)
+        b, _ = sample_posterior(model, None, None, (4, 4), cond, SCHED, cfg)
         assert a == b
-        c = sample_posterior(model, None, None, (4, 4), cond, SCHED,
-                             SamplerConfig(steps=40, seed=4))
+        c, _ = sample_posterior(model, None, None, (4, 4), cond, SCHED,
+                                SamplerConfig(steps=40, seed=4))
         assert a != c
 
     def test_full_length_chain_runs(self):
@@ -123,8 +121,8 @@ class TestChain:
         prior = GmmPrior(16, [1.0], np.zeros((1, 16)), [1.0])
         model = gmm_denoiser(prior, sched)
         cfg = SamplerConfig(steps=20, seed=0)
-        out = sample_posterior(model, None, None, (4, 4), ConditionInput.none(4, 4),
-                               sched, cfg)
+        out, _ = sample_posterior(model, None, None, (4, 4), ConditionInput.none(4, 4),
+                                  sched, cfg)
         assert np.all(np.isfinite(out.data))
 
     def test_steps_beyond_schedule_rejected(self):
@@ -146,8 +144,8 @@ class TestChain:
         prior = GmmPrior(16, [1.0], np.zeros((1, 16)), [1.0])
         uncond = gmm_denoiser(prior, SCHED)
         cfg = SamplerConfig(steps=20, guidance=1.5, seed=0)
-        out = sample_posterior(model, None, None, (4, 4), ConditionInput.none(4, 4),
-                               SCHED, cfg, uncond_model=uncond)
+        out, _ = sample_posterior(model, None, None, (4, 4), ConditionInput.none(4, 4),
+                                  SCHED, cfg, uncond_model=uncond)
         assert np.all(np.isfinite(out.data))
 
     def test_prox_requires_measurements(self):
@@ -157,14 +155,24 @@ class TestChain:
             sample_posterior(model, None, None, (4, 4), ConditionInput.none(4, 4),
                              SCHED, cfg)
 
+    def test_measurements_and_operator_come_together(self):
+        # measurements without an operator, or an operator without
+        # measurements, are rejected even with no prox to use them
+        model, mat, y = gaussian_setup()
+        cfg = SamplerConfig(steps=5, seed=0)
+        cond = ConditionInput.none(4, 4)
+        with pytest.raises(ParameterError, match="together"):
+            draw_samples(model, y, None, (4, 4), cond, SCHED, cfg)
+        with pytest.raises(ParameterError, match="together"):
+            draw_samples(model, None, DenseOperator(mat), (4, 4), cond, SCHED, cfg)
+
     def test_prox_residuals_never_increase(self):
         model, mat, y = gaussian_setup()
         cfg = SamplerConfig(
             steps=30, prox=ProxConfig(gamma=1.0, cg_tol=1e-10, cg_max_iter=50), seed=5
         )
-        trace = ChainTrace()
-        sample_posterior(model, y, DenseOperator(mat), (4, 4),
-                         ConditionInput.none(4, 4), SCHED, cfg, trace=trace)
+        _, trace = sample_posterior(model, y, DenseOperator(mat), (4, 4),
+                                    ConditionInput.none(4, 4), SCHED, cfg)
         assert len(trace.prox_residuals) == 30
         assert len(trace.prox_reports) == 30
         for before, after in trace.prox_residuals:
@@ -175,9 +183,8 @@ class TestChain:
         cfg = SamplerConfig(
             steps=30, prox=ProxConfig(gamma=1.0), prox_skip=12, seed=5
         )
-        trace = ChainTrace()
-        sample_posterior(model, y, DenseOperator(mat), (4, 4),
-                         ConditionInput.none(4, 4), SCHED, cfg, trace=trace)
+        _, trace = sample_posterior(model, y, DenseOperator(mat), (4, 4),
+                                    ConditionInput.none(4, 4), SCHED, cfg)
         assert len(trace.prox_residuals) == 30 - 12
 
     def test_prox_skip_must_leave_a_consistency_step(self):
@@ -232,8 +239,8 @@ class TestChain:
         model = TableDenoiser.from_file(path)
         cfg = SamplerConfig(steps=12, seed=2)
         cond = ConditionInput.none(3, 3)
-        a = sample_posterior(model, None, None, (3, 3), cond, SCHED, cfg)
-        b = sample_posterior(model, None, None, (3, 3), cond, SCHED, cfg)
+        a, _ = sample_posterior(model, None, None, (3, 3), cond, SCHED, cfg)
+        b, _ = sample_posterior(model, None, None, (3, 3), cond, SCHED, cfg)
         assert a == b
         assert np.all(np.isfinite(a.data))
 
@@ -248,7 +255,7 @@ class TestChain:
             steps=12, prox=ProxConfig(gamma=0.5, cg_max_iter=20), seed=3, n_samples=3
         )
         assert_chains_match_lone_runs(
-            model, sino.as_f64().ravel(), TomoOperator(geom), (n, n), cond, cfg, traced=True
+            model, sino.as_f64().ravel(), TomoOperator(geom), (n, n), cond, cfg
         )
 
     def test_guided_chains_match_lone_runs(self):
@@ -309,25 +316,15 @@ class TestChain:
         )
         args = (model, sino.as_f64().ravel(), TomoOperator(geom), (n, n),
                 ConditionInput.none(n, n), SCHED, cfg)
-        untraced_set = draw_samples(*args)
-        untraced = dict(count_products)
-        count_products.clear()
-        traces = []
-        traced_set = draw_samples(*args, traces=traces)
-        iters = [r.iterations for t in traces for r in t.prox_reports]
+        sample_set = draw_samples(*args)
+        iters = [r.iterations for t in sample_set.traces for r in t.prox_reports]
         assert len(iters) == cfg.steps * cfg.n_samples
-        # both: A^T y once per draw, then per step one normal of x~ (A^T A x~
-        # for CG's first product, and A x~ for the traced "before" residual)
-        # and one normal per CG iteration
-        assert untraced == {"adjoint": 1, "normal": sum(i + 1 for i in iters)}
-        # traced adds the "after" residual's A z
+        # A^T y once per draw, then per step one normal of x~ (A^T A x~ for
+        # CG's first product, and A x~ for the "before" residual), one normal
+        # per CG iteration, and the "after" residual's A z
         assert count_products == {
             "forward": len(iters), "adjoint": 1, "normal": sum(i + 1 for i in iters)
         }
-        # the same solves, to the bit
-        assert [s.data.tobytes() for s in traced_set.samples] == [
-            s.data.tobytes() for s in untraced_set.samples
-        ]
 
     def test_ct_wrapper_smoke(self):
         n = 16
@@ -340,10 +337,10 @@ class TestChain:
         cfg = SamplerConfig(
             steps=15, prox=ProxConfig(gamma=0.5, cg_max_iter=30), seed=1
         )
-        trace = ChainTrace()
-        out = sample_posterior_ct(model, sino, geom, cond, SCHED, cfg, trace=trace)
+        out, trace = sample_posterior_ct(model, sino, geom, cond, SCHED, cfg)
         assert out.shape == (n, n)
         assert len(trace.residuals) == 15
+        assert trace.seed == chain_seeds(cfg.seed, 1)[0]
 
 
 class TestAggregation:
@@ -413,14 +410,15 @@ class TestAggregation:
     def test_draw_samples_derives_seeds(self):
         model, mat, y = gaussian_setup()
         cfg = SamplerConfig(steps=10, seed=7, n_samples=3)
-        traces = []
         s = draw_samples(model, y, DenseOperator(mat), (4, 4),
-                         ConditionInput.none(4, 4), SCHED, cfg, traces=traces)
-        assert len(s.samples) == 3 and len(traces) == 3
-        # chain i is the single-sample run with the i-th seed spawned from 7
+                         ConditionInput.none(4, 4), SCHED, cfg)
+        assert len(s.samples) == 3 and len(s.traces) == 3
+        # chain i is the single-sample run with the i-th seed spawned from 7,
+        # and its trace records that seed
         seeds = chain_seeds(7, 3)
-        lone = sample_posterior(model, None, None, (4, 4), ConditionInput.none(4, 4),
-                                SCHED, cfg, seed=seeds[1])
+        assert [trace.seed for trace in s.traces] == seeds
+        lone, _ = sample_posterior(model, None, None, (4, 4), ConditionInput.none(4, 4),
+                                   SCHED, cfg, seed=seeds[1])
         assert s.samples[1] == lone
         # and that seed does not depend on how many chains were drawn
         assert chain_seeds(7, 2) == seeds[:2]
@@ -431,9 +429,11 @@ class TestAggregation:
         model, _, _ = gaussian_setup()
         cfg = SamplerConfig(steps=10, seed=7, n_samples=3)
         args = (model, None, None, (4, 4), ConditionInput.none(4, 4), SCHED)
-        lone = sample_posterior(*args, cfg)
-        drawn = draw_samples(*args, replace(cfg, n_samples=1)).samples[0]
-        assert lone.data.tobytes() == drawn.data.tobytes()
+        lone, trace = sample_posterior(*args, cfg)
+        drawn = draw_samples(*args, replace(cfg, n_samples=1))
+        assert lone.data.tobytes() == drawn.samples[0].data.tobytes()
+        # with no measurements a chain records its seed and nothing else
+        assert trace == drawn.traces[0] == ChainTrace(chain_seeds(7, 1)[0])
 
     def test_neighbouring_seeds_share_no_chain(self):
         # seed + i streams would make seed 3's chain 1 equal seed 4's chain 0
