@@ -1,9 +1,11 @@
 """Command-line pipeline: phantom, project, reconstruct, sample, metrics.
 
-Every run writes a plain-text manifest with the resolved parameters, seeds,
-geometry digest, and (for sampling runs) the per-step measurement residual
-trace, so any output can be reproduced bit-for-bit; `--manifest-in` replays
-a stored manifest.
+Every command but `metrics` writes a plain-text manifest with the resolved
+parameters, seeds, geometry digest, and (for sampling runs) the per-step
+measurement residual trace, so any output can be reproduced bit-for-bit;
+`--manifest-in` replays a stored manifest.  Each command returns its record
+and `main` writes it, ending the run's fields with `duration_s`, the
+command's wall time from dispatch.
 
 Exit codes: 0 success, 2 usage error, 3 io/format error, 4 numerical error.
 """
@@ -137,7 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_manifest(path: Path, argv, fields: dict, traces=()) -> None:
+def _write_manifest(path: Path, argv, fields: dict, traces) -> None:
     lines = [
         "run_manifest v2",
         f"argv: {shlex.join(argv)}",
@@ -219,7 +221,7 @@ def _read_expected(path, kind):
     return raster
 
 
-def _cmd_phantom(args, argv) -> int:
+def _cmd_phantom(args):
     from .evaluation import PhantomSpec, make_phantom
 
     spec = PhantomSpec(PhantomKind(args.kind), args.size, args.seed)
@@ -227,22 +229,17 @@ def _cmd_phantom(args, argv) -> int:
     write_raster(args.out, image)
     if args.pgm:
         write_pgm(args.pgm, image)
-    _write_manifest(
-        Path(args.out).with_suffix(".manifest.txt"),
-        argv,
-        {
-            "command": "phantom",
-            "param.kind": args.kind,
-            "param.size": args.size,
-            "seed": args.seed,
-            "out": args.out,
-        },
-    )
-    return 0
+    fields = {
+        "command": "phantom",
+        "param.kind": args.kind,
+        "param.size": args.size,
+        "seed": args.seed,
+        "out": args.out,
+    }
+    return Path(args.out).with_suffix(".manifest.txt"), fields, ()
 
 
-def _cmd_project(args, argv) -> int:
-    started = time.perf_counter()
+def _cmd_project(args):
     image = _read_expected(args.input, Image)
     if image.rows != image.cols:
         raise ParameterError("projection expects a square image")
@@ -267,26 +264,20 @@ def _cmd_project(args, argv) -> int:
             )
         sino = Sinogram(sino.views, sino.detectors, sino.angles_deg, noisy)
     write_raster(args.out, sino)
-    _write_manifest(
-        Path(args.out).with_suffix(".manifest.txt"),
-        argv,
-        {
-            "command": "project",
-            "param.views": args.views,
-            "param.theta_max": args.theta_max,
-            "param.detectors": detectors,
-            "param.noise_std": args.noise_std,
-            "seed": args.seed,
-            "geometry.digest": geom.digest(),
-            "out": args.out,
-            "duration_s": f"{time.perf_counter() - started:.3f}",
-        },
-    )
-    return 0
+    fields = {
+        "command": "project",
+        "param.views": args.views,
+        "param.theta_max": args.theta_max,
+        "param.detectors": detectors,
+        "param.noise_std": args.noise_std,
+        "seed": args.seed,
+        "geometry.digest": geom.digest(),
+        "out": args.out,
+    }
+    return Path(args.out).with_suffix(".manifest.txt"), fields, ()
 
 
-def _cmd_reconstruct(args, argv) -> int:
-    started = time.perf_counter()
+def _cmd_reconstruct(args):
     sino = _read_expected(args.input, Sinogram)
     geom = square_geometry(args.size, sino.detectors, sino.angles_deg)
     if args.method == "fbp":
@@ -319,9 +310,7 @@ def _cmd_reconstruct(args, argv) -> int:
         fields["tv.rejected"] = f"{report.rejected}/{args.iters}"
         fields["tv.prox_iters"] = report.prox_iterations
     fields["out"] = args.out
-    fields["duration_s"] = f"{time.perf_counter() - started:.3f}"
-    _write_manifest(Path(args.out).with_suffix(".manifest.txt"), argv, fields)
-    return 0
+    return Path(args.out).with_suffix(".manifest.txt"), fields, ()
 
 
 def _cg_fields(prefix: str, report) -> dict:
@@ -353,7 +342,7 @@ def _load_prior_file(spec: str, dim: int) -> GmmPrior | None:
     return prior
 
 
-def _cmd_sample(args, argv) -> int:
+def _cmd_sample(args):
     from .denoiser import GmmDenoiser
     from .diffusion import cosine_schedule, default_linear_schedule
     from .sampler import (
@@ -364,7 +353,6 @@ def _cmd_sample(args, argv) -> int:
         uncertainty_map,
     )
 
-    started = time.perf_counter()
     sino = _read_expected(args.input, Sinogram)
     geom = square_geometry(args.size, sino.detectors, sino.angles_deg)
     sched = (
@@ -431,36 +419,30 @@ def _cmd_sample(args, argv) -> int:
             write_pgm(out_dir / "uncertainty.pgm", spread)
 
     final_residuals = [trace.residuals[-1] for trace in sample_set.traces]
-    _write_manifest(
-        out_dir / "manifest.txt",
-        argv,
-        {
-            "command": "sample",
-            "param.condition": args.condition,
-            "param.prior": args.prior,
-            "param.prior_std": args.prior_std,
-            "param.uncond_prior": args.uncond_prior,
-            "param.schedule": args.schedule,
-            "param.T": args.T,
-            "param.K": args.K,
-            "param.lambda": args.lam,
-            "param.gamma": args.gamma,
-            "param.prox": "off" if args.no_prox else "on",
-            "param.prox_skip": args.prox_skip,
-            "param.samples": args.samples,
-            "seed": args.seed,
-            "geometry.digest": geom.digest(),
-            **_cg_fields("condition.rls_", condition_report),
-            "mean_final_residual": f"{float(np.mean(final_residuals)):.9g}",
-            "out_dir": str(out_dir),
-            "duration_s": f"{time.perf_counter() - started:.3f}",
-        },
-        sample_set.traces,
-    )
-    return 0
+    fields = {
+        "command": "sample",
+        "param.condition": args.condition,
+        "param.prior": args.prior,
+        "param.prior_std": args.prior_std,
+        "param.uncond_prior": args.uncond_prior,
+        "param.schedule": args.schedule,
+        "param.T": args.T,
+        "param.K": args.K,
+        "param.lambda": args.lam,
+        "param.gamma": args.gamma,
+        "param.prox": "off" if args.no_prox else "on",
+        "param.prox_skip": args.prox_skip,
+        "param.samples": args.samples,
+        "seed": args.seed,
+        "geometry.digest": geom.digest(),
+        **_cg_fields("condition.rls_", condition_report),
+        "mean_final_residual": f"{float(np.mean(final_residuals)):.9g}",
+        "out_dir": str(out_dir),
+    }
+    return out_dir / "manifest.txt", fields, sample_set.traces
 
 
-def _cmd_metrics(args, argv) -> int:
+def _cmd_metrics(args) -> None:
     from .evaluation import METRICS_CSV_HEADER, metrics_csv_row, psnr, ssim
 
     recon = read_raster(args.recon)
@@ -489,7 +471,6 @@ def _cmd_metrics(args, argv) -> int:
         if ssim_txt.lstrip("-").isdigit():
             ssim_txt += ".0"
         print(f"{psnr_txt},{ssim_txt}")
-    return 0
 
 
 _COMMANDS = {
@@ -519,7 +500,13 @@ def main(argv=None) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             return USAGE_ERROR
-        return _COMMANDS[args.command](args, argv)
+        started = time.perf_counter()
+        record = _COMMANDS[args.command](args)
+        if record is not None:  # metrics writes no manifest
+            path, fields, traces = record
+            fields["duration_s"] = f"{time.perf_counter() - started:.3f}"
+            _write_manifest(path, argv, fields, traces)
+        return 0
     except (ParameterError, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

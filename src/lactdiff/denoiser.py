@@ -309,6 +309,8 @@ class ConditionalGmmDenoiser:
         covs = np.empty((k, dim, dim))
         log_w = np.empty(k)
         eye = np.eye(dim)
+        gram_y = matrix @ matrix.T
+        eye_y = np.eye(y.size)
         for i in range(k):
             s2 = prior.variances[i]
             prec = eye / s2 + gram / noise_var
@@ -317,7 +319,7 @@ class ConditionalGmmDenoiser:
             means[i] = cov @ (prior.means[i] / s2 + at_y / noise_var)
             covs[i] = cov
             # evidence N(y; A mu_i, s2 A A^T + noise_var I)
-            ev_cov = s2 * (matrix @ matrix.T) + noise_var * np.eye(y.size)
+            ev_cov = s2 * gram_y + noise_var * eye_y
             diff = y - matrix @ prior.means[i]
             sign, logdet = np.linalg.slogdet(ev_cov)
             if sign <= 0:

@@ -162,11 +162,12 @@ def reverse_step(x_t, eps_hat, sigma2, t: int, sched: NoiseSchedule, z):
 def respace(sched: NoiseSchedule, K: int) -> TimestepMap:
     """Shorten a T-step chain to K steps on a rounded even lattice.
 
-    K evenly spaced reals spanning [1, T] are rounded to the nearest integer
-    and deduplicated ascending; the shortened schedule is the original
-    alpha_bar at those indices, copied exactly, with alpha, beta and
-    beta_tilde derived from it by the schedule's one rule.  K = T keeps every
-    step and returns sched itself.
+    K evenly spaced reals spanning [1, T] are rounded to the nearest integer.
+    For K < T neighbours lie (T-1)/(K-1) > 1 apart, so the K indices are
+    distinct and strictly increasing: the map keeps exactly K steps.  The
+    shortened schedule is the original alpha_bar at those indices, copied
+    exactly, with alpha, beta and beta_tilde derived from it by the schedule's
+    one rule.  K = T keeps every step and returns sched itself.
     """
     K = int(K)
     if not 1 <= K <= sched.T:
@@ -174,7 +175,7 @@ def respace(sched: NoiseSchedule, K: int) -> TimestepMap:
     if K == sched.T:
         indices, short = np.arange(1, K + 1), sched
     else:
-        indices = np.unique(np.round(np.linspace(1.0, float(sched.T), K)).astype(np.int64))
+        indices = np.round(np.linspace(1.0, float(sched.T), K)).astype(np.int64)
         short = NoiseSchedule(sched.alpha_bar[indices - 1])
     indices.setflags(write=False)
     return TimestepMap(indices, short)

@@ -309,6 +309,33 @@ def test_manifests_record_versions(tmp_path, capsys):
         assert versions == want
 
 
+def test_every_manifest_ends_its_fields_with_duration(tmp_path, capsys):
+    # one rule for every command that writes a manifest; metrics writes none
+    phantom, sino = tmp_path / "p.ctr", tmp_path / "s.ctr"
+    commands = {
+        "p.manifest.txt": ["phantom", "--kind", "disks", "--size", "16", "--out", str(phantom)],
+        "s.manifest.txt": ["project", "--in", str(phantom), "--views", "8",
+                           "--out", str(sino)],
+        "r.manifest.txt": ["reconstruct", "--method", "rls", "--in", str(sino),
+                           "--size", "16", "--iters", "5", "--out", str(tmp_path / "r.ctr")],
+        "run/manifest.txt": ["sample", "--in", str(sino), "--size", "16", "--K", "3",
+                             "--T", "60", "--samples", "2", "--out-dir", str(tmp_path / "run")],
+    }
+    for manifest, argv in commands.items():
+        assert run(capsys, *argv)[0] == 0
+        keys = [line.split(": ", 1)[0]
+                for line in (tmp_path / manifest).read_text().splitlines()[1:]]
+        per_chain = [key for key in keys if key.startswith(
+            ("residuals.", "prox_capped.", "chain_seed."))]
+        assert keys.count("duration_s") == 1
+        assert keys[len(keys) - len(per_chain) - 1] == "duration_s"
+        assert len(per_chain) == (6 if argv[0] == "sample" else 0)
+    before = sorted(tmp_path.rglob("*manifest.txt"))
+    assert run(capsys, "metrics", "--recon", str(tmp_path / "r.ctr"),
+               "--reference", str(phantom))[0] == 0
+    assert sorted(tmp_path.rglob("*manifest.txt")) == before
+
+
 def test_one_acquisition_has_one_geometry_digest(tmp_path, capsys):
     # 45 views over 60 degrees: steps of 4/3 degree, which float32 rounds
     phantom, sino = tmp_path / "p.ctr", tmp_path / "s.ctr"

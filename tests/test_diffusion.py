@@ -195,10 +195,15 @@ class TestRespace:
             1.0 - sched.alpha_bar_at(idx), rel=1e-12
         )
 
-    def test_rounding_collisions_deduplicate(self):
-        sched = linear_schedule(5, 0.01, 0.3)
-        tmap = respace(sched, 4)
-        assert tmap.schedule.T == np.unique(tmap.indices).size
+    def test_keeps_exactly_k_steps(self):
+        # for K < T the rounded reals lie (T-1)/(K-1) > 1 apart, so none merge
+        for T in (5, 10, 60):
+            sched = linear_schedule(T, 0.01, 0.3)
+            for K in range(1, T):
+                tmap = respace(sched, K)
+                assert tmap.indices.size == K
+                assert np.all(np.diff(tmap.indices) > 0)
+                assert tmap.schedule.T == np.unique(tmap.indices).size
 
     def test_bounds(self):
         sched = linear_schedule(10, 0.01, 0.3)
