@@ -221,14 +221,18 @@ def _read_expected(path, kind):
     return raster
 
 
+def _write_output(path, raster, preview) -> None:
+    """Write raster to path and, when a preview path is given, its 8-bit PGM."""
+    write_raster(path, raster)
+    if preview:
+        write_pgm(preview, raster)
+
+
 def _cmd_phantom(args):
     from .evaluation import PhantomSpec, make_phantom
 
     spec = PhantomSpec(PhantomKind(args.kind), args.size, args.seed)
-    image = make_phantom(spec)
-    write_raster(args.out, image)
-    if args.pgm:
-        write_pgm(args.pgm, image)
+    _write_output(args.out, make_phantom(spec), args.pgm)
     fields = {
         "command": "phantom",
         "param.kind": args.kind,
@@ -286,9 +290,7 @@ def _cmd_reconstruct(args):
         recon, report = rls_reconstruct(sino, geom, tau=args.tau, max_iter=args.iters)
     else:
         recon, report = tv_reconstruct(sino, geom, lam=args.lam, outer_iters=args.iters)
-    write_raster(args.out, recon)
-    if args.pgm:
-        write_pgm(args.pgm, recon)
+    _write_output(args.out, recon, args.pgm)
     fields = {
         "command": "reconstruct",
         "param.method": args.method,
@@ -404,19 +406,13 @@ def _cmd_sample(args):
         uncond_model=uncond_model,
     )
 
-    for i, sample in enumerate(sample_set.samples):
-        write_raster(out_dir / f"sample_{i:03d}.ctr", sample)
-        if args.pgm:
-            write_pgm(out_dir / f"sample_{i:03d}.pgm", sample)
-    average = sample_average(sample_set)
-    write_raster(out_dir / "average.ctr", average)
-    if args.pgm:
-        write_pgm(out_dir / "average.pgm", average)
+    rasters = {f"sample_{i:03d}": sample for i, sample in enumerate(sample_set.samples)}
+    rasters["average"] = sample_average(sample_set)
     if len(sample_set.samples) >= 2:
-        spread = uncertainty_map(sample_set)
-        write_raster(out_dir / "uncertainty.ctr", spread)
-        if args.pgm:
-            write_pgm(out_dir / "uncertainty.pgm", spread)
+        rasters["uncertainty"] = uncertainty_map(sample_set)
+    for name, raster in rasters.items():
+        preview = out_dir / f"{name}.pgm" if args.pgm else None
+        _write_output(out_dir / f"{name}.ctr", raster, preview)
 
     final_residuals = [trace.residuals[-1] for trace in sample_set.traces]
     fields = {
@@ -443,16 +439,12 @@ def _cmd_sample(args):
 
 
 def _cmd_metrics(args) -> None:
-    from .evaluation import METRICS_CSV_HEADER, metrics_csv_row, psnr, ssim
+    from .evaluation import METRICS_CSV_HEADER, metrics_csv_row, psnr, psnr_text, ssim
 
     recon = read_raster(args.recon)
     reference = read_raster(args.reference)
     if type(recon) is not type(reference):
         raise ParameterError("metrics need two rasters of the same kind")
-    if recon.shape != reference.shape:
-        raise DimensionError(
-            f"shapes {recon.shape} and {reference.shape} differ"
-        )
     if isinstance(recon, Sinogram):
         recon = Image(recon.views, recon.detectors, recon.data)
         reference = Image(reference.views, reference.detectors, reference.data)
@@ -466,11 +458,10 @@ def _cmd_metrics(args) -> None:
             )
         )
     else:
-        psnr_txt = "inf" if math.isinf(psnr_db) else f"{psnr_db:.4f}"
         ssim_txt = f"{ssim_val:.6g}"
         if ssim_txt.lstrip("-").isdigit():
             ssim_txt += ".0"
-        print(f"{psnr_txt},{ssim_txt}")
+        print(f"{psnr_text(psnr_db)},{ssim_txt}")
 
 
 _COMMANDS = {

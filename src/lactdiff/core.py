@@ -139,6 +139,13 @@ class Sinogram:
         )
 
 
+def check_seed(seed: int) -> int:
+    """seed, refused with ParameterError unless an unsigned 64-bit integer."""
+    if not 0 <= seed < (1 << 64):
+        raise ParameterError(f"seed must be an unsigned 64-bit integer, got {seed}")
+    return seed
+
+
 class SeededRng:
     """Deterministic random source: one PCG64 bit stream for both kinds of draw.
 
@@ -151,10 +158,7 @@ class SeededRng:
     """
 
     def __init__(self, seed: int):
-        seed = int(seed)
-        if not 0 <= seed < (1 << 64):
-            raise ParameterError("seed must be an unsigned 64-bit integer")
-        self._bits = np.random.PCG64(seed)
+        self._bits = np.random.PCG64(check_seed(int(seed)))
         self._normals = np.random.Generator(self._bits)
 
     def uniform(self, n: int) -> np.ndarray:

@@ -274,9 +274,12 @@ class ConditionalGmmDenoiser:
 
     The posterior of a mixture under such a likelihood is again a mixture
     (reweighted components, updated means, full covariances), so the exact
-    conditional MMSE denoiser is available in closed form.  Used as the
-    conditional branch in guidance and sampling tests; `posterior` exposes
-    the updated mixture for oracle cross-checks.
+    conditional MMSE denoiser is available in closed form.  Every prior
+    covariance is s2_i I, so all the posterior covariances share one
+    eigenbasis, that of A^T A, and one eigh builds every component; each
+    weight comes from Bayes' rule evaluated at the component's posterior
+    mean.  Used as the conditional branch in guidance and sampling tests;
+    `posterior` exposes the updated mixture for oracle cross-checks.
     """
 
     def __init__(
@@ -300,45 +303,29 @@ class ConditionalGmmDenoiser:
         if not (noise_var > 0.0 and np.isfinite(noise_var)):
             raise ParameterError("noise_var must be positive and finite")
         self.sched = sched
-        dim = prior.dim
-        gram = matrix.T @ matrix
-        at_y = matrix.T @ y
-
-        k = prior.n_components
-        means = np.empty((k, dim))
-        covs = np.empty((k, dim, dim))
-        log_w = np.empty(k)
-        eye = np.eye(dim)
-        gram_y = matrix @ matrix.T
-        eye_y = np.eye(y.size)
-        for i in range(k):
-            s2 = prior.variances[i]
-            prec = eye / s2 + gram / noise_var
-            cov = np.linalg.inv(prec)
-            cov = 0.5 * (cov + cov.T)
-            means[i] = cov @ (prior.means[i] / s2 + at_y / noise_var)
-            covs[i] = cov
-            # evidence N(y; A mu_i, s2 A A^T + noise_var I)
-            ev_cov = s2 * gram_y + noise_var * eye_y
-            diff = y - matrix @ prior.means[i]
-            sign, logdet = np.linalg.slogdet(ev_cov)
-            if sign <= 0:
-                raise ParameterError("evidence covariance is not positive definite")
-            log_w[i] = (
-                np.log(prior.weights[i])
-                - 0.5 * (y.size * np.log(2.0 * np.pi) + logdet)
-                - 0.5 * float(diff @ np.linalg.solve(ev_cov, diff))
-            )
+        # A^T A = V diag(g) V^T; component i's covariance is V diag(lam_i) V^T
+        g, vecs = np.linalg.eigh(matrix.T @ matrix)
+        s2 = prior.variances[:, None]
+        lam = 1.0 / (1.0 / s2 + np.maximum(g, 0.0) / noise_var)
+        rhs = prior.means / s2 + matrix.T @ y / noise_var
+        means = ((rhs @ vecs) * lam) @ vecs.T
+        # the evidence N(y; A mu_i, s2_i A A^T + noise_var I) by Bayes' rule at
+        # x = mean_i: N(y; A x, noise_var I) N(x; mu_i, s2_i I) / N(x; mean_i, cov_i)
+        resid = y - means @ matrix.T
+        log_w = np.log(prior.weights) - 0.5 * (
+            y.size * np.log(2.0 * np.pi * noise_var)
+            + (resid**2).sum(axis=1) / noise_var
+            + ((means - prior.means) ** 2).sum(axis=1) / prior.variances
+            + prior.dim * np.log(prior.variances)
+            - np.log(lam).sum(axis=1)
+        )
         log_w -= _logsumexp(log_w)
+        covs = (vecs * lam[:, None, :]) @ vecs.T
         self.posterior = GaussianMixtureFull(np.exp(log_w), means, covs)
-        # eigendecompositions make every timestep's marginals cheap
-        self._eigvals = np.empty((k, dim))
-        self._eigvecs = np.empty((k, dim, dim))
-        for i in range(k):
-            vals, vecs = np.linalg.eigh(covs[i])
-            self._eigvals[i] = np.maximum(vals, 0.0)
-            self._eigvecs[i] = vecs
-        self._eigvecs_t = np.ascontiguousarray(self._eigvecs.transpose(0, 2, 1))
+        # the shared eigenbasis makes every timestep's marginals cheap
+        self._eigvals = lam
+        self._eigvecs = vecs
+        self._eigvecs_t = np.ascontiguousarray(vecs.T)
         # per original timestep, the terms of _step_table
         self._tables = {}
 
@@ -347,7 +334,7 @@ class ConditionalGmmDenoiser:
         while the kept gains fit in _STEP_TABLE_BYTES.
 
         parts holds, for each component i, its shift sqrt(ab) mean_i, its
-        symmetric gain G_i = V_i diag(sqrt(ab) lam_i / marg_i) V_i^T with
+        symmetric gain G_i = V diag(sqrt(ab) lam_i / marg_i) V^T with
         marg_i = ab lam_i + 1 - ab, marg_i itself, and, when there are
         several components, its log-density constant dim log(2 pi) +
         sum(log marg_i).  None of them depends on x, so a BLAS product is
@@ -363,12 +350,12 @@ class ConditionalGmmDenoiser:
             for i in range(k):
                 lam = self._eigvals[i]
                 marg = ab * lam + (1.0 - ab)
-                gain = (self._eigvecs[i] * (sqrt_ab * lam / marg)) @ self._eigvecs_t[i]
+                gain = (self._eigvecs * (sqrt_ab * lam / marg)) @ self._eigvecs_t
                 log_norm = dim * np.log(2.0 * np.pi) + np.log(marg).sum() if k > 1 else None
                 parts.append((sqrt_ab * post.means[i], gain, marg, log_norm))
             table = (ab, parts)
-            # all gains together take the bytes of the eigenvectors
-            if (len(self._tables) + 1) * self._eigvecs.nbytes <= _STEP_TABLE_BYTES:
+            # each of the k gains takes the bytes of the eigenvectors
+            if (len(self._tables) + 1) * k * self._eigvecs.nbytes <= _STEP_TABLE_BYTES:
                 self._tables[t] = table
         return table
 
@@ -389,7 +376,7 @@ class ConditionalGmmDenoiser:
             diff = x - shift
             comp_means.append(post.means[i] + np.einsum("nj,jk->nk", diff, gain))
             if k > 1:
-                proj = np.einsum("nj,aj->na", diff, self._eigvecs_t[i])
+                proj = np.einsum("nj,aj->na", diff, self._eigvecs_t)
                 log_resp[:, i] = np.log(post.weights[i]) - 0.5 * (
                     log_norm + ((proj**2) / marg).sum(axis=1)
                 )

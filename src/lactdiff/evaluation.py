@@ -8,7 +8,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import DimensionError, Image, NumericalError, ParameterError, PhantomKind, SeededRng
+from .core import (
+    DimensionError, Image, NumericalError, ParameterError, PhantomKind, SeededRng, check_seed,
+)
 
 if TYPE_CHECKING:
     from .denoiser import GmmPrior
@@ -23,8 +25,7 @@ class PhantomSpec:
     def __post_init__(self):
         if self.size < 8:
             raise ParameterError(f"phantom size must be >= 8, got {self.size}")
-        if not 0 <= self.seed < (1 << 64):
-            raise ParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        check_seed(self.seed)
 
 
 # Classic head phantom: additive intensity, semi-axes, center, tilt (degrees)
@@ -232,8 +233,12 @@ def gaussian_posterior_oracle(
 METRICS_CSV_HEADER = "phantom_id,method,theta_max,views,psnr_db,ssim"
 
 
+def psnr_text(psnr_db: float) -> str:
+    """A PSNR as the metrics outputs print it: "inf", or dB to 4 decimals."""
+    return "inf" if math.isinf(psnr_db) else f"{psnr_db:.4f}"
+
+
 def metrics_csv_row(
     phantom_id: str, method: str, theta_max: float, views: int, psnr_db: float, ssim_val: float
 ) -> str:
-    psnr_txt = "inf" if math.isinf(psnr_db) else f"{psnr_db:.4f}"
-    return f"{phantom_id},{method},{theta_max:g},{views},{psnr_txt},{ssim_val:.6f}"
+    return f"{phantom_id},{method},{theta_max:g},{views},{psnr_text(psnr_db)},{ssim_val:.6f}"

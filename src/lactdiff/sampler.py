@@ -17,7 +17,9 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import DimensionError, Image, NumericalError, ParameterError, SeededRng, Sinogram
+from .core import (
+    DimensionError, Image, NumericalError, ParameterError, SeededRng, Sinogram, check_seed,
+)
 from .denoiser import ConditionInput, Denoiser, denoise, guided_epsilon
 from .diffusion import NoiseSchedule, respace, reverse_step
 from .solvers import CgReport, ProxConfig, _dot, prox_consistency, rls_reconstruct
@@ -53,8 +55,7 @@ class SamplerConfig:
             raise ParameterError(f"prox_skip must be below steps ({self.steps}) with prox set")
         if not np.isfinite(self.guidance):
             raise ParameterError("guidance weight must be finite")
-        if not 0 <= self.seed < (1 << 64):
-            raise ParameterError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass

@@ -707,8 +707,11 @@ class TestReconstructAndMetrics:
         a, b = tmp_path / "a.ctr", tmp_path / "b.ctr"
         write_raster(a, Image(16, 16, np.zeros((16, 16))))
         write_raster(b, Image(16, 12, np.zeros((16, 12))))
-        code, _, _ = run(capsys, "metrics", "--recon", str(a), "--reference", str(b))
+        code, out, err = run(capsys, "metrics", "--recon", str(a), "--reference", str(b))
         assert code == 2
+        # psnr refuses the pair before anything is printed
+        assert out == ""
+        assert "shapes (16, 16) and (16, 12) differ" in err
 
     def test_full_view_fbp_reaches_30db(self, tmp_path, capsys):
         phantom = tmp_path / "p.ctr"

@@ -11,12 +11,14 @@ from lactdiff.core import (
     FormatError,
     Image,
     ParameterError,
+    PhantomKind,
     SeededRng,
     Sinogram,
     read_raster,
     write_pgm,
     write_raster,
 )
+from lactdiff.evaluation import PhantomSpec
 
 
 class TestImage:
@@ -98,10 +100,13 @@ class TestSeededRng:
         assert u.min() > 0.0 and u.max() < 1.0
 
     def test_seed_range_validated(self):
-        with pytest.raises(ParameterError):
-            SeededRng(-1)
-        with pytest.raises(ParameterError):
-            SeededRng(1 << 64)
+        # core's one seed rule, as the random source and a phantom spec apply it
+        for seed in (-1, 1 << 64):
+            with pytest.raises(ParameterError):
+                SeededRng(seed)
+            with pytest.raises(ParameterError, match="unsigned 64-bit"):
+                PhantomSpec(PhantomKind.DISKS, 8, seed)
+        assert PhantomSpec(PhantomKind.DISKS, 8, (1 << 64) - 1).seed == (1 << 64) - 1
 
     def test_count_validated(self):
         with pytest.raises(ParameterError):

@@ -240,18 +240,44 @@ class TestConditionalDenoiser:
         rng = np.random.default_rng(33)
         dim = 2
         mu0 = rng.standard_normal(dim)
-        s2 = 0.7
-        prior = GmmPrior(dim, [1.0], mu0.reshape(1, dim), [s2])
         mat = rng.standard_normal((3, dim))
         y = rng.standard_normal(3)
         noise_var = 0.2
+        # one component, then two with distinct variances
+        for means, variances in (([mu0], [0.7]), ([mu0, rng.standard_normal(dim)], [0.7, 0.15])):
+            prior = GmmPrior(dim, [1.0, 2.0][: len(means)], means, variances)
+            model = conditional_gmm_denoiser(prior, mat, y, noise_var, SCHED)
+            # standard linear-Gaussian update of each component computed densely
+            for i, (mu, s2) in enumerate(zip(prior.means, prior.variances)):
+                prec = np.eye(dim) / s2 + mat.T @ mat / noise_var
+                cov = np.linalg.inv(prec)
+                mean = cov @ (mu / s2 + mat.T @ y / noise_var)
+                assert np.allclose(model.posterior.means[i], mean, atol=1e-10)
+                assert np.allclose(model.posterior.covariances[i], cov, atol=1e-10)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("noise_var", [0.05, 1e-3])
+    def test_weights_match_dense_evidence(self, k, noise_var):
+        # w_i is proportional to prior weight_i N(y; A mu_i, s2_i A A^T + noise_var I),
+        # evaluated here in measurement space
+        rng = np.random.default_rng(44 + k)
+        dim, rows = 16, 8
+        prior = GmmPrior(
+            dim, rng.uniform(0.2, 1.0, k), 0.5 * rng.standard_normal((k, dim)),
+            rng.uniform(0.3, 1.5, k),
+        )
+        mat = rng.standard_normal((rows, dim)) * np.geomspace(0.25, 2.0, dim)
+        y = mat @ prior.means[0] + np.sqrt(noise_var) * rng.standard_normal(rows)
         model = conditional_gmm_denoiser(prior, mat, y, noise_var, SCHED)
-        # standard linear-Gaussian update computed densely
-        prec = np.eye(dim) / s2 + mat.T @ mat / noise_var
-        cov = np.linalg.inv(prec)
-        mean = cov @ (mu0 / s2 + mat.T @ y / noise_var)
-        assert np.allclose(model.posterior.means[0], mean, atol=1e-10)
-        assert np.allclose(model.posterior.covariances[0], cov, atol=1e-10)
+        log_w = np.empty(k)
+        for i in range(k):
+            ev_cov = prior.variances[i] * mat @ mat.T + noise_var * np.eye(rows)
+            diff = y - mat @ prior.means[i]
+            log_w[i] = np.log(prior.weights[i]) - 0.5 * (
+                np.linalg.slogdet(ev_cov)[1] + diff @ np.linalg.solve(ev_cov, diff)
+            )
+        weights = np.exp(log_w - _logsumexp(log_w))
+        assert np.abs(model.posterior.weights - weights).max() <= 1e-9
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_dim16_rows_are_stack_invariant_and_match_dense_oracle(self, k):
@@ -309,18 +335,20 @@ class TestConditionalDenoiser:
         assert sorted(model._tables) == steps
 
     def test_step_tables_stop_at_their_byte_limit(self, monkeypatch):
-        # a dim-3 gain is 3*3 float64s; room for two of them
+        # a dim-3 gain is 3*3 float64s and a table holds one gain per
+        # component; room for two gains
         monkeypatch.setattr(denoiser, "_STEP_TABLE_BYTES", 2 * 9 * 8)
         rng = np.random.default_rng(43)
-        prior = GmmPrior(3, [1.0], np.zeros((1, 3)), [1.0])
-        mat, y = rng.standard_normal((2, 3)), rng.standard_normal(2)
-        model = conditional_gmm_denoiser(prior, mat, y, 0.1, SCHED)
-        cond = none_cond(1, 3)
-        for t in (5, 9, 700, 5, 700, 9):
-            x = rng.standard_normal((4, 1, 3))
-            fresh = conditional_gmm_denoiser(prior, mat, y, 0.1, SCHED)
-            assert denoise(model, x, t, cond).tobytes() == denoise(fresh, x, t, cond).tobytes()
-        assert sorted(model._tables) == [5, 9]
+        two = GmmPrior(3, [1.0, 1.0], [[0.0, 0.0, 0.0], [0.5, -1.0, 0.2]], [1.0, 0.5])
+        for prior, kept in ((GmmPrior(3, [1.0], np.zeros((1, 3)), [1.0]), [5, 9]), (two, [5])):
+            mat, y = rng.standard_normal((2, 3)), rng.standard_normal(2)
+            model = conditional_gmm_denoiser(prior, mat, y, 0.1, SCHED)
+            cond = none_cond(1, 3)
+            for t in (5, 9, 700, 5, 700, 9):
+                x = rng.standard_normal((4, 1, 3))
+                fresh = conditional_gmm_denoiser(prior, mat, y, 0.1, SCHED)
+                assert denoise(model, x, t, cond).tobytes() == denoise(fresh, x, t, cond).tobytes()
+            assert sorted(model._tables) == kept
 
     def test_dimension_validation(self):
         prior = GmmPrior(4, [1.0], np.zeros((1, 4)), [1.0])
