@@ -1,13 +1,13 @@
 """Noise-prediction interface and analytic stand-ins for a trained network.
 
 A denoiser maps a stack of chain states x_t, a timestep t and a condition to
-a noise estimate eps.  For Gaussian mixture priors the minimum-MSE
-estimator E[x0 | x_t] is available in closed form, which yields an exact
-eps-predictor:
+a noise estimate eps.  For a Gaussian mixture the exact eps-predictor is the
+scaled score, summed over components i with responsibilities r_i:
 
-    eps_hat = (x_t - sqrt(ab_t) * E[x0 | x_t]) / sqrt(1 - ab_t)
-            = -sqrt(1 - ab_t) * grad log p_t(x_t).
+    eps_hat = -sqrt(1 - ab_t) * grad log p_t(x_t)
+            = sum_i r_i * sqrt(1 - ab_t) * Sigma_i^-1 (x_t - sqrt(ab_t) mu_i),
 
+where Sigma_i = ab_t Cov_i + (1 - ab_t) I; both models end in _mixture_eps.
 These analytic denoisers let the whole sampling stack be verified against
 closed-form posteriors; no network training happens here.
 """
@@ -221,18 +221,37 @@ def gmm_posterior_mean(
     return _mixture_average(log_resp, comp_means).reshape(x_t.shape)
 
 
-def _mixture_average(log_resp: np.ndarray, comp_means) -> np.ndarray:
-    """Sum of the (n, dim) component means weighted by the responsibilities
+def _mixture_average(log_resp: np.ndarray, comp_terms) -> np.ndarray:
+    """Sum of the (n, dim) component terms weighted by the responsibilities
     normalised from the (n, k) log_resp, accumulated in component order."""
     resp = np.exp(log_resp - _logsumexp(log_resp, axis=1, keepdims=True))
-    total = resp[:, :1] * comp_means[0]
-    for i in range(1, len(comp_means)):
-        total += resp[:, i : i + 1] * comp_means[i]
+    total = resp[:, :1] * comp_terms[0]
+    for i in range(1, len(comp_terms)):
+        total += resp[:, i : i + 1] * comp_terms[i]
     return total
 
 
-def _eps_from_posterior_mean(x: np.ndarray, post_mean: np.ndarray, ab: float) -> np.ndarray:
-    return (x - math.sqrt(ab) * post_mean) / math.sqrt(1.0 - ab)
+def _mixture_eps(ab: float, log_weights, diffs, eps, log_norms) -> np.ndarray:
+    """eps of a Gaussian mixture for each row of x_t, from its components.
+
+    For component i, diffs[i] = x_t - sqrt(ab) mu_i and eps[i] =
+    sqrt(1 - ab) Sigma_i^-1 diffs[i] are (n, dim) arrays, and log_norms[i] =
+    dim log(2 pi) + log det Sigma_i.  The squared Mahalanobis distance is
+    <eps[i], diffs[i]> / sqrt(1 - ab), so the responsibilities need no
+    further product; each is a row-wise sum, so a row's bits do not depend
+    on n.
+    """
+    if len(eps) == 1:
+        return eps[0]
+    scale = math.sqrt(1.0 - ab)
+    log_resp = np.stack(
+        [
+            log_w - 0.5 * (log_norm + (e * diff).sum(axis=1) / scale)
+            for log_w, diff, e, log_norm in zip(log_weights, diffs, eps, log_norms)
+        ],
+        axis=1,
+    )
+    return _mixture_average(log_resp, eps)
 
 
 class GmmDenoiser:
@@ -241,12 +260,15 @@ class GmmDenoiser:
     def __init__(self, prior: GmmPrior, sched: NoiseSchedule):
         self.prior = prior
         self.sched = sched
+        self._log_weights = np.log(prior.weights)
 
     def denoise(self, x: np.ndarray, t: int, cond: ConditionInput):
         flat = x.reshape(x.shape[0], -1)
-        post = gmm_posterior_mean(self.prior, flat, t, self.sched)
-        eps = _eps_from_posterior_mean(flat, post, self.sched.alpha_bar_at(t))
-        return eps.reshape(x.shape)
+        ab, centers, m2 = _diffused_components(self.prior, t, self.sched)
+        diffs = [flat - center for center in centers]
+        eps = [diff * (math.sqrt(1.0 - ab) / m2_i) for diff, m2_i in zip(diffs, m2)]
+        log_norms = self.prior.dim * np.log(2.0 * np.pi * m2)
+        return _mixture_eps(ab, self._log_weights, diffs, eps, log_norms).reshape(x.shape)
 
 
 def gmm_denoiser(prior: GmmPrior, sched: NoiseSchedule) -> GmmDenoiser:
@@ -263,7 +285,7 @@ class GaussianMixtureFull:
 
 
 # the per-timestep tables of one ConditionalGmmDenoiser stop growing once
-# their gains take this many bytes; a timestep without a table forms its
+# their maps take this many bytes; a timestep without a table forms its
 # terms on every call
 _STEP_TABLE_BYTES = 1 << 24
 
@@ -273,13 +295,15 @@ class ConditionalGmmDenoiser:
     Gaussian measurement y = A x0 + noise.
 
     The posterior of a mixture under such a likelihood is again a mixture
-    (reweighted components, updated means, full covariances), so the exact
-    conditional MMSE denoiser is available in closed form.  Every prior
+    (reweighted components, updated means, full covariances), so its exact
+    eps-predictor is the scaled score of _mixture_eps.  Every prior
     covariance is s2_i I, so all the posterior covariances share one
     eigenbasis, that of A^T A, and one eigh builds every component; each
     weight comes from Bayes' rule evaluated at the component's posterior
-    mean.  Used as the conditional branch in guidance and sampling tests;
-    `posterior` exposes the updated mixture for oracle cross-checks.
+    mean.  In that basis each diffused covariance is diagonal, so each
+    timestep's Sigma_i^-1 maps are tabled once.  Used as the conditional
+    branch in guidance and sampling tests; `posterior` exposes the updated
+    mixture for oracle cross-checks.
     """
 
     def __init__(
@@ -322,74 +346,46 @@ class ConditionalGmmDenoiser:
         log_w -= _logsumexp(log_w)
         covs = (vecs * lam[:, None, :]) @ vecs.T
         self.posterior = GaussianMixtureFull(np.exp(log_w), means, covs)
+        self._log_weights = log_w
         # the shared eigenbasis makes every timestep's marginals cheap
         self._eigvals = lam
         self._eigvecs = vecs
-        self._eigvecs_t = np.ascontiguousarray(vecs.T)
         # per original timestep, the terms of _step_table
         self._tables = {}
 
     def _step_table(self, t: int):
-        """(ab, parts) at original timestep t, kept from the first call at t
-        while the kept gains fit in _STEP_TABLE_BYTES.
+        """(shifts, maps, log_norms) at original timestep t, kept from the
+        first call at t while the kept maps fit in _STEP_TABLE_BYTES.
 
-        parts holds, for each component i, its shift sqrt(ab) mean_i, its
-        symmetric gain G_i = V diag(sqrt(ab) lam_i / marg_i) V^T with
-        marg_i = ab lam_i + 1 - ab, marg_i itself, and, when there are
-        several components, its log-density constant dim log(2 pi) +
-        sum(log marg_i).  None of them depends on x, so a BLAS product is
-        fine here.
+        Row i of each holds component i's sqrt(ab) mean_i, its symmetric
+        E_i = sqrt(1 - ab) V diag(1 / marg_i) V^T (the sqrt(1 - ab)
+        Sigma_i^-1 of _mixture_eps, with marg_i = ab lam_i + 1 - ab) and
+        dim log(2 pi) + sum(log marg_i).  None of them depends on x, so a
+        BLAS product is fine here.
         """
         table = self._tables.get(t)
         if table is None:
-            post = self.posterior
-            k, dim = post.means.shape
             ab = self.sched.alpha_bar_at(t)
-            sqrt_ab = np.sqrt(ab)
-            parts = []
-            for i in range(k):
-                lam = self._eigvals[i]
-                marg = ab * lam + (1.0 - ab)
-                gain = (self._eigvecs * (sqrt_ab * lam / marg)) @ self._eigvecs_t
-                log_norm = dim * np.log(2.0 * np.pi) + np.log(marg).sum() if k > 1 else None
-                parts.append((sqrt_ab * post.means[i], gain, marg, log_norm))
-            table = (ab, parts)
-            # each of the k gains takes the bytes of the eigenvectors
-            if (len(self._tables) + 1) * k * self._eigvecs.nbytes <= _STEP_TABLE_BYTES:
+            vecs = self._eigvecs
+            marg = ab * self._eigvals + (1.0 - ab)
+            maps = (vecs * (math.sqrt(1.0 - ab) / marg)[:, None, :]) @ vecs.T
+            log_norms = vecs.shape[0] * np.log(2.0 * np.pi) + np.log(marg).sum(axis=1)
+            table = (math.sqrt(ab) * self.posterior.means, maps, log_norms)
+            # the k maps take k d^2 float64s
+            if (len(self._tables) + 1) * maps.nbytes <= _STEP_TABLE_BYTES:
                 self._tables[t] = table
         return table
 
-    def _posterior_mean_rows(self, x: np.ndarray, parts) -> np.ndarray:
-        """E[x0 | x_t, y] for each row of an (n, dim) array, from the parts
-        of _step_table at t.
-
-        Component i's mean is mean_i + (x - sqrt(ab) mean_i) G_i.  Every
-        product with x is an np.einsum without optimize, which sums each row
-        by itself; a BLAS matmul (`@`, np.dot, optimize=True) would give row
-        bits that depend on n.
-        """
-        post = self.posterior
-        k = post.weights.size
-        log_resp = np.empty((x.shape[0], k))
-        comp_means = []
-        for i, (shift, gain, marg, log_norm) in enumerate(parts):
-            diff = x - shift
-            comp_means.append(post.means[i] + np.einsum("nj,jk->nk", diff, gain))
-            if k > 1:
-                proj = np.einsum("nj,aj->na", diff, self._eigvecs_t)
-                log_resp[:, i] = np.log(post.weights[i]) - 0.5 * (
-                    log_norm + ((proj**2) / marg).sum(axis=1)
-                )
-        if k == 1:
-            return comp_means[0]
-        return _mixture_average(log_resp, comp_means)
-
     def denoise(self, x: np.ndarray, t: int, cond: ConditionInput):
-        ab, parts = self._step_table(t)
+        """eps for each row of x.  Every product with x is an np.einsum
+        without optimize, which sums each row by itself; a BLAS matmul
+        (`@`, np.dot, optimize=True) would give row bits that depend on n."""
         flat = x.reshape(x.shape[0], -1)
-        post = self._posterior_mean_rows(flat, parts)
-        eps = _eps_from_posterior_mean(flat, post, ab)
-        return eps.reshape(x.shape)
+        shifts, maps, log_norms = self._step_table(t)
+        diffs = [flat - shift for shift in shifts]
+        eps = [np.einsum("nj,jk->nk", diff, e_map) for diff, e_map in zip(diffs, maps)]
+        ab = self.sched.alpha_bar_at(t)
+        return _mixture_eps(ab, self._log_weights, diffs, eps, log_norms).reshape(x.shape)
 
 
 def conditional_gmm_denoiser(

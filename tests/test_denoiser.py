@@ -1,5 +1,7 @@
 """Analytic denoisers: posterior means, score identity, guidance, priors."""
 
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,69 @@ class TestScoreIdentity:
                     ) / (2.0 * h)
                 assert np.abs(eps + np.sqrt(1.0 - ab) * grad).max() <= 1e-4
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_eps_at_small_t_matches_decimal_reference(self, k):
+        # at t = 1, 2 the factor 1 - ab is about 1e-4; near a component's
+        # center eps is small, and (x - sqrt(ab) E[x0 | x_t]) / sqrt(1 - ab)
+        # cancels most of its digits (about 1e-10 relative); eps must keep them
+        rng = np.random.default_rng(60 + k)
+        dim = 4
+        prior = GmmPrior(dim, [0.3, 0.7][:k], rng.standard_normal((k, dim)), [0.6, 0.25][:k])
+        model = gmm_denoiser(prior, SCHED)
+        for t in (1, 2):
+            centers = np.sqrt(SCHED.alpha_bar_at(t)) * prior.means[np.arange(6) % k]
+            x = centers + 0.05 * rng.standard_normal((6, dim))
+            eps = model.denoise(x.reshape(6, 1, dim), t, none_cond(1, dim)).reshape(6, dim)
+            with localcontext() as ctx:
+                ctx.prec = 40
+                # the float ab is the model's input, so it is taken exactly
+                ab = Decimal(SCHED.alpha_bar_at(t))
+                root_ab, root_rest = ab.sqrt(), (1 - ab).sqrt()
+                m2 = [ab * Decimal(s2) + (1 - ab) for s2 in prior.variances]
+                ref = np.empty_like(x)
+                for row in range(6):
+                    diffs = [
+                        [Decimal(xj) - root_ab * Decimal(mj) for xj, mj in zip(x[row], mu)]
+                        for mu in prior.means
+                    ]
+                    # dim log(2 pi) is common to every component and cancels
+                    log_resp = [
+                        Decimal(w).ln() - (dim * m.ln() + sum(d * d for d in diff) / m) / 2
+                        for w, m, diff in zip(prior.weights, m2, diffs)
+                    ]
+                    resp = [(lr - max(log_resp)).exp() for lr in log_resp]
+                    total = sum(resp)
+                    for j in range(dim):
+                        ref[row, j] = float(
+                            sum(r * root_rest * diff[j] / m for r, m, diff in zip(resp, m2, diffs))
+                            / total
+                        )
+            rel = np.abs(eps - ref).max(axis=1) / np.abs(ref).max(axis=1)
+            assert rel.max() <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_eps_matches_posterior_mean_conversion(self, k):
+        # gmm_posterior_mean shares no arithmetic with the model's eps, so
+        # eps = (x - sqrt(ab) E[x0 | x_t]) / sqrt(1 - ab) checks both
+        rng = np.random.default_rng(70 + k)
+        dim = 16
+        prior = GmmPrior(
+            dim, rng.uniform(0.2, 1.0, k), rng.standard_normal((k, dim)), rng.uniform(0.3, 1.5, k)
+        )
+        model = gmm_denoiser(prior, SCHED)
+        stack = rng.standard_normal((50, 4, 4))
+        x = stack.reshape(50, dim)
+        cond = none_cond(4, 4)
+        for t in (300, 700):
+            ab = SCHED.alpha_bar_at(t)
+            alone = np.concatenate([denoise(model, row[None], t, cond) for row in stack])
+            for n in (1, 2, 7, 50):
+                assert denoise(model, stack[:n], t, cond).tobytes() == alone[:n].tobytes()
+            post = gmm_posterior_mean(prior, x, t, SCHED)
+            oracle = (x - np.sqrt(ab) * post) / np.sqrt(1.0 - ab)
+            err = np.abs(alone.reshape(50, dim) - oracle).max()
+            assert err <= 1e-10 * np.abs(oracle).max()
+
     def test_models_return_eps_only(self):
         # the shipped models answer with the eps stack alone, a float64 array
         prior = GmmPrior(2, [1.0], np.zeros((1, 2)), [1.0])
@@ -279,13 +344,15 @@ class TestConditionalDenoiser:
         weights = np.exp(log_w - _logsumexp(log_w))
         assert np.abs(model.posterior.weights - weights).max() <= 1e-9
 
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3])
     def test_dim16_rows_are_stack_invariant_and_match_dense_oracle(self, k):
         # the gauss_4x4 shape; every product with x is a row-wise einsum, so
         # a row's bits must not depend on how many rows share the call
         rng = np.random.default_rng(34 + k)
         dim, rows = 16, 8
-        prior = GmmPrior(dim, [0.4, 0.6][:k], 0.5 * rng.standard_normal((k, dim)), [1.0, 0.4][:k])
+        prior = GmmPrior(
+            dim, [0.4, 0.6, 0.5][:k], 0.5 * rng.standard_normal((k, dim)), [1.0, 0.4, 0.7][:k]
+        )
         mat = rng.standard_normal((rows, dim)) * np.geomspace(0.25, 2.0, dim)
         model = conditional_gmm_denoiser(prior, mat, rng.standard_normal(rows), 0.05, SCHED)
         post = model.posterior
@@ -317,7 +384,7 @@ class TestConditionalDenoiser:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_revisited_timesteps_match_a_fresh_model(self, k):
-        # each timestep's gains are built on its first call and kept; every
+        # each timestep's maps are built on its first call and kept; every
         # later call at t gives the bits of a model that has seen only t
         rng = np.random.default_rng(40 + k)
         dim, rows = 16, 8
@@ -335,8 +402,8 @@ class TestConditionalDenoiser:
         assert sorted(model._tables) == steps
 
     def test_step_tables_stop_at_their_byte_limit(self, monkeypatch):
-        # a dim-3 gain is 3*3 float64s and a table holds one gain per
-        # component; room for two gains
+        # a dim-3 map is 3*3 float64s and a table holds one map per
+        # component; room for two maps
         monkeypatch.setattr(denoiser, "_STEP_TABLE_BYTES", 2 * 9 * 8)
         rng = np.random.default_rng(43)
         two = GmmPrior(3, [1.0, 1.0], [[0.0, 0.0, 0.0], [0.5, -1.0, 0.2]], [1.0, 0.5])
