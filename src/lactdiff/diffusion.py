@@ -167,15 +167,11 @@ def respace(sched: NoiseSchedule, K: int) -> TimestepMap:
     distinct and strictly increasing: the map keeps exactly K steps.  The
     shortened schedule is the original alpha_bar at those indices, copied
     exactly, with alpha, beta and beta_tilde derived from it by the schedule's
-    one rule.  K = T keeps every step and returns sched itself.
+    one rule.  K = T keeps every step: the lattice is exactly 1..T.
     """
     K = int(K)
     if not 1 <= K <= sched.T:
         raise ParameterError(f"K must satisfy 1 <= K <= T={sched.T}, got {K}")
-    if K == sched.T:
-        indices, short = np.arange(1, K + 1), sched
-    else:
-        indices = np.round(np.linspace(1.0, float(sched.T), K)).astype(np.int64)
-        short = NoiseSchedule(sched.alpha_bar[indices - 1])
+    indices = np.round(np.linspace(1.0, float(sched.T), K)).astype(np.int64)
     indices.setflags(write=False)
-    return TimestepMap(indices, short)
+    return TimestepMap(indices, NoiseSchedule(sched.alpha_bar[indices - 1]))

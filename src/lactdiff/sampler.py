@@ -111,7 +111,8 @@ def build_condition(
     arr = recon.as_f64()
     lo, hi = float(arr.min()), float(arr.max())
     if hi > lo:
-        arr = np.clip((arr - lo) / (hi - lo), 0.0, 1.0)
+        # rounding is monotone, so fl(a - lo) <= fl(hi - lo): no clip is needed
+        arr = (arr - lo) / (hi - lo)
     else:
         arr = np.zeros_like(arr)
     return ConditionInput(Image(geom.image_rows, geom.image_cols, arr)), report
@@ -151,11 +152,14 @@ def _run_chains(
 
     The state of every chain is one row of a float64 array.  Each step calls
     the denoiser (and the unconditional model when guidance is on) once on
-    the whole (n, rows, cols) stack, blends with guided_epsilon, takes one
-    reverse_step for all rows, and applies the prox and the residual traces
-    chain by chain.  Chain i draws only from SeededRng(seeds[i]), and row i
-    of every denoiser call depends only on row i of the state, so a chain's
-    result does not depend on the others run with it.
+    the whole (n, rows, cols) stack, blends with guided_epsilon and takes one
+    reverse_step for all rows.  With measurements, one loop then walks the
+    chains: it records the residual of the stepped state and, on a prox
+    step, replaces the state by prox_consistency's answer and records the
+    (before, after) pair, the CG report and the residual after.  Chain i
+    draws only from SeededRng(seeds[i]), and row i of every denoiser call
+    depends only on row i of the state, so a chain's result does not depend
+    on the others run with it.
     """
     if cfg.guidance != 1.0 and uncond_model is None:
         raise ParameterError("guidance weight != 1 requires an unconditional model")
@@ -180,7 +184,6 @@ def _run_chains(
     noise = _noise_rows([SeededRng(seed) for seed in seeds], rows * cols, K)
     x = next(noise)
     cond_none = ConditionInput.none(rows, cols)
-    aty = operator.adjoint(y) if cfg.prox is not None else None
 
     def residual(ax: np.ndarray) -> float:
         res = ax - y
@@ -207,21 +210,18 @@ def _run_chains(
                 f"chain state became non-finite or left the float32 range at step {k} "
                 f"(t={t_orig})"
             )
-        if cfg.prox is not None and step_index >= cfg.prox_skip:
-            for i in range(n):
-                # A x~ gives the "before" residual, A^T A x~ CG's first product
-                ax, ata_x = operator.normal(x[i])
-                x[i], report = prox_consistency(
-                    x[i], y, operator, cfg.prox, aty=aty, normal_x_tilde=ata_x
-                )
-                before = residual(ax)
+        if y is None:
+            continue
+        prox_step = cfg.prox is not None and step_index >= cfg.prox_skip
+        for i, trace in enumerate(traces):
+            res = residual(operator.forward(x[i]))
+            if prox_step:
+                x[i], report = prox_consistency(x[i], y, operator, cfg.prox)
                 after = residual(operator.forward(x[i]))
-                traces[i].prox_residuals.append((before, after))
-                traces[i].prox_reports.append(report)
-                traces[i].residuals.append(after)
-        elif y is not None:
-            for row, trace in zip(x, traces):
-                trace.residuals.append(residual(operator.forward(row)))
+                trace.prox_residuals.append((res, after))
+                trace.prox_reports.append(report)
+                res = after
+            trace.residuals.append(res)
     return x, traces
 
 

@@ -94,15 +94,13 @@ def conjugate_gradient(
     x0: Optional[np.ndarray] = None,
     tol: float = 1e-8,
     max_iter: int = 500,
-    *,
-    applied_x0: Optional[np.ndarray] = None,
 ):
     """Solve apply_op(x) = rhs for a symmetric positive semi-definite operator.
 
     Stops when ||apply_op(x) - rhs|| <= tol * ||rhs|| (tol >= 0), otherwise
     reports converged=False after max_iter steps.  Returns (x, CgReport).  A
-    caller that already holds apply_op(x0) passes it as applied_x0; a zero
-    start (x0 None) needs no product.
+    start x0 costs one product for the first residual; a zero start (x0
+    None) needs none.
     """
     rhs = np.asarray(rhs, dtype=np.float64).ravel()
     if x0 is None:
@@ -131,7 +129,7 @@ def conjugate_gradient(
     if x0 is None:
         r = rhs.copy()
     else:
-        r = rhs - checked(apply_op(x) if applied_x0 is None else applied_x0)
+        r = rhs - checked(apply_op(x))
     rs = _dot(r, r)
     res_norm = rs**0.5
     if res_norm <= target:
@@ -404,7 +402,7 @@ def tv_reconstruct(
             val += lam * total_variation(x_flat.reshape(rows, cols))
         return val
 
-    aty = op.adjoint(y)
+    adj_y = op.adjoint(y)
     # A and A^T A applied to the zero start are zero
     x, nx = np.zeros(rows * cols), np.zeros(rows * cols)
     z_momentum, nz = x, nx
@@ -413,7 +411,7 @@ def tv_reconstruct(
     dual = TvDual((rows, cols))
     rejected = 0
     for _ in range(outer_iters):
-        grad = nz - aty
+        grad = nz - adj_y
         if not np.all(np.isfinite(grad)):
             raise NumericalError("TV solver produced non-finite gradient")
         cand = z_momentum - step * grad
@@ -441,18 +439,15 @@ def prox_consistency(
     y: np.ndarray,
     op,
     cfg: ProxConfig,
-    *,
-    aty: Optional[np.ndarray] = None,
-    normal_x_tilde: Optional[np.ndarray] = None,
 ):
     """argmin_z ||z - x_tilde||^2 + gamma * ||op(z) - y||^2 on flat arrays.
 
     Solved by CG on (I + gamma A^T A) z = x_tilde + gamma A^T y, warm-started
     at x_tilde.  Every CG iterate keeps the prox objective at or below its
     value at x_tilde, so the measurement residual never increases even when
-    the iteration budget runs out (reported via converged=False).  Callers
-    that already hold A^T y or A^T A x_tilde pass them as aty and
-    normal_x_tilde, and the products are not repeated.
+    the iteration budget runs out (reported via converged=False).  Each call
+    makes its own products: one A^T y for the right-hand side, and one
+    normal for CG's first residual plus one per CG iteration.
     """
     x_tilde = np.asarray(x_tilde, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
@@ -465,11 +460,8 @@ def prox_consistency(
     def apply(v):
         return v + gamma * op.normal(v)[1]
 
-    rhs = x_tilde + gamma * (op.adjoint(y) if aty is None else aty)
-    applied = None if normal_x_tilde is None else x_tilde + gamma * normal_x_tilde
-    return conjugate_gradient(
-        apply, rhs, x_tilde, cfg.cg_tol, cfg.cg_max_iter, applied_x0=applied
-    )
+    rhs = x_tilde + gamma * op.adjoint(y)
+    return conjugate_gradient(apply, rhs, x_tilde, cfg.cg_tol, cfg.cg_max_iter)
 
 
 def data_consistency_prox(x_tilde: Image, sino: Sinogram, geom: Geometry, cfg: ProxConfig):

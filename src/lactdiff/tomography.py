@@ -446,7 +446,7 @@ def _block_products(geom: Geometry, plan, x, y, adjoint: bool):
     """
     kernels = _sparse_kernels()
     n = geom.image_rows * geom.image_cols
-    aty = np.zeros(n) if adjoint else None
+    image = np.zeros(n) if adjoint else None
     if plan is None:
         blocks = _view_blocks(geom)
     else:
@@ -459,8 +459,8 @@ def _block_products(geom: Geometry, plan, x, y, adjoint: bool):
         if x is not None:
             kernels.csr_matvec(end - start, n, indptr, indices, data, x, y_block)
         if adjoint:
-            kernels.csc_matvec(n, end - start, indptr, indices, data, y_block, aty)
-    return aty
+            kernels.csc_matvec(n, end - start, indptr, indices, data, y_block, image)
+    return image
 
 
 def project_array(image: np.ndarray, geom: Geometry) -> np.ndarray:

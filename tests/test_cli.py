@@ -969,6 +969,23 @@ class TestSampleCommand:
                          "--out-dir", str(tmp_path / "g2"))
         assert code == 0
 
+    def test_non_finite_guidance_fails_before_the_condition(
+        self, sino64, tmp_path, capsys, monkeypatch
+    ):
+        # a NaN guidance weight is a usage error, found before --out-dir is made
+        def refuse(*args, **kwargs):
+            raise AssertionError("the condition was built")
+
+        monkeypatch.setattr(sampler, "build_condition", refuse)
+        out_dir = tmp_path / "nan"
+        code, _, err = run(capsys, "sample", "--in", str(sino64), "--size", "24",
+                           "--K", "5", "--T", "60", "--samples", "1",
+                           "--lambda", "nan", "--uncond-prior", "builtin",
+                           "--out-dir", str(out_dir))
+        assert code == 2
+        assert "finite" in err
+        assert not out_dir.exists()
+
     def test_outputs_include_average_and_uncertainty(self, sino64, tmp_path, capsys):
         out_dir = tmp_path / "full"
         code, _, _ = run(capsys, "sample", "--in", str(sino64), "--size", "24",

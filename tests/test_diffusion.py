@@ -206,11 +206,16 @@ class TestRespace:
                 assert tmap.schedule.T == np.unique(tmap.indices).size
 
     def test_bounds(self):
+        # K = T keeps every step: the identity map, with every table bit-equal
+        for sched in (linear_schedule(10, 0.01, 0.3), default_linear_schedule(1000),
+                      default_linear_schedule(2000), cosine_schedule(7),
+                      cosine_schedule(1000)):
+            tmap = respace(sched, sched.T)
+            assert np.array_equal(tmap.indices, np.arange(1, sched.T + 1))
+            for name in ("alpha_bar", "alpha", "beta", "beta_tilde"):
+                got, want = getattr(tmap.schedule, name), getattr(sched, name)
+                assert got.tobytes() == want.tobytes()
         sched = linear_schedule(10, 0.01, 0.3)
-        # K = T keeps every step: the identity map on the schedule itself
-        tmap = respace(sched, 10)
-        assert tmap.schedule is sched
-        assert np.array_equal(tmap.indices, np.arange(1, 11))
         for K in (0, 11):
             with pytest.raises(ParameterError):
                 respace(sched, K)

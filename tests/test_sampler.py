@@ -81,8 +81,9 @@ class TestBuildCondition:
         sino = forward_project(ph, geom)
         for method in ("fbp", "rls"):
             cond, _ = build_condition(sino, geom, method)
-            assert cond.image.data.min() >= 0.0
-            assert cond.image.data.max() <= 1.0
+            # the rescale maps the extremes to 0 and 1 exactly, and nothing beyond
+            assert cond.image.data.min() == 0.0
+            assert cond.image.data.max() == 1.0
 
     def test_rls_condition_beats_fbp_at_60_degrees(self):
         n = 64
@@ -138,6 +139,11 @@ class TestChain:
         with pytest.raises(ParameterError):
             sample_posterior(model, None, None, (4, 4), ConditionInput.none(4, 4),
                              SCHED, cfg)
+
+    @pytest.mark.parametrize("guidance", [np.nan, np.inf, -np.inf])
+    def test_guidance_weight_must_be_finite(self, guidance):
+        with pytest.raises(ParameterError, match="finite"):
+            SamplerConfig(steps=5, guidance=guidance)
 
     def test_guided_chain_runs(self):
         model, mat, y = gaussian_setup()
@@ -304,7 +310,7 @@ class TestChain:
         assert draw(model, 0.5, Counting()) != draw(model, 1.0, None)
         assert Counting.calls == cfg.steps
 
-    def test_prox_reuses_its_products(self, count_products):
+    def test_prox_products_per_step(self, count_products):
         n = 8
         geom = make_limited_geometry(n, default_detectors(n), 6, 120.0)
         sino = forward_project(make_phantom(PhantomSpec(PhantomKind.DISKS, n, seed=4)), geom)
@@ -319,11 +325,12 @@ class TestChain:
         sample_set = draw_samples(*args)
         iters = [r.iterations for t in sample_set.traces for r in t.prox_reports]
         assert len(iters) == cfg.steps * cfg.n_samples
-        # A^T y once per draw, then per step one normal of x~ (A^T A x~ for
-        # CG's first product, and A x~ for the "before" residual), one normal
-        # per CG iteration, and the "after" residual's A z
+        # per prox step: A x~ for the "before" residual, A^T y for the prox's
+        # right-hand side, one normal for CG's first residual at x~ and one
+        # per CG iteration, and A z for the "after" residual
         assert count_products == {
-            "forward": len(iters), "adjoint": 1, "normal": sum(i + 1 for i in iters)
+            "forward": 2 * len(iters), "adjoint": len(iters),
+            "normal": sum(i + 1 for i in iters),
         }
 
     def test_ct_wrapper_smoke(self):
