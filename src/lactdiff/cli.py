@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__
 from .core import (
+    F32_MAX,
     DataError,
     DimensionError,
     FormatError,
@@ -262,7 +263,7 @@ def _cmd_project(args):
         # overflows to inf here, which the range check rejects too
         with np.errstate(over="ignore"):
             noisy = sino.as_f64() + args.noise_std * noise
-        if not np.abs(noisy).max() <= np.finfo(np.float32).max:
+        if not np.abs(noisy).max() <= F32_MAX:
             raise ParameterError(
                 f"--noise-std {args.noise_std:g} puts the sinogram outside the float32 range"
             )
@@ -345,7 +346,7 @@ def _load_prior_file(spec: str, dim: int) -> GmmPrior | None:
 
 
 def _cmd_sample(args):
-    from .denoiser import GmmDenoiser
+    from .denoiser import GmmDenoiser, GuidedDenoiser
     from .diffusion import cosine_schedule, default_linear_schedule
     from .sampler import (
         SamplerConfig,
@@ -368,11 +369,12 @@ def _cmd_sample(args):
         raise ParameterError(f"--K {args.K} exceeds the schedule length --T {sched.T}")
     if not (math.isfinite(args.prior_std) and args.prior_std > 0.0):
         raise ParameterError(f"--prior-std must be positive and finite, got {args.prior_std}")
+    if not math.isfinite(args.lam):
+        raise ParameterError(f"--lambda must be finite, got {args.lam}")
     # both configs check their arguments, before the condition's solve
     prox = None if args.no_prox else ProxConfig(gamma=args.gamma)
     cfg = SamplerConfig(
         steps=args.K,
-        guidance=args.lam,
         prox=prox,
         prox_skip=args.prox_skip,
         seed=args.seed,
@@ -381,12 +383,10 @@ def _cmd_sample(args):
     dim = args.size * args.size
     # prior files are read before the condition's solve too
     prior = _load_prior_file(args.prior, dim)
-    uncond_model = None
     if args.uncond_prior is not None:
         uncond_prior = _load_prior_file(args.uncond_prior, dim)
         if uncond_prior is None:
             uncond_prior = _builtin_prior(dim, np.zeros(dim), max(args.prior_std, 1.0))
-        uncond_model = GmmDenoiser(uncond_prior, sched)
     # an unusable --out-dir fails here, before the condition's solve and the chains
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -394,6 +394,8 @@ def _cmd_sample(args):
     if prior is None:
         prior = _builtin_prior(dim, cond.image.as_f64().ravel(), args.prior_std)
     model = GmmDenoiser(prior, sched)
+    if args.lam != 1.0:
+        model = GuidedDenoiser(model, GmmDenoiser(uncond_prior, sched), args.lam)
 
     sample_set = draw_samples(
         model,
@@ -403,7 +405,6 @@ def _cmd_sample(args):
         cond,
         sched,
         cfg,
-        uncond_model=uncond_model,
     )
 
     rasters = {f"sample_{i:03d}": sample for i, sample in enumerate(sample_set.samples)}

@@ -34,6 +34,16 @@ class NumericalError(ArithmeticError):
     """A computation produced a non-finite or otherwise invalid state."""
 
 
+F32_MAX = float(np.finfo(np.float32).max)  # the largest value a raster can hold
+
+
+def unit_rescale(arr: np.ndarray) -> np.ndarray:
+    """arr mapped onto [0, 1] by its min and max (rounding is monotone, so no
+    entry exceeds 1); a constant array maps to zeros."""
+    lo, hi = arr.min(), arr.max()
+    return (arr - lo) / (hi - lo) if hi > lo else np.zeros_like(arr)
+
+
 class PhantomKind(enum.Enum):
     """The test objects of evaluation.make_phantom, by their `phantom --kind` names."""
 
@@ -270,12 +280,7 @@ def write_pgm(path, raster) -> None:
     For human inspection only; previews are never re-imported.
     """
     arr = np.asarray(raster.data, dtype=np.float64)
-    lo = arr.min()
-    hi = arr.max()
-    if hi > lo:
-        quant = np.round((arr - lo) / (hi - lo) * 255.0).astype(np.uint8)
-    else:
-        quant = np.zeros(arr.shape, dtype=np.uint8)
+    quant = np.round(unit_rescale(arr) * 255.0).astype(np.uint8)
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n255\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header + quant.tobytes())

@@ -48,7 +48,7 @@ class Denoiser(Protocol):
     timestep t and returns the eps stack, of x's shape.  Row i of eps
     depends only on x[i], t and cond, never on the other rows or on n, so a
     chain gets the same bits alone or in a batch.  The unconditional branch
-    of guidance receives ConditionInput.none, a zero image.
+    of GuidedDenoiser receives ConditionInput.none, a zero image.
     """
 
     def denoise(self, x: np.ndarray, t: int, cond: ConditionInput) -> np.ndarray:
@@ -85,6 +85,21 @@ def guided_epsilon(eps_cond: np.ndarray, eps_uncond: np.ndarray, lam: float) -> 
     if lam == 0.0:
         return eps_uncond
     return lam * eps_cond + (1.0 - lam) * eps_uncond
+
+
+class GuidedDenoiser:
+    """Classifier-free guidance as one denoiser: guided_epsilon of model's eps
+    under cond and uncond_model's under ConditionInput.none, with weight lam."""
+
+    def __init__(self, model: Denoiser, uncond_model: Denoiser, lam: float):
+        if not math.isfinite(lam):
+            raise ParameterError(f"guidance weight must be finite, got {lam}")
+        self.model, self.uncond_model, self.lam = model, uncond_model, lam
+
+    def denoise(self, x: np.ndarray, t: int, cond: ConditionInput):
+        none = ConditionInput.none(*x.shape[1:])
+        eps = denoise(self.model, x, t, cond)
+        return guided_epsilon(eps, denoise(self.uncond_model, x, t, none), self.lam)
 
 
 @dataclass(frozen=True, eq=False)

@@ -167,11 +167,13 @@ def respace(sched: NoiseSchedule, K: int) -> TimestepMap:
     distinct and strictly increasing: the map keeps exactly K steps.  The
     shortened schedule is the original alpha_bar at those indices, copied
     exactly, with alpha, beta and beta_tilde derived from it by the schedule's
-    one rule.  K = T keeps every step: the lattice is exactly 1..T.
+    one rule.  K = T keeps every step: the lattice is exactly 1..T.  K = 1
+    keeps T alone, the level a chain's N(0, I) start stands for.
     """
     K = int(K)
     if not 1 <= K <= sched.T:
         raise ParameterError(f"K must satisfy 1 <= K <= T={sched.T}, got {K}")
-    indices = np.round(np.linspace(1.0, float(sched.T), K)).astype(np.int64)
+    start = 1.0 if K > 1 else float(sched.T)
+    indices = np.round(np.linspace(start, float(sched.T), K)).astype(np.int64)
     indices.setflags(write=False)
     return TimestepMap(indices, NoiseSchedule(sched.alpha_bar[indices - 1]))

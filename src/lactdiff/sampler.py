@@ -1,13 +1,14 @@
 """Conditional reverse-diffusion reconstruction with measurement consistency.
 
 One chain starts from white noise and walks the shortened reverse schedule;
-every step takes a (optionally guidance-blended) noise prediction, applies
-the stochastic reverse transition, and, when configured, pulls the iterate
-toward the measurements with the proximal consistency map.  All chains of
-one call advance together, as the rows of one float64 array.  Averaging
-many chains estimates the posterior mean; the per-pixel spread is an
-uncertainty proxy.  Each chain returns its ChainTrace with its sample: its
-seed and, when it has measurements, its residuals and prox reports.
+every step takes the model's noise prediction, applies the stochastic
+reverse transition, and, when configured, pulls the iterate toward the
+measurements with the proximal consistency map.  A guided model is one
+more Denoiser (denoiser.GuidedDenoiser).  All chains of one call advance
+together, as the rows of one float64 array.  Averaging many chains
+estimates the posterior mean; the per-pixel spread is an uncertainty
+proxy.  Each chain returns its ChainTrace with its sample: its seed and,
+when it has measurements, its residuals and prox reports.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .core import (
-    DimensionError, Image, NumericalError, ParameterError, SeededRng, Sinogram, check_seed,
+    F32_MAX, DimensionError, Image, NumericalError, ParameterError, SeededRng, Sinogram,
+    check_seed, unit_rescale,
 )
-from .denoiser import ConditionInput, Denoiser, denoise, guided_epsilon
+from .denoiser import ConditionInput, Denoiser, denoise
 from .diffusion import NoiseSchedule, respace, reverse_step
 from .solvers import CgReport, ProxConfig, _dot, prox_consistency, rls_reconstruct
 from .tomography import FilterKind, Geometry, TomoOperator, fbp_reconstruct
@@ -28,17 +30,15 @@ from .tomography import FilterKind, Geometry, TomoOperator, fbp_reconstruct
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Chain length, guidance weight, consistency settings, and seeding.
+    """Chain length, consistency settings, and seeding.
 
     prox is None to disable the data-consistency step entirely; prox_skip
     leaves the first few (largest-noise) steps unconstrained, and must be
-    below steps when prox is set, so that some step applies it.  Guidance
-    weights other than 1 require an unconditional model.  seed is an
+    below steps when prox is set, so that some step applies it.  seed is an
     unsigned 64-bit integer.
     """
 
     steps: int
-    guidance: float = 1.0
     prox: Optional[ProxConfig] = None
     prox_skip: int = 0
     seed: int = 0
@@ -53,8 +53,6 @@ class SamplerConfig:
             raise ParameterError("prox_skip must be >= 0")
         if self.prox is not None and self.prox_skip >= self.steps:
             raise ParameterError(f"prox_skip must be below steps ({self.steps}) with prox set")
-        if not np.isfinite(self.guidance):
-            raise ParameterError("guidance weight must be finite")
         check_seed(self.seed)
 
 
@@ -108,20 +106,13 @@ def build_condition(
         recon, report = rls_reconstruct(sino, geom)
     else:
         raise ParameterError(f"condition method must be 'fbp' or 'rls', got {method!r}")
-    arr = recon.as_f64()
-    lo, hi = float(arr.min()), float(arr.max())
-    if hi > lo:
-        # rounding is monotone, so fl(a - lo) <= fl(hi - lo): no clip is needed
-        arr = (arr - lo) / (hi - lo)
-    else:
-        arr = np.zeros_like(arr)
+    arr = unit_rescale(recon.as_f64())
     return ConditionInput(Image(geom.image_rows, geom.image_cols, arr)), report
 
 
 # noise is drawn a block of steps at a time, at most this many float64 values
 # for all chains together; a chain's stream is the same whatever the block size
 _NOISE_BLOCK_VALUES = 1 << 16
-_F32_MAX = float(np.finfo(np.float32).max)
 
 
 def _noise_rows(rngs: List[SeededRng], dim: int, count: int):
@@ -144,15 +135,13 @@ def _run_chains(
     cond: ConditionInput,
     sched: NoiseSchedule,
     cfg: SamplerConfig,
-    uncond_model: Optional[Denoiser],
     seeds: List[int],
 ) -> Tuple[np.ndarray, List[ChainTrace]]:
     """Run one chain per seed, all at once; returns their (n, rows*cols) end
     states and one ChainTrace per chain.
 
     The state of every chain is one row of a float64 array.  Each step calls
-    the denoiser (and the unconditional model when guidance is on) once on
-    the whole (n, rows, cols) stack, blends with guided_epsilon and takes one
+    the denoiser once on the whole (n, rows, cols) stack and takes one
     reverse_step for all rows.  With measurements, one loop then walks the
     chains: it records the residual of the stepped state and, on a prox
     step, replaces the state by prox_consistency's answer and records the
@@ -161,8 +150,6 @@ def _run_chains(
     depends only on row i of the state, so a chain's result does not depend
     on the others run with it.
     """
-    if cfg.guidance != 1.0 and uncond_model is None:
-        raise ParameterError("guidance weight != 1 requires an unconditional model")
     if (measurements is None) != (operator is None):
         raise ParameterError("measurements and an operator are given together or not at all")
     if cfg.prox is not None and operator is None:
@@ -183,7 +170,6 @@ def _run_chains(
     # chain start plus one noise vector for every step but the last
     noise = _noise_rows([SeededRng(seed) for seed in seeds], rows * cols, K)
     x = next(noise)
-    cond_none = ConditionInput.none(rows, cols)
 
     def residual(ax: np.ndarray) -> float:
         res = ax - y
@@ -192,12 +178,7 @@ def _run_chains(
     for k in range(K, 0, -1):
         step_index = K - k  # 0 for the first (noisiest) step
         t_orig = int(tmap.indices[k - 1])
-        stack = x.reshape(n, rows, cols)
-        eps = denoise(model, stack, t_orig, cond)
-        if cfg.guidance != 1.0:
-            eps_u = denoise(uncond_model, stack, t_orig, cond_none)
-            eps = guided_epsilon(eps, eps_u, cfg.guidance)
-        eps = eps.reshape(n, -1)
+        eps = denoise(model, x.reshape(n, rows, cols), t_orig, cond).reshape(n, -1)
         if k == 1:
             sigma2, z = 0.0, 0.0
         else:
@@ -205,7 +186,7 @@ def _run_chains(
         x = reverse_step(x, eps, sigma2, k, chain_sched, z)
         # the samples are float32 rasters, so a state they cannot hold is invalid;
         # the max is NaN when any entry is, so NaN fails too
-        if not np.abs(x).max() <= _F32_MAX:
+        if not np.abs(x).max() <= F32_MAX:
             raise NumericalError(
                 f"chain state became non-finite or left the float32 range at step {k} "
                 f"(t={t_orig})"
@@ -233,17 +214,15 @@ def sample_posterior(
     cond: ConditionInput,
     sched: NoiseSchedule,
     cfg: SamplerConfig,
-    uncond_model: Optional[Denoiser] = None,
     seed: Optional[int] = None,
 ) -> Tuple[Image, ChainTrace]:
     """Run one reverse chain; returns (reconstructed image, its ChainTrace).
 
     The chain draws its start from N(0, I), then for each shortened step:
-    noise prediction (guidance-blended when the weight is not 1), the
-    stochastic reverse update with the shortened schedule's lower-bound
-    variance beta_tilde (no noise on the final step), and the consistency
-    prox when enabled.  The denoiser receives original-schedule timestep
-    indices.
+    the model's noise prediction, the stochastic reverse update with the
+    shortened schedule's lower-bound variance beta_tilde (no noise on the
+    final step), and the consistency prox when enabled.  The denoiser
+    receives original-schedule timestep indices.
     The chain draws from SeededRng(seed), so everything is a pure function
     of (seed, config, inputs); with seed chain_seeds(cfg.seed, n)[i] the
     result equals chain i of draw_samples.  seed None means
@@ -251,7 +230,7 @@ def sample_posterior(
     draw_samples with n_samples = 1.
     """
     x, traces = _run_chains(
-        model, measurements, operator, shape, cond, sched, cfg, uncond_model,
+        model, measurements, operator, shape, cond, sched, cfg,
         [chain_seeds(cfg.seed, 1)[0] if seed is None else seed],
     )
     return Image(*shape, x[0].reshape(shape)), traces[0]
@@ -264,14 +243,13 @@ def sample_posterior_ct(
     cond: ConditionInput,
     sched: NoiseSchedule,
     cfg: SamplerConfig,
-    uncond_model: Optional[Denoiser] = None,
     seed: Optional[int] = None,
 ) -> Tuple[Image, ChainTrace]:
     """Tomographic wrapper around sample_posterior."""
     geom.matches_sinogram(sino)
     return sample_posterior(
         model, sino.as_f64().ravel(), TomoOperator(geom), (geom.image_rows, geom.image_cols),
-        cond, sched, cfg, uncond_model, seed,
+        cond, sched, cfg, seed,
     )
 
 
@@ -292,7 +270,6 @@ def draw_samples(
     cond: ConditionInput,
     sched: NoiseSchedule,
     cfg: SamplerConfig,
-    uncond_model: Optional[Denoiser] = None,
 ) -> SampleSet:
     """cfg.n_samples independent chains; chain i uses chain_seeds(cfg.seed, n)[i].
 
@@ -301,7 +278,7 @@ def draw_samples(
     does not depend on n.  The set holds one ChainTrace per chain.
     """
     x, traces = _run_chains(
-        model, measurements, operator, shape, cond, sched, cfg, uncond_model,
+        model, measurements, operator, shape, cond, sched, cfg,
         chain_seeds(cfg.seed, cfg.n_samples),
     )
     return SampleSet(tuple(Image(*shape, row.reshape(shape)) for row in x), traces)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import lactdiff
-from lactdiff import sampler, solvers, tomography
+from lactdiff import denoiser, sampler, solvers, tomography
 from lactdiff.cli import main
 from lactdiff.core import Image, Sinogram, read_raster, write_raster
 from lactdiff.denoiser import GmmPrior, gmm_denoiser
@@ -968,6 +968,25 @@ class TestSampleCommand:
                          "--lambda", "1.5", "--uncond-prior", "builtin",
                          "--out-dir", str(tmp_path / "g2"))
         assert code == 0
+
+    def test_unit_guidance_leaves_the_unconditional_prior_unused(
+        self, sino64, tmp_path, capsys, monkeypatch
+    ):
+        # at lambda = 1 the conditional model alone drives the chains: the
+        # prior is still read, but no GuidedDenoiser is built
+        argv = ["sample", "--in", str(sino64), "--size", "24", "--K", "5", "--T", "60",
+                "--samples", "2", "--lambda", "1", "--no-prox"]
+        assert run(capsys, *argv, "--out-dir", str(tmp_path / "plain"))[0] == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a GuidedDenoiser was built")
+
+        monkeypatch.setattr(denoiser, "GuidedDenoiser", refuse)
+        assert run(capsys, *argv, "--uncond-prior", "builtin",
+                   "--out-dir", str(tmp_path / "unused"))[0] == 0
+        for name in ("sample_000.ctr", "sample_001.ctr", "average.ctr", "uncertainty.ctr"):
+            plain = (tmp_path / "plain" / name).read_bytes()
+            assert (tmp_path / "unused" / name).read_bytes() == plain
 
     def test_non_finite_guidance_fails_before_the_condition(
         self, sino64, tmp_path, capsys, monkeypatch

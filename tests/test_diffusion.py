@@ -189,10 +189,10 @@ class TestRespace:
     def test_single_step(self):
         sched = linear_schedule(10, 0.01, 0.3)
         tmap = respace(sched, 1)
-        assert tmap.indices.size == 1
-        idx = int(tmap.indices[0])
+        # the one step starts where the chain's N(0, I) start stands: at T
+        assert tmap.indices.tolist() == [sched.T]
         assert tmap.schedule.beta_at(1) == pytest.approx(
-            1.0 - sched.alpha_bar_at(idx), rel=1e-12
+            1.0 - sched.alpha_bar_at(sched.T), rel=1e-12
         )
 
     def test_keeps_exactly_k_steps(self):

@@ -250,8 +250,10 @@ def test_respace_keeps_the_lattice_and_alpha_bar(case):
     tmap = respace(sched, K)
     idx, short = tmap.indices, tmap.schedule
     assert idx.size == short.T == K
-    assert idx[0] == 1 and np.all(np.diff(idx) > 0)
-    assert K == 1 or idx[-1] == sched.T
+    # every lattice ends at T, where a chain's N(0, I) start stands;
+    # K = 1 keeps T alone, and longer lattices start at 1
+    assert idx[-1] == sched.T and np.all(np.diff(idx) > 0)
+    assert K == 1 or idx[0] == 1
     assert short.alpha_bar.tobytes() == sched.alpha_bar[idx - 1].tobytes()
     assert short.beta_tilde[0] == 0.0
     assert np.all(short.beta_tilde >= 0.0)

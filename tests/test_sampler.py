@@ -5,11 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import TableDenoiser
+from conftest import TableDenoiser, affine_chain_law
 from lactdiff.core import DimensionError, Image, NumericalError, ParameterError, Sinogram
 from lactdiff.denoiser import (
     ConditionInput,
     GmmPrior,
+    GuidedDenoiser,
     conditional_gmm_denoiser,
     gmm_denoiser,
 )
@@ -50,17 +51,20 @@ def gaussian_setup(seed=42):
     return model, mat, y
 
 
-def assert_chains_match_lone_runs(model, measurements, operator, shape, cond, cfg,
-                                  uncond_model=None):
+def unconditional_model():
+    """The zero-mean unit-variance Gaussian prior's denoiser on 4x4 images."""
+    return gmm_denoiser(GmmPrior(16, [1.0], np.zeros((1, 16)), [1.0]), SCHED)
+
+
+def assert_chains_match_lone_runs(model, measurements, operator, shape, cond, cfg):
     """Chain i of draw_samples equals sample_posterior with seed
     chain_seeds(cfg.seed, n)[i], byte for byte, and so does its trace."""
-    batch = draw_samples(model, measurements, operator, shape, cond, SCHED, cfg,
-                         uncond_model=uncond_model)
+    batch = draw_samples(model, measurements, operator, shape, cond, SCHED, cfg)
     seeds = chain_seeds(cfg.seed, cfg.n_samples)
     assert [trace.seed for trace in batch.traces] == seeds
     for i, sample in enumerate(batch.samples):
         lone, trace = sample_posterior(model, measurements, operator, shape, cond, SCHED, cfg,
-                                       uncond_model=uncond_model, seed=seeds[i])
+                                       seed=seeds[i])
         assert sample.data.tobytes() == lone.data.tobytes()
         prox_steps = 0 if cfg.prox is None else cfg.steps - cfg.prox_skip
         assert len(trace.prox_reports) == prox_steps
@@ -133,25 +137,17 @@ class TestChain:
             sample_posterior(model, None, None, (4, 4), ConditionInput.none(4, 4),
                              SCHED, cfg)
 
-    def test_guidance_requires_unconditional_model(self):
-        model, _, _ = gaussian_setup()
-        cfg = SamplerConfig(steps=10, guidance=1.5, seed=0)
-        with pytest.raises(ParameterError):
-            sample_posterior(model, None, None, (4, 4), ConditionInput.none(4, 4),
-                             SCHED, cfg)
-
     @pytest.mark.parametrize("guidance", [np.nan, np.inf, -np.inf])
     def test_guidance_weight_must_be_finite(self, guidance):
+        model, _, _ = gaussian_setup()
         with pytest.raises(ParameterError, match="finite"):
-            SamplerConfig(steps=5, guidance=guidance)
+            GuidedDenoiser(model, unconditional_model(), guidance)
 
     def test_guided_chain_runs(self):
-        model, mat, y = gaussian_setup()
-        prior = GmmPrior(16, [1.0], np.zeros((1, 16)), [1.0])
-        uncond = gmm_denoiser(prior, SCHED)
-        cfg = SamplerConfig(steps=20, guidance=1.5, seed=0)
-        out, _ = sample_posterior(model, None, None, (4, 4), ConditionInput.none(4, 4),
-                                  SCHED, cfg, uncond_model=uncond)
+        model, _, _ = gaussian_setup()
+        guided = GuidedDenoiser(model, unconditional_model(), 1.5)
+        out, _ = sample_posterior(guided, None, None, (4, 4), ConditionInput.none(4, 4),
+                                  SCHED, SamplerConfig(steps=20, seed=0))
         assert np.all(np.isfinite(out.data))
 
     def test_prox_requires_measurements(self):
@@ -266,11 +262,9 @@ class TestChain:
 
     def test_guided_chains_match_lone_runs(self):
         model, _, _ = gaussian_setup()
-        uncond = gmm_denoiser(GmmPrior(16, [1.0], np.zeros((1, 16)), [1.0]), SCHED)
-        cfg = SamplerConfig(steps=20, guidance=1.5, seed=11, n_samples=4)
-        assert_chains_match_lone_runs(
-            model, None, None, (4, 4), ConditionInput.none(4, 4), cfg, uncond_model=uncond
-        )
+        guided = GuidedDenoiser(model, unconditional_model(), 1.5)
+        cfg = SamplerConfig(steps=20, seed=11, n_samples=4)
+        assert_chains_match_lone_runs(guided, None, None, (4, 4), ConditionInput.none(4, 4), cfg)
 
     def test_elementwise_model_chains_match_lone_runs(self):
         class Shrink:
@@ -285,30 +279,41 @@ class TestChain:
 
     def test_guidance_endpoints_select_one_model(self):
         model, _, _ = gaussian_setup()
-        uncond = gmm_denoiser(GmmPrior(16, [1.0], np.zeros((1, 16)), [1.0]), SCHED)
+        uncond = unconditional_model()
 
         class Counting:
-            calls = 0
+            """A denoiser that counts its calls and the states it is given."""
+
+            def __init__(self, inner):
+                self.inner, self.calls, self.rows = inner, 0, 0
 
             def denoise(self, x, t, cond):
-                Counting.calls += 1
-                return uncond.denoise(x, t, cond)
+                self.calls += 1
+                self.rows += x.shape[0]
+                return self.inner.denoise(x, t, cond)
 
         cond = ConditionInput.none(4, 4)
         cfg = SamplerConfig(steps=20, seed=11, n_samples=3)
 
-        def draw(cond_model, lam, uncond_model):
-            sample_set = draw_samples(cond_model, None, None, (4, 4), cond, SCHED,
-                                      replace(cfg, guidance=lam), uncond_model=uncond_model)
+        def draw(chain_model):
+            sample_set = draw_samples(chain_model, None, None, (4, 4), cond, SCHED, cfg)
             return [s.data.tobytes() for s in sample_set.samples]
 
-        # lambda = 0: the unconditional model's own chains
-        assert draw(model, 0.0, uncond) == draw(uncond, 1.0, None)
-        # lambda = 1: the conditional chains, and the unconditional model is never called
-        assert draw(model, 1.0, Counting()) == draw(model, 1.0, None)
-        assert Counting.calls == 0
-        assert draw(model, 0.5, Counting()) != draw(model, 1.0, None)
-        assert Counting.calls == cfg.steps
+        plain, unguided = draw(model), draw(uncond)
+        # lambda = 0 draws the unconditional model's own chains, lambda = 1
+        # the conditional ones, and a blend between them neither
+        assert draw(GuidedDenoiser(model, uncond, 0.0)) == unguided
+        assert draw(GuidedDenoiser(model, uncond, 1.0)) == plain
+        assert draw(GuidedDenoiser(model, uncond, 0.5)) not in (plain, unguided)
+        # each step calls the chain's one model once, on the stack of all chains,
+        # and a guided model calls each of its two models once in that call
+        counted = Counting(model)
+        assert draw(counted) == plain
+        assert (counted.calls, counted.rows) == (cfg.steps, cfg.steps * cfg.n_samples)
+        inner, inner_uncond = Counting(model), Counting(uncond)
+        outer = Counting(GuidedDenoiser(inner, inner_uncond, 0.5))
+        draw(outer)
+        assert outer.calls == inner.calls == inner_uncond.calls == cfg.steps
 
     def test_prox_products_per_step(self, count_products):
         n = 8
@@ -459,3 +464,41 @@ class TestAggregation:
             with pytest.raises(ParameterError):
                 SamplerConfig(steps=1, seed=seed)
         assert SamplerConfig(steps=1, seed=(1 << 64) - 1).seed == (1 << 64) - 1
+
+
+class TestChainLaw:
+    """Chains whose eps is affine against their exact law (conftest's oracle)."""
+
+    @pytest.mark.parametrize("K, ratios", [(20, (0.70, 0.60, 0.21)), (200, (0.96, 0.93, 0.76))])
+    def test_oracle_reproduces_the_recorded_variance_ratios(self, K, ratios):
+        # an unconditional chain on N(0, s2 I) at T = 2000 ends with too small a
+        # variance, because every step uses the lower bound beta_tilde
+        for s2, ratio in zip((1.0, 0.25, 0.01), ratios):
+            mean, var = affine_chain_law(2000, K, [(1.0, 0.0, s2)])
+            assert mean == 0.0
+            assert var / s2 == pytest.approx(ratio, abs=0.01)
+
+    @pytest.mark.parametrize(
+        "steps, lam",
+        [(20, None), (20, 0.0), (20, 0.5), (20, 1.5), (200, None), (1, None)],
+        ids=["plain", "lambda0", "lambda0.5", "lambda1.5", "plain_K200", "plain_K1"],
+    )
+    def test_sampled_chains_follow_the_exact_law(self, steps, lam):
+        T, n = 1000, 2000
+        sched = default_linear_schedule(T)
+        mu = np.linspace(0.0, 0.6, 16)
+        model = gmm_denoiser(GmmPrior(16, [1.0], mu.reshape(1, 16), [0.25]), sched)
+        terms = [(1.0, mu, 0.25)]
+        if lam is not None:
+            uncond = gmm_denoiser(GmmPrior(16, [1.0], np.zeros((1, 16)), [1.0]), sched)
+            model = GuidedDenoiser(model, uncond, lam)
+            terms = [(lam, mu, 0.25), (1.0 - lam, 0.0, 1.0)]
+        mean, var = affine_chain_law(T, steps, terms)
+        cfg = SamplerConfig(steps=steps, seed=2024, n_samples=n)
+        drawn = draw_samples(model, None, None, (4, 4), ConditionInput.none(4, 4), sched, cfg)
+        # the 16 pixels of a chain are independent draws of one variance
+        dev = np.stack([s.as_f64().ravel() for s in drawn.samples]) - mean
+        count = dev.size
+        # criterion 5's bounds over arbitrary seeds: 4.5 SE on the mean, 5 on the variance
+        assert abs(dev.mean()) <= 4.5 * np.sqrt(var / count)
+        assert abs((dev**2).mean() - var) <= 5.0 * var * np.sqrt(2.0 / count)
