@@ -20,6 +20,14 @@ product costs a little less than one plan build, or about 8 plan products
 at 128^2 with 240 views and 10 to 20 at 64^2 with 120, so from the second
 product on one geometry TomoOperator is the cheaper path.
 
+On a square image, view 90 - t of an image is view t of the transposed
+image with the detector order reversed (Geometry.mirror_runs).  Neither
+path walks or stores such a view: the block of its partner t, applied to
+the transposed image, gives its rows, and its share of A^T y is summed in
+a transposed image.  At 60 degrees of coverage the views in (45, 60)
+degrees, a quarter of them, are mirrored, so the plan holds about a fifth
+fewer entries.
+
 Coordinate conventions, frozen so sinograms are portable:
   pixel (row i, col j) center at ((j - (cols-1)/2), ((rows-1)/2 - i)) * pixel_size
   detector bin d at signed offset (d - (detectors-1)/2) * detector_spacing
@@ -155,13 +163,39 @@ class Geometry:
         return h.hexdigest()[:16]
 
     @cached_property
-    def plan(self) -> Optional[StencilPlan]:
-        """The whole (V*D, R*C) CSR stencil plan, built on first use.
+    def mirror_runs(self) -> Tuple[Tuple[int, int, int], ...]:
+        """The views the plan gets from others, as (lo, hi, top) runs.
 
-        None when its estimated entry count exceeds _PLAN_NNZ_LIMIT; products
-        then stream the stencil a view at a time.
+        On a square image, view 90 - t of an image x is view t of its
+        transpose with the detector order reversed, since the detector
+        offsets are symmetric.  A run is the views lo..hi above 45 degrees
+        whose 90 - t partners (an exact float64 match) are the views top,
+        top - 1, ..., top - (hi - lo).  Empty for a non-square image.
         """
-        if self.n_views * _view_nnz_bound(self) > _PLAN_NNZ_LIMIT:
+        if self.image_rows != self.image_cols:
+            return ()
+        angles = self.angles_deg.tolist()
+        index = {theta: v for v, theta in enumerate(angles)}
+        runs = []
+        for v, theta in enumerate(angles):
+            partner = index.get(90.0 - theta)
+            if theta <= 45.0 or partner is None:
+                continue
+            if runs and runs[-1][1] == v - 1 and runs[-1][2] - (v - runs[-1][0]) == partner:
+                runs[-1][1] = v
+            else:
+                runs.append([v, v, partner])
+        return tuple(tuple(run) for run in runs)
+
+    @cached_property
+    def plan(self) -> Optional[StencilPlan]:
+        """The (V*D, R*C) CSR stencil plan, built on first use.
+
+        It stores the rows of every view outside the mirror_runs.  None when
+        its estimated entry count, the stored views' share, exceeds
+        _PLAN_NNZ_LIMIT; products then stream the stencil a view at a time.
+        """
+        if len(_stored_views(self)) * _view_nnz_bound(self) > _PLAN_NNZ_LIMIT:
             return None
         return _build_stencil_matrix(self)
 
@@ -323,21 +357,28 @@ def _view_stencil(geom: Geometry, theta_deg: float, work):
 
 @dataclass(frozen=True, eq=False)
 class StencilPlan:
-    """The projection stencil as the arrays of a (V*D, R*C) CSR matrix.
+    """The projection stencil of a (V*D, R*C) matrix A, as the CSR arrays of
+    the rows it stores and the map from those rows to A's.
 
     indptr and indices are int32, data float64; each row is in walk order
-    and keeps its explicit zeros.  block_ends are the row ends of
-    TomoOperator.normal's blocks of about _NORMAL_BLOCK_BYTES of entries,
-    the last one shape[0].
+    and keeps its explicit zeros.  The stored rows are those of every view
+    outside geom.mirror_runs, in view order.  pieces, the run map, splits
+    them into (start, end, y_start, mirror) spans: stored rows start:end are
+    A's rows y_start:y_start + end - start, and where mirror is not 0 each
+    such row r, read on the transposed image, is also A's row
+    mirror - 1 - r.  blocks are TomoOperator.normal's spans of the same
+    form, of about _NORMAL_BLOCK_BYTES of entries, each inside one piece.
+    Without mirror runs the arrays are those of the whole A, and one piece.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     shape: Tuple[int, int]
-    block_ends: Tuple[int, ...]
+    pieces: Tuple[Tuple[int, int, int, int], ...]
+    blocks: Tuple[Tuple[int, int, int, int], ...]
 
-    format = "csr"  # scipy's name for the layout
+    format = "csr"  # scipy's name for the layout of the stored rows
 
     @property
     def nnz(self) -> int:
@@ -379,87 +420,139 @@ def _sparse_kernels():
     return kernels
 
 
+def _stored_views(geom: Geometry):
+    """(view, mirror) for every view outside geom.mirror_runs, in view order.
+
+    mirror is 0, or for the partner of a run (lo, hi, top) the row sum
+    (lo + top + 1) * D: row r of the partner, read on the transposed image,
+    is row mirror - 1 - r of A, which reverses both the views and the
+    detector order.
+    """
+    det = geom.detectors
+    mirrored, mirrors = set(), {}
+    for lo, hi, top in geom.mirror_runs:
+        mirrored.update(range(lo, hi + 1))
+        mirrors.update(dict.fromkeys(range(top - (hi - lo), top + 1), (lo + top + 1) * det))
+    return [(v, mirrors.get(v, 0)) for v in range(geom.n_views) if v not in mirrored]
+
+
 def _view_blocks(geom: Geometry):
-    """Each view's stencil as (start, end, indptr, indices, data): its rows
-    start:end of the plan as a CSR block, with one indptr buffer for all."""
+    """Each stored view's stencil as (start, end, indptr, indices, data,
+    mirror): A's rows start:end as a CSR block, with one indptr buffer for
+    all, and the view's mirror (_stored_views)."""
     det = geom.detectors
     work = _stencil_work(geom)
     indptr = np.zeros(det + 1, dtype=np.int32)
-    for v, theta_deg in enumerate(geom.angles_deg):
-        counts, cols, weights = _view_stencil(geom, theta_deg, work)
+    for v, mirror in _stored_views(geom):
+        counts, cols, weights = _view_stencil(geom, geom.angles_deg[v], work)
         np.cumsum(counts, out=indptr[1:])
-        yield v * det, (v + 1) * det, indptr, cols, weights
+        yield v * det, (v + 1) * det, indptr, cols, weights, mirror
 
 
 def _build_stencil_matrix(geom: Geometry) -> StencilPlan:
-    """Assemble the projection stencil as a (V*D, R*C) CSR plan.
+    """Assemble the projection stencil as a CSR plan of the stored views.
 
     Entries are the linear interpolation coefficients of every ray's samples
     along its driving axis; using one matrix for both directions makes the
     adjoint the literal transpose.  The plan keeps the blocks of one
-    _view_blocks walk in arrays sized at the n_views * _view_nnz_bound
+    _view_blocks walk in arrays sized at the stored views' _view_nnz_bound
     estimate, then shrunk in place to the entry count.  Nothing is copied,
     and the unwritten tail is never touched, so none of it becomes resident
     past the page that holds the last entry (a 2 MB page where numpy asks
     for huge pages, so the peak can exceed the plan by up to 4 MB).
     """
-    bound = geom.n_views * _view_nnz_bound(geom)
-    m = geom.n_views * geom.detectors
+    det = geom.detectors
+    views = len(_stored_views(geom))
+    m, bound = views * det, views * _view_nnz_bound(geom)
     indptr = np.zeros(m + 1, dtype=np.int32)
     indices = np.empty(bound, dtype=np.int32)
     data = np.empty(bound, dtype=np.float64)
-    nnz = 0
-    for start, end, rows, cols, weights in _view_blocks(geom):
-        indptr[start + 1 : end + 1] = nnz + rows[1:]
+    nnz = row = 0
+    pieces = []
+    for start, end, rows, cols, weights, mirror in _view_blocks(geom):
+        indptr[row + 1 : row + det + 1] = nnz + rows[1:]
         indices[nnz : nnz + cols.size] = cols
         data[nnz : nnz + cols.size] = weights
         nnz += cols.size
+        last = pieces[-1] if pieces else None
+        if last and last[3] == mirror and last[2] + row - last[0] == start:
+            last[1] = row + det
+        else:
+            pieces.append([row, row + det, start, mirror])
+        row += det
     indices.resize(nnz, refcheck=False)
     data.resize(nnz, refcheck=False)
-    # block ends: the first row boundary at or past every step entries
+    # block ends: the first row boundary at or past every step entries, and
+    # every piece end
     step = _NORMAL_BLOCK_BYTES // (indices.itemsize + data.itemsize)
     ends = np.searchsorted(indptr, np.arange(step, nnz, step)).tolist()
+    blocks, start, k = [], 0, 0
+    for end in sorted({*ends, *(piece[1] for piece in pieces)}):
+        piece_start, piece_end, y_start, mirror = pieces[k]
+        blocks.append((start, end, y_start + start - piece_start, mirror))
+        if end == piece_end:
+            k += 1
+        start = end
     return StencilPlan(
-        indptr, indices, data, (m, geom.image_rows * geom.image_cols), (*ends, m)
+        indptr, indices, data, (geom.n_views * det, geom.image_rows * geom.image_cols),
+        tuple(map(tuple, pieces)), tuple(blocks),
     )
 
 
 def _stencil_plan(geom: Geometry) -> Optional[StencilPlan]:
-    """geom's whole CSR plan (Geometry.plan), or None above _PLAN_NNZ_LIMIT.
+    """geom's CSR plan (Geometry.plan), or None above _PLAN_NNZ_LIMIT.
 
-    The benchmark harness reads the plan's size through this name.
+    The benchmark harness reads the plan's size through this name: its
+    arrays hold the stored views only, its shape is the whole (V*D, R*C).
     """
     return geom.plan
 
 
 def _block_products(geom: Geometry, plan, x, y, adjoint: bool):
-    """The one product loop: for each row block of A, csr_matvec adds its
-    rows of A x into y when x is given, and then, with adjoint, csc_matvec
-    (reading the block as the CSC matrix of its A^T) adds their share of
-    A^T y into the returned image while the block is in cache.
+    """The one product loop: for each block of A's stored rows, csr_matvec
+    adds its rows of A x into y when x is given, and then, with adjoint,
+    csc_matvec (reading the block as the CSC matrix of its A^T) adds their
+    share of A^T y into the returned image while the block is in cache.  A
+    block with a mirror also gives the mirrored rows, reversed: csr_matvec
+    applies it to the transposed image, and csc_matvec adds their share of
+    A^T y into a transposed image, which is added to the image at the end.
 
-    The blocks are each view's as it is walked when plan is None, else the
-    plan's block_ends ranges for two kernels and the whole plan for one (a
-    call costs about 2 us).  x and y are contiguous float64 vectors.  Rows
-    sum in walk order and pixels in row order, as M @ x and M.T @ y do with
-    M the plan as a scipy csr_matrix, so every path has the same bits.
+    The blocks are each stored view's as it is walked when plan is None,
+    else the plan's blocks for two kernels and its pieces for one (a call
+    costs about 2 us).  x and y are contiguous float64 vectors; the kernels
+    copy the reversed mirror rows in and out.  Every row sums in walk
+    order, and each pixel of either image sums over the stored rows in
+    order, so every path has the same bits.
     """
     kernels = _sparse_kernels()
     n = geom.image_rows * geom.image_cols
     image = np.zeros(n) if adjoint else None
+    if geom.mirror_runs:
+        side = geom.image_rows
+        x_t = None if x is None else x.reshape(side, side).T.ravel()
+        image_t = np.zeros(n) if adjoint else None
     if plan is None:
         blocks = _view_blocks(geom)
     else:
-        ends = plan.block_ends if x is not None and adjoint else plan.shape[:1]
+        spans = plan.blocks if x is not None and adjoint else plan.pieces
         # indptr[start:end + 1] holds offsets into the whole indices and data
-        blocks = ((start, end, plan.indptr[start : end + 1], plan.indices, plan.data)
-                  for start, end in zip((0, *ends), ends))
-    for start, end, indptr, indices, data in blocks:
-        y_block = y[start:end]
+        blocks = ((y_start, y_start + end - start, plan.indptr[start : end + 1],
+                   plan.indices, plan.data, mirror)
+                  for start, end, y_start, mirror in spans)
+    for start, end, indptr, indices, data, mirror in blocks:
+        rows, y_block = end - start, y[start:end]
+        y_mirror = y[mirror - end : mirror - start][::-1] if mirror else None
         if x is not None:
-            kernels.csr_matvec(end - start, n, indptr, indices, data, x, y_block)
+            kernels.csr_matvec(rows, n, indptr, indices, data, x, y_block)
+            if mirror:
+                kernels.csr_matvec(rows, n, indptr, indices, data, x_t, y_mirror)
         if adjoint:
-            kernels.csc_matvec(n, end - start, indptr, indices, data, y_block, image)
+            kernels.csc_matvec(n, rows, indptr, indices, data, y_block, image)
+            if mirror:
+                kernels.csc_matvec(n, rows, indptr, indices, data, y_mirror, image_t)
+    if adjoint and geom.mirror_runs:
+        square = image.reshape(side, side)
+        square += image_t.reshape(side, side).T
     return image
 
 
@@ -582,8 +675,12 @@ class TomoOperator:
     walked, so a streamed normal walks each view once.  scipy's public
     product cannot run a block of rows into slices of two outputs, as
     normal does.  These are the kernels of scipy's own csr_matrix products,
-    in the plan's summation order, so with M the plan as a csr_matrix the
-    results have the bits of M @ x, M.T @ y and M.T @ (M @ x).
+    in the plan's summation order: with M the stored rows as a csr_matrix
+    and P those of the partners of mirror runs, A x has the bits of M @ x
+    and P @ x^T, and A^T y those of M.T @ y_M plus the transpose of
+    P.T @ y_P, with y_M and y_P the entries of y that the plan's pieces
+    map those rows to.  A geometry without mirror runs stores every row,
+    and its products have the bits of M @ x, M.T @ y and M.T @ (M @ x).
     """
 
     geom: Geometry

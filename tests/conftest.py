@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from lactdiff.core import ParameterError
+from lactdiff import tomography
 from lactdiff.tomography import Geometry, TomoOperator
 
 try:
@@ -30,12 +31,75 @@ def dense_tomo_matrix(geom: Geometry) -> np.ndarray:
     return mat
 
 
-def plan_matrix(plan):
-    """A stencil plan as scipy's csr_matrix on the same arrays, so that scipy's
-    own products and conversions can serve as the oracle."""
+class PlanReference:
+    """A stencil plan expanded with scipy, to serve as the products' oracle.
+
+    matrix is the whole (V*D, R*C) csr_matrix: each stored row where the
+    plan's pieces put it, and each mirrored row as its partner's row
+    reversed onto the transposed image, entries in walk order.  forward is
+    matrix @ x.  adjoint is the plan's documented accumulation: the stored
+    rows' A^T y, in row order, plus the transpose of the partner rows' share
+    of the mirrored rows, also in stored row order.
+    """
+
+    def __init__(self, plan):
+        import scipy.sparse as sp
+
+        m, n = plan.shape
+        self.side = math.isqrt(n)
+        self.stored = sp.csr_matrix(
+            (plan.data, plan.indices, plan.indptr), shape=(plan.indptr.size - 1, n)
+        )
+        none = np.zeros(0, dtype=int)
+        self.rows = np.concatenate([np.arange(y, y + end - start)
+                                    for start, end, y, _ in plan.pieces])
+        self.partners = np.concatenate([np.arange(start, end)
+                                        for start, end, _, mirror in plan.pieces if mirror] + [none])
+        self.mirrored = np.concatenate([mirror - 1 - np.arange(y, y + end - start)
+                                        for start, end, y, mirror in plan.pieces if mirror] + [none])
+        # the stored row that each row of A reads
+        source = np.full(m, -1)
+        source[self.rows] = np.arange(self.rows.size)
+        source[self.mirrored] = self.partners
+        assert np.all(source >= 0)
+        counts = np.diff(plan.indptr)[source]
+        entries = np.concatenate(
+            [np.arange(plan.indptr[r], plan.indptr[r + 1]) for r in source] + [none]
+        )
+        indices = plan.indices[entries]
+        transposed = np.repeat(np.isin(np.arange(m), self.mirrored), counts)
+        row, col = np.divmod(indices[transposed], self.side)
+        indices[transposed] = col * self.side + row
+        self.matrix = sp.csr_matrix(
+            (plan.data[entries], indices, np.concatenate([[0], np.cumsum(counts)])),
+            shape=(m, n),
+        )
+
+    def forward(self, x):
+        return self.matrix @ x
+
+    def adjoint(self, y):
+        image = self.stored.T @ y[self.rows]
+        if self.partners.size:
+            image_t = self.stored[self.partners].T @ y[self.mirrored]
+            square = image.reshape(self.side, self.side)
+            square += image_t.reshape(self.side, self.side).T
+        return image
+
+
+def walked_matrix(geom: Geometry):
+    """The (V*D, R*C) operator as a csr_matrix with every view walked on its
+    own, mirror runs included."""
     import scipy.sparse as sp
 
-    return sp.csr_matrix((plan.data, plan.indices, plan.indptr), shape=plan.shape)
+    work = tomography._stencil_work(geom)
+    counts, indices, data = zip(*(
+        [array.copy() for array in tomography._view_stencil(geom, theta, work)]
+        for theta in geom.angles_deg
+    ))
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    shape = (geom.n_views * geom.detectors, geom.image_rows * geom.image_cols)
+    return sp.csr_matrix((np.concatenate(data), np.concatenate(indices), indptr), shape=shape)
 
 
 @pytest.fixture()

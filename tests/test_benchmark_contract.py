@@ -71,17 +71,20 @@ def test_tracer_installs_and_restores_every_name(tracing):
 
 
 @pytest.mark.parametrize(
-    "size, views, nnz",
-    [(128, 240, 6867900), (64, 120, 858782)],
+    "size, views, nnz, stored_views",
+    [(128, 240, 5338286, 181), (64, 120, 670806, 91)],
     ids=["classical_128", "sample_64"],
 )
-def test_stencil_plan_sizes(size, views, nnz):
+def test_stencil_plan_sizes(size, views, nnz, stored_views):
+    # the arrays hold the entries of the stored views, the views outside the
+    # mirror runs; the shape is the whole operator's, x and y included
     geom = make_limited_geometry(size, default_detectors(size), views, 60.0)
     plan = tomography._stencil_plan(geom)
     assert plan.format == "csr"
     assert plan.nnz == nnz
     assert plan.shape == (views * geom.detectors, size * size)
     assert plan.indptr[-1] == plan.data.size == plan.indices.size == nnz
+    assert plan.indptr.size == stored_views * geom.detectors + 1
 
 
 def lactdiff_reads(path):

@@ -201,7 +201,8 @@ def test_first_plan_build_leaves_out_scipy_sparse():
 
 def test_scipy_sparse_imported_after_a_plan_product_shares_its_kernels():
     # the kernels a plan product loaded are the ones scipy.sparse then uses,
-    # and scipy's own csr_matrix products have the operator's bits
+    # and the products of scipy's own csr_matrix, expanded from the plan
+    # (which has mirror runs here), have the operator's bits
     code = (
         "import sys; import numpy as np; from lactdiff import tomography; "
         "geom = tomography.make_limited_geometry(16, 24, 12, 60.0); "
@@ -209,12 +210,14 @@ def test_scipy_sparse_imported_after_a_plan_product_shares_its_kernels():
         "x, y = rng.standard_normal(256), rng.standard_normal(12 * 24); "
         "ax, aty = op.forward(x), op.adjoint(y); kernels = tomography._sparse_kernels(); "
         "import scipy.sparse as sp; from scipy.sparse import _sparsetools; "
-        "plan = geom.plan; "
-        "m = sp.csr_matrix((plan.data, plan.indices, plan.indptr), shape=plan.shape); "
+        f"sys.path.insert(0, {str(Path(__file__).parent)!r}); "
+        "from conftest import PlanReference; "
+        "plan = PlanReference(geom.plan); "
         "print(_sparsetools is kernels, sys.modules['scipy.sparse._sparsetools'] is kernels, "
-        "(m @ x).tobytes() == ax.tobytes(), (m.T @ y).tobytes() == aty.tobytes())"
+        "geom.mirror_runs != (), plan.forward(x).tobytes() == ax.tobytes(), "
+        "plan.adjoint(y).tobytes() == aty.tobytes())"
     )
-    assert run_fresh(code) == "True True True True\n"
+    assert run_fresh(code) == "True True True True True\n"
 
 
 @pytest.mark.parametrize("method", ["rls", "tv", "sample"])

@@ -1,8 +1,9 @@
 """Property tests: adjointness, the norm estimate, streamed products and the
-operators' three products over random small geometries, the norm estimate on
-non-negative matrices, the TV difference pair, CTR1 files that were cut or
-altered, the schedules for every length, the respaced schedule for every chain
-length, and the phantom rasterizer against a whole-grid reference."""
+operators' three products over random small geometries and over square ones
+with mirror runs, the norm estimate on non-negative matrices, the TV
+difference pair, CTR1 files that were cut or altered, the schedules for every
+length, the respaced schedule for every chain length, and the phantom
+rasterizer against a whole-grid reference."""
 
 import math
 from unittest import mock
@@ -10,13 +11,19 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import dense_tomo_matrix, plan_matrix
+from conftest import PlanReference, dense_tomo_matrix, walked_matrix
 from lactdiff.core import DataError, FormatError, Image, Sinogram, read_raster, write_raster
 from lactdiff.diffusion import NoiseSchedule, cosine_schedule, default_linear_schedule, respace
 from lactdiff.evaluation import _HEAD_ELLIPSES, _SUBSAMPLE, _rasterize
 from lactdiff.solvers import DenseOperator, _div2d, _grad2d, operator_norm_sq
 from lactdiff import tomography
-from lactdiff.tomography import Geometry, TomoOperator, default_detectors, make_limited_geometry
+from lactdiff.tomography import (
+    Geometry,
+    TomoOperator,
+    default_detectors,
+    make_limited_geometry,
+    square_geometry,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -105,12 +112,12 @@ def streamed_geometries(draw):
 # views at, below and above 45 and 135 degrees, where the driving axis changes
 @hypothesis.example(Geometry(9, 17, 20, [0.0, 44.9, 45.0, 45.1, 90.0, 134.9, 135.0, 135.1]), 0)
 def test_streamed_products_are_bit_equal_to_the_plan(geom, seed):
-    plan = plan_matrix(tomography._build_stencil_matrix(geom))
+    plan = PlanReference(tomography._build_stencil_matrix(geom))
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((geom.image_rows, geom.image_cols))
     y = rng.standard_normal((geom.n_views, geom.detectors))
-    assert np.array_equal(tomography.project_array(x, geom).ravel(), plan @ x.ravel())
-    assert np.array_equal(tomography.backproject_array(y, geom).ravel(), plan.T @ y.ravel())
+    assert np.array_equal(tomography.project_array(x, geom).ravel(), plan.forward(x.ravel()))
+    assert np.array_equal(tomography.backproject_array(y, geom).ravel(), plan.adjoint(y.ravel()))
 
 
 @hypothesis.given(
@@ -127,20 +134,71 @@ def test_operator_products_are_bit_equal_to_the_plan(geom, seed, streamed, block
     """forward, adjoint and normal call scipy's private sparse kernels on the
     plan's arrays, or stream; either way they keep the bits of scipy's own
     products, whatever the block size of normal."""
-    plan = plan_matrix(tomography._build_stencil_matrix(geom))
+    plan = PlanReference(tomography._build_stencil_matrix(geom))
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(plan.shape[1])
-    y = rng.standard_normal(plan.shape[0])
+    x = rng.standard_normal(plan.matrix.shape[1])
+    y = rng.standard_normal(plan.matrix.shape[0])
     op = TomoOperator(geom)
     limit = 0 if streamed else tomography._PLAN_NNZ_LIMIT
     with mock.patch.object(tomography, "_PLAN_NNZ_LIMIT", limit), \
             mock.patch.object(tomography, "_NORMAL_BLOCK_BYTES", block_bytes):
         ax, atax = op.normal(x)
         assert (geom.plan is None) == streamed
-        assert np.array_equal(op.forward(x), plan @ x)
-        assert np.array_equal(op.adjoint(y), plan.T @ y)
-    assert np.array_equal(ax, plan @ x)
-    assert np.array_equal(atax, plan.T @ (plan @ x))
+        assert np.array_equal(op.forward(x), plan.forward(x))
+        assert np.array_equal(op.adjoint(y), plan.adjoint(y))
+    assert np.array_equal(ax, plan.forward(x))
+    assert np.array_equal(atax, plan.adjoint(plan.forward(x)))
+
+
+@st.composite
+def paired_geometries(draw):
+    """Square images whose views hold 90 - t pairs, often in several separate
+    runs, sometimes with 0, 45 and 90 degrees among them, on widened or
+    narrowed pixels and detector spacing."""
+    n = draw(st.integers(1, 16))
+    pixel = draw(st.floats(0.5, 2.0))
+    spacing = draw(st.floats(0.5, 2.0))
+    cover = math.ceil(math.hypot(n * pixel, n * pixel) / spacing)
+    detectors = cover + draw(st.integers(0, 4))
+    # eighths of a degree, so that 90 - t is exact
+    low = draw(st.lists(st.integers(1, 359), min_size=1, max_size=12, unique=True))
+    paired = draw(st.lists(st.sampled_from(low), min_size=1, unique=True))
+    others = draw(st.lists(st.integers(0, 1439), max_size=6))
+    special = draw(st.lists(st.sampled_from([0, 360, 720]), unique=True))
+    eighths = {*low, *(720 - k for k in paired), *others, *special}
+    return Geometry(n, n, detectors, np.sort([k / 8 for k in eighths]), pixel, spacing)
+
+
+@hypothesis.given(
+    paired_geometries(), st.integers(0, 2**32 - 1), st.booleans(), st.integers(12, 2**12)
+)
+@hypothesis.example(square_geometry(8, 12, [0.0, 10.0, 20.0, 45.0, 70.0, 80.0, 90.0]), 4, False, 12)
+@hypothesis.example(square_geometry(8, 12, [0.0, 10.0, 20.0, 45.0, 70.0, 80.0, 90.0]), 4, True, 12)
+def test_mirror_runs_keep_the_bits_of_the_plan(geom, seed, streamed, block_bytes):
+    """Every product, on the plan with blocks that split its runs or
+    streamed, has the bits of the expanded plan, and agrees with the
+    operator whose views are all walked to round-off."""
+    assert geom.mirror_runs
+    plan = PlanReference(tomography._build_stencil_matrix(geom))
+    walked = walked_matrix(geom)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((geom.image_rows, geom.image_cols))
+    y = rng.standard_normal((geom.n_views, geom.detectors))
+    want_ax, want_aty = plan.forward(x.ravel()), plan.adjoint(y.ravel())
+    op = TomoOperator(geom)
+    limit = 0 if streamed else tomography._PLAN_NNZ_LIMIT
+    with mock.patch.object(tomography, "_PLAN_NNZ_LIMIT", limit), \
+            mock.patch.object(tomography, "_NORMAL_BLOCK_BYTES", block_bytes):
+        ax, atax = op.normal(x)
+        assert (geom.plan is None) == streamed
+        for got in (ax, op.forward(x), tomography.project_array(x, geom).ravel()):
+            assert np.array_equal(got, want_ax)
+        for got in (op.adjoint(y), tomography.backproject_array(y, geom).ravel()):
+            assert np.array_equal(got, want_aty)
+        assert np.array_equal(atax, plan.adjoint(want_ax))
+    ax, aty = walked @ x.ravel(), walked.T @ y.ravel()
+    assert np.linalg.norm(want_ax - ax) <= 1e-13 * np.linalg.norm(ax)
+    assert np.linalg.norm(want_aty - aty) <= 1e-13 * np.linalg.norm(aty)
 
 
 @hypothesis.given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 2**32 - 1))

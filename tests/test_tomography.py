@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import plan_matrix
+from conftest import PlanReference, walked_matrix
 from lactdiff import tomography
 from lactdiff.core import (
     DataError,
@@ -46,12 +46,19 @@ def coverage_disk(n: int, radius_px: float, sub: int = 8) -> np.ndarray:
 
 
 def coo_stencil_matrix(geom: Geometry) -> sp.csr_matrix:
-    """Reference plan: COO triplets of every in-range stencil entry, then tocsr."""
+    """Reference plan: COO triplets of every in-range stencil entry, then tocsr.
+
+    A view in a mirror run takes its partner's walk, with the detector order
+    reversed and every pixel index transposed."""
     rows_n, cols_n, det = geom.image_rows, geom.image_cols, geom.detectors
+    partners = {lo + k: top - k for lo, hi, top in geom.mirror_runs for k in range(hi - lo + 1)}
     row_idx, col_idx, values = [], [], []
     coord_buf = np.empty((max(rows_n, cols_n), det))
-    for v, theta_deg in enumerate(geom.angles_deg):
-        drive_rows, coord, weight = tomography._view_coords(geom, theta_deg, coord_buf)
+    for v in range(geom.n_views):
+        walked = partners.get(v, v)
+        drive_rows, coord, weight = tomography._view_coords(
+            geom, geom.angles_deg[walked], coord_buf
+        )
         n_drive = coord.shape[0]
         interp_n = cols_n if drive_rows else rows_n
         j0 = np.floor(coord).astype(np.int64)
@@ -62,12 +69,15 @@ def coo_stencil_matrix(geom: Geometry) -> sp.csr_matrix:
         )
         for idx, w in ((j0, weight * (1.0 - frac)), (j0 + 1, weight * frac)):
             keep = (idx >= 0) & (idx < interp_n)
-            if drive_rows:
-                flat_col = drive_grid[keep] * cols_n + idx[keep]
+            pixel_row, pixel_col = (
+                (drive_grid[keep], idx[keep]) if drive_rows else (idx[keep], drive_grid[keep])
+            )
+            if walked != v:
+                pixel_row, pixel_col = pixel_col, pixel_row
+                row_idx.append(v * det + det - 1 - det_grid[keep])
             else:
-                flat_col = idx[keep] * cols_n + drive_grid[keep]
-            row_idx.append(v * det + det_grid[keep])
-            col_idx.append(flat_col)
+                row_idx.append(v * det + det_grid[keep])
+            col_idx.append(pixel_row * cols_n + pixel_col)
             values.append(w[keep])
     coo = sp.coo_matrix(
         (np.concatenate(values), (np.concatenate(row_idx), np.concatenate(col_idx))),
@@ -98,7 +108,7 @@ class TestStencilPlan:
     def test_matches_coo_reference(self, geom):
         # the plan keeps each row in walk order, the reference in column
         # order, so the entries are compared once both rows are sorted
-        plan = plan_matrix(tomography._build_stencil_matrix(geom)).sorted_indices()
+        plan = PlanReference(tomography._build_stencil_matrix(geom)).matrix.sorted_indices()
         ref = coo_stencil_matrix(geom)
         assert plan.shape == ref.shape
         for name in ("indptr", "indices", "data"):
@@ -135,6 +145,93 @@ class TestStencilPlan:
                 step = np.diff(drive[row])
                 assert np.all(step >= 0), theta_deg
                 assert np.all(np.diff(interp[row])[step == 0] == 1), theta_deg
+
+
+# the benchmark's two geometries, 90 degrees, and 180 degrees with a 0/90 pair
+MIRRORED = [
+    make_limited_geometry(128, default_detectors(128), 240, 60.0),
+    make_limited_geometry(64, default_detectors(64), 120, 60.0),
+    make_limited_geometry(64, default_detectors(64), 120, 90.0),
+    make_limited_geometry(64, default_detectors(64), 120, 180.0),
+]
+MIRRORED_IDS = ["128-60deg", "64-60deg", "64-90deg", "64-180deg"]
+
+
+class TestMirrorRuns:
+    """View 90 - t of an image is view t of its transpose with the detector
+    order reversed; the plan stores one view of each such pair."""
+
+    @pytest.mark.parametrize("geom", MIRRORED, ids=MIRRORED_IDS)
+    def test_mirrored_views_are_their_walked_stencils(self, geom):
+        # each mirrored view's walk has its partner's entries, reversed onto
+        # the transposed image: the same indices in each row, except where a
+        # coordinate lies within 1e-9 of an integer, and weights that differ
+        # by the coordinate's rounding, n float64 ulps of the path length
+        n, det = geom.image_rows, geom.detectors
+        work = tomography._stencil_work(geom)
+        tolerance = 4 * n * np.finfo(np.float64).eps * geom.pixel_size / np.cos(np.pi / 4)
+        assert geom.mirror_runs
+        for lo, hi, top in geom.mirror_runs:
+            for v, w in zip(range(lo, hi + 1), range(top, top - (hi - lo) - 1, -1)):
+                assert geom.angles_deg[v] == 90.0 - geom.angles_deg[w]
+                coord = tomography._view_coords(geom, geom.angles_deg[v], work[0])[1]
+                near = np.any(np.abs(coord - np.round(coord)) <= 1e-9, axis=0)
+                counts, indices, data = (
+                    a.copy() for a in tomography._view_stencil(geom, geom.angles_deg[v], work)
+                )
+                p_counts, p_indices, p_data = tomography._view_stencil(
+                    geom, geom.angles_deg[w], work
+                )
+                pixel_row, pixel_col = np.divmod(p_indices, n)
+                p_indices = pixel_col * n + pixel_row
+                rows = np.split(indices, np.cumsum(counts)[:-1])
+                p_rows = np.split(p_indices, np.cumsum(p_counts)[:-1])[::-1]
+                for d in np.flatnonzero(~near):
+                    assert np.array_equal(rows[d], p_rows[d]), (v, d)
+                walked = sp.csr_matrix(
+                    (data, indices, np.concatenate([[0], np.cumsum(counts)])), shape=(det, n * n)
+                )
+                p_indptr = np.concatenate([[0], np.cumsum(p_counts)])
+                mirrored = sp.csr_matrix((p_data, p_indices, p_indptr), shape=(det, n * n))[::-1]
+                assert abs(walked - mirrored).max() <= tolerance, v
+
+    @pytest.mark.parametrize("geom", MIRRORED, ids=MIRRORED_IDS)
+    def test_products_match_the_walked_operator(self, geom):
+        walked = walked_matrix(geom)
+        op = TomoOperator(geom)
+        rng = np.random.default_rng(geom.n_views)
+        x, y = rng.standard_normal(op.shape[1]), rng.standard_normal(op.shape[0])
+        ax, aty = walked @ x, walked.T @ y
+        assert np.linalg.norm(op.forward(x) - ax) <= 1e-13 * np.linalg.norm(ax)
+        assert np.linalg.norm(op.adjoint(y) - aty) <= 1e-13 * np.linalg.norm(aty)
+
+    @pytest.mark.parametrize(
+        "geom",
+        [Geometry(12, 16, 21, [10.0, 30.0, 45.0, 60.0, 80.0]),
+         make_limited_geometry(32, default_detectors(32), 45, 180.0)],
+        ids=["non-square", "180deg-4deg-steps"],
+    )
+    def test_geometries_without_pairs_store_every_view(self, geom):
+        # no image transpose to pair views on, and no 90 - t among 4k degrees
+        rows = geom.n_views * geom.detectors
+        plan = tomography._build_stencil_matrix(geom)
+        assert geom.mirror_runs == ()
+        assert plan.indptr.size == rows + 1
+        assert plan.pieces == ((0, rows, 0, 0),)
+
+    def test_the_plan_limit_counts_the_stored_views(self, monkeypatch):
+        # 35 and 40 degrees are stored, 50 and 55 are mirrored
+        def geometry():
+            return make_limited_geometry(16, 24, 12, 60.0)
+
+        geom = geometry()
+        assert geom.mirror_runs == ((10, 11, 8),)
+        stored = len(tomography._stored_views(geom)) * tomography._view_nnz_bound(geom)
+        every = geom.n_views * tomography._view_nnz_bound(geom)
+        monkeypatch.setattr(tomography, "_PLAN_NNZ_LIMIT", (stored + every) // 2)
+        assert geom.plan is not None
+        monkeypatch.setattr(tomography, "_PLAN_NNZ_LIMIT", stored - 1)
+        assert geometry().plan is None
 
 
 class TestGeometry:
@@ -387,11 +484,11 @@ class TestPlanBlocks:
     ])
     def test_products_match_the_whole_plan(self, monkeypatch, views, layout):
         geom = fresh_geometry()
-        whole = plan_matrix(tomography._build_stencil_matrix(geom))
+        whole = PlanReference(tomography._build_stencil_matrix(geom))
         rng = np.random.default_rng(11)
         x = rng.standard_normal((13, 21))
         y = rng.standard_normal((33, 40))
-        want_ax, want_aty = whole @ x.ravel(), whole.T @ y.ravel()
+        want_ax, want_aty = whole.forward(x.ravel()), whole.adjoint(y.ravel())
         x, y = self.laid_out(x, layout), self.laid_out(y, layout)
         self.limit_views(monkeypatch, geom, views)
         op = TomoOperator(geom)
@@ -400,7 +497,7 @@ class TestPlanBlocks:
             assert np.array_equal(got, want_ax)
         for got in (backproject_array(y, geom).ravel(), op.adjoint(y)):
             assert np.array_equal(got, want_aty)
-        assert np.array_equal(atax, whole.T @ want_ax)
+        assert np.array_equal(atax, whole.adjoint(want_ax))
         assert geom.plan is None
 
 
@@ -497,10 +594,10 @@ class TestSparseKernels:
         op = TomoOperator(geom)
         ax, atax = op.normal(x)
         aty = op.adjoint(y)
-        plan = plan_matrix(geom.plan)
-        assert np.array_equal(ax, plan @ x)
-        assert np.array_equal(atax, plan.T @ (plan @ x))
-        assert np.array_equal(aty, plan.T @ y)
+        plan = PlanReference(geom.plan)
+        assert np.array_equal(ax, plan.forward(x))
+        assert np.array_equal(atax, plan.adjoint(plan.forward(x)))
+        assert np.array_equal(aty, plan.adjoint(y))
 
 
 class TestRampFilter:
